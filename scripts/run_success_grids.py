@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Reproduce the two-cluster success-probability grids (easy and hard
-geometry).  Expect roughly an hour of compute for the full 20-trial grids;
-pass --trials to thin them out."""
+geometry).  Pass --trials to thin out the full 20-trial grids."""
 
 import argparse
 import sys
@@ -12,7 +11,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--out-dir", default="results/success")
     parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
 
     code = 0
@@ -20,7 +18,5 @@ if __name__ == "__main__":
         argv = ["simulate", "--preset", preset, "--out-dir", args.out_dir]
         if args.trials is not None:
             argv += ["--trials", str(args.trials)]
-        if args.threads is not None:
-            argv += ["--threads", str(args.threads)]
         code = max(code, main(argv))
     sys.exit(code)

@@ -47,6 +47,7 @@ from .solver import (
     MajorizationError,
     SolverConfig,
     SolveTrace,
+    default_merge_tol,
     extract_clusters,
     mm_cluster,
     objective,

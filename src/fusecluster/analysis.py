@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,9 +75,7 @@ def cluster_once(
     merge_tol: float | None = None,
     max_outer_iters: int = 200,
     objective_rel_tol: float = 1e-8,
-    linear_solver: str = "auto",
     rho: float = 1e-8,
-    sigma_decay: float = 1.0,
 ) -> ClusterRun:
     """Convenience wrapper: build the penalty (defaulting sigma from the
     observed data), run the solver, and extract a partition."""
@@ -94,9 +91,7 @@ def cluster_once(
         penalty=penalty,
         max_outer_iters=max_outer_iters,
         objective_rel_tol=objective_rel_tol,
-        linear_solver=linear_solver,
         rho=rho,
-        sigma_decay=sigma_decay,
     )
     centroids, trace = mm_cluster(data, config)
     tol = default_merge_tol(centroids.U) if merge_tol is None else merge_tol
@@ -130,7 +125,6 @@ class SuccessCurveSpec:
     sigma: float | None = None
     max_outer_iters: int = 150
     objective_rel_tol: float = 1e-10
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -181,13 +175,7 @@ def success_curve(
 
     cells = []
     for m in spec.M_grid:
-        if spec.threads > 1:
-            with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-                results = list(
-                    pool.map(lambda t: run_trial(m, t), range(spec.trials))
-                )
-        else:
-            results = [run_trial(m, t) for t in range(spec.trials)]
+        results = [run_trial(m, t) for t in range(spec.trials)]
         kappa = float(np.mean([geom.kappa for _, geom in results]))
         mu0 = float(np.mean([geom.mu0 for _, geom in results]))
         per_p0 = np.array([flags for flags, _ in results], dtype=float)

@@ -14,11 +14,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     SuccessCurveSpec,
+    _derive_seed,
     adjusted_rand_index,
     cluster_once,
     pca_plot_table,
@@ -119,7 +118,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(round((stop - start) / step)) + 1
-        values = tuple(start + i * step for i in range(count))
+        # Rounding drops float noise such as 0.30000000000000004.
+        values = tuple(round(start + i * step, 12) for i in range(count))
         return tuple(v for v in values if v <= stop + 1e-12)
     return tuple(float(v) for v in text.split(","))
 
@@ -136,10 +136,6 @@ def _header_lines(argv, seed):
     )
 
 
-def _seed_from(*parts: int) -> int:
-    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fusecluster", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,6 +143,8 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=".")
+        # Accepted and ignored: trials run serially.  Kept so existing
+        # command lines (and bench/child.py, which parses it) still work.
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--config", default=None, help="key=value defaults file")
 
@@ -187,9 +185,6 @@ def build_parser() -> _Parser:
     p_cluster.add_argument("--rho", type=float, default=1e-8)
     p_cluster.add_argument("--max-iters", type=int, default=200)
     p_cluster.add_argument("--tol", type=float, default=1e-8)
-    p_cluster.add_argument(
-        "--linear-solver", choices=("auto", "direct", "cg"), default="auto"
-    )
     p_cluster.add_argument("--out-labels", default=None)
     p_cluster.add_argument("--out-centroids", default=None)
     p_cluster.add_argument("--out-trace", default=None)
@@ -350,7 +345,6 @@ def _run_simulate(args, argv):
             sigma=args.sigma if args.sigma is not None else preset.get("sigma"),
             max_outer_iters=args.max_iters,
             objective_rel_tol=args.tol,
-            threads=args.threads,
         )
         target = preset["target_kappa"]
         k_clusters, p_dim = preset["K"], preset["P"]
@@ -374,13 +368,13 @@ def _run_simulate(args, argv):
         P=preset["P"],
         centers=block_centers(preset["K"], preset["P"], preset["center_scale"]),
         noise=("gaussian", preset["variance"]),
-        seed=_seed_from(args.seed, 1),
+        seed=_derive_seed(args.seed, 1),
     )
     data, truth = gen_gaussian(spec)
     masked = (
         data
         if args.p0 >= 1.0
-        else apply_mask(data, MaskSpec(p0=args.p0, seed=_seed_from(args.seed, 2)))
+        else apply_mask(data, MaskSpec(p0=args.p0, seed=_derive_seed(args.seed, 2)))
     )
     lam = args.lam if args.lam is not None else preset["lam"]
     run = cluster_once(
@@ -426,7 +420,6 @@ def _run_cluster(args, argv):
         merge_tol=args.merge_tol,
         max_outer_iters=args.max_iters,
         objective_rel_tol=args.tol,
-        linear_solver=args.linear_solver,
         rho=args.rho,
     )
     header = _header_lines(argv, args.seed)
@@ -477,7 +470,7 @@ def _run_wine(args, argv):
         masked = (
             data
             if p0 >= 1.0
-            else apply_mask(data, MaskSpec(p0=p0, seed=_seed_from(args.seed, p_idx)))
+            else apply_mask(data, MaskSpec(p0=p0, seed=_derive_seed(args.seed, p_idx)))
         )
         best = None
         for lam in lambda_grid:
@@ -509,7 +502,7 @@ def _run_wine(args, argv):
 
 def _run_oracle_check(args, argv):
     data, truth, geometry = gen_uniform_kappa(
-        args.K, args.M, args.P, args.target_kappa, seed=_seed_from(args.seed, 7)
+        args.K, args.M, args.P, args.target_kappa, seed=_derive_seed(args.seed, 7)
     )
     report = monte_carlo_bound_check(
         data,

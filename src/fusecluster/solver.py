@@ -17,16 +17,12 @@ The solver is deterministic: no randomness enters anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ObservedDataset, Partition, _frozen_array
-from .penalty import H1, LP, PenaltySpec, phi, weight
-
-# Direct dense factorization up to this many points; beyond it the batched
-# conjugate-gradient path is faster and lighter on memory.
-DIRECT_SOLVE_MAX_N = 256
+from .penalty import LP, PenaltySpec, phi, weight
 
 
 class ConvergenceError(RuntimeError):
@@ -79,12 +75,9 @@ class SolverConfig:
     penalty: PenaltySpec
     max_outer_iters: int = 200
     objective_rel_tol: float = 1e-8
-    linear_solver: str = "auto"  # auto | direct | cg
     cg_tol: float = 1e-10
     cg_maxiter_factor: int = 10
     rho: float = 1e-8
-    init: str = "mean"  # mean | zero
-    sigma_decay: float = 1.0  # <1 anneals the h1 width each outer iteration
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -93,12 +86,6 @@ class SolverConfig:
             raise ValueError("rho must be non-negative")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if self.linear_solver not in ("auto", "direct", "cg"):
-            raise ValueError(f"unknown linear solver: {self.linear_solver!r}")
-        if self.init not in ("mean", "zero"):
-            raise ValueError(f"unknown init: {self.init!r}")
-        if not 0 < self.sigma_decay <= 1.0:
-            raise ValueError("sigma_decay must lie in (0, 1]")
 
 
 def pairwise_distances(
@@ -200,7 +187,7 @@ def objective_gradient(
     w = _weights_from_distances(dists, penalty)
     resid = np.where(data.mask, U - data.values, 0.0)
     deg = w.sum(axis=1)
-    return 2.0 * resid + 4.0 * lam * (U * deg[None, :] - U @ w)
+    return 2.0 * resid + 4.0 * lam * _laplacian(w, deg, U)
 
 
 def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
@@ -221,7 +208,6 @@ def update_centroids(
     lam: float,
     rho: float,
     u0: np.ndarray | None = None,
-    linear_solver: str = "auto",
     cg_tol: float = 1e-10,
     cg_maxiter_factor: int = 10,
 ) -> np.ndarray:
@@ -253,7 +239,6 @@ def update_centroids(
         W=W,
         lam=lam,
         anchor=anchor,
-        linear_solver=linear_solver,
         cg_tol=cg_tol,
         cg_maxiter_factor=cg_maxiter_factor,
     )
@@ -267,7 +252,6 @@ def _solve_weighted_system(
     W,
     lam,
     anchor,
-    linear_solver,
     cg_tol,
     cg_maxiter_factor,
 ):
@@ -279,16 +263,16 @@ def _solve_weighted_system(
     (diagonal = observation mask) and on the fused-group quotient system
     (diagonal = per-group observation counts).
 
-    The solve computes the correction d = v - anchor; the residual
-    r = b - A @ anchor is assembled term by term (Laplacian action via
-    explicit pairwise differences) so exact cancellations at stationary or
-    coalesced anchors survive in floats.
+    The solve computes the correction d = v - anchor by batched
+    Jacobi-preconditioned conjugate gradients; the residual r = b - A @ anchor
+    keeps the data and ridge terms as differences, so an anchor that already
+    satisfies them contributes exact zeros there.
     """
     deg = W.sum(axis=1)
     r = (rhs_data - diag_data * anchor) + rho_diag[None, :] * (
         means[:, None] - anchor
     )
-    r -= 2.0 * lam * _laplacian_by_differences(W, anchor)
+    r -= 2.0 * lam * _laplacian(W, deg, anchor)
 
     b = rhs_data + rho_diag[None, :] * means[:, None]
     b_norm = np.linalg.norm(b, axis=1)
@@ -302,59 +286,18 @@ def _solve_weighted_system(
     tol_per_feature = np.maximum.reduce(
         [cg_tol * b_norm, eps_floor, np.full_like(b_norm, 1e-300)]
     )
-
-    n = W.shape[1]
-    if linear_solver == "auto":
-        linear_solver = "direct" if n <= DIRECT_SOLVE_MAX_N else "cg"
-    if linear_solver == "direct":
-        d = _solve_direct(diag_total, W, deg, lam, r, tol_per_feature)
-    else:
-        d = _solve_cg(diag_total, W, deg, lam, r, tol_per_feature, cg_maxiter_factor)
+    d = _solve_cg(diag_total, W, deg, lam, r, tol_per_feature, cg_maxiter_factor)
     return anchor + d
 
 
-def _laplacian_by_differences(W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(L_W v_p)_i = sum_j W_ij (v_pi - v_pj), one feature row at a time.
-
-    The difference form makes the action vanish exactly on constant (already
-    coalesced) columns, unlike deg*v - W@v which leaves rounding residue.
-    """
-    out = np.empty_like(V)
-    for p, row in enumerate(V):
-        out[p] = (W * (row[:, None] - row[None, :])).sum(axis=1)
-    return out
+def _laplacian(W, deg, V):
+    """Batched L_W @ v_p for every feature row of V (deg = row sums of W)."""
+    return V * deg[None, :] - V @ W
 
 
 def _apply_system(diag_total, W, deg, lam, V):
     """Batched A @ V for all per-feature systems; V has one row per feature."""
-    return diag_total * V + 2.0 * lam * (V * deg[None, :] - V @ W)
-
-
-def _solve_direct(diag_total, W, deg, lam, r, tol_per_feature):
-    base = 2.0 * lam * (np.diag(deg) - W)
-    patterns, inverse = np.unique(diag_total, axis=0, return_inverse=True)
-    d = np.empty_like(r)
-    for g, pattern in enumerate(patterns):
-        rows = np.nonzero(inverse == g)[0]
-        a = base + np.diag(pattern)
-        d[rows] = np.linalg.solve(a, r[rows].T).T
-    resid = r - _apply_system(diag_total, W, deg, lam, d)
-    resid_norm = np.linalg.norm(resid, axis=1)
-    bad = resid_norm > 0.5 * tol_per_feature
-    if bad.any():
-        # One step of iterative refinement handles ill-conditioned systems.
-        for g, pattern in enumerate(patterns):
-            rows = np.nonzero((inverse == g) & bad)[0]
-            if rows.size:
-                a = base + np.diag(pattern)
-                d[rows] += np.linalg.solve(a, resid[rows].T).T
-        resid = r - _apply_system(diag_total, W, deg, lam, d)
-        resid_norm = np.linalg.norm(resid, axis=1)
-        if np.any(resid_norm > tol_per_feature):
-            raise ConvergenceError(
-                "direct solve residual above tolerance", float(resid_norm.max())
-            )
-    return d
+    return diag_total * V + 2.0 * lam * _laplacian(W, deg, V)
 
 
 def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature, maxiter_factor):
@@ -459,23 +402,18 @@ def mm_cluster(
 ) -> tuple[CentroidSet, SolveTrace]:
     """Run the alternating weight/centroid updates to convergence.
 
-    Initialization fills unobserved entries with observed feature means
-    (``init="zero"`` uses zeros instead).  With the power penalty, surrogate
-    columns that coalesce below a run-level threshold are consolidated into
-    quotient super-nodes (see :class:`_Groups`), which keeps the linear
-    systems well conditioned through complete fusion.
+    Initialization fills unobserved entries with observed feature means.
+    With the power penalty, surrogate columns that coalesce below a run-level
+    threshold are consolidated into quotient super-nodes (see
+    :class:`_Groups`), which keeps the linear systems well conditioned
+    through complete fusion.
 
     The trace records the true objective, whose monotone descent the
     majorize-minimize construction guarantees; an increase beyond slack
-    raises :class:`MajorizationError` (skipped while sigma annealing is
-    active, since the objective itself is changing between iterations).
+    raises :class:`MajorizationError`.
     """
     penalty = config.penalty
-    if config.init == "mean":
-        u0 = mean_imputed(data)
-    else:
-        u0 = np.where(data.mask, data.values, 0.0)
-
+    u0 = mean_imputed(data)
     means = observed_feature_means(data)
     fuse_tol = _fuse_threshold(penalty, u0)
     groups = _Groups(data, u0)
@@ -502,7 +440,6 @@ def mm_cluster(
     objectives = [f]
     converged = False
     iterations = 0
-    annealing = penalty.kind == H1 and config.sigma_decay < 1.0
     w = group_weights(dists)
 
     for iterations in range(1, config.max_outer_iters + 1):
@@ -514,14 +451,13 @@ def mm_cluster(
             W=w,
             lam=config.lam,
             anchor=groups.V,
-            linear_solver=config.linear_solver,
             cg_tol=config.cg_tol,
             cg_maxiter_factor=config.cg_maxiter_factor,
         )
         dists = group_distances()
         f_new = true_objective(dists)
         objectives.append(f_new)
-        if not annealing and f_new > f + 1e-10 * max(abs(f), 1.0):
+        if f_new > f + 1e-10 * max(abs(f), 1.0):
             raise MajorizationError(
                 f"majorization violated: objective rose {f:.12g} -> {f_new:.12g}"
             )
@@ -533,8 +469,6 @@ def mm_cluster(
         if stop:
             converged = True
             break
-        if annealing:
-            penalty = replace(penalty, sigma=penalty.sigma * config.sigma_decay)
         w = group_weights(dists)
 
     u = groups.expanded()

@@ -1,5 +1,4 @@
 import csv
-import os
 
 import numpy as np
 import pytest
@@ -17,11 +16,6 @@ def wine_csv(tmp_path_factory):
         for label, row in zip(wine.target, wine.data):
             writer.writerow([int(label) + 1] + [repr(float(v)) for v in row])
     return str(path)
-
-
-def pytest_configure(config):
-    # Keep BLAS pools from oversubscribing the 2-core CI box.
-    os.environ.setdefault("OMP_NUM_THREADS", "2")
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; the whole module finishes in roughly ten minutes on two cores.
+lines.
 """
 
 import filecmp
@@ -244,7 +244,6 @@ def test_08_fig3a_success_grid_shape():
             trials=20,
             base_seed=0,
             sigma=1.0,
-            threads=2,
         )
 
         def generator(m, seed):

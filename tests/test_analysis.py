@@ -208,23 +208,6 @@ class TestSuccessCurve:
             assert 0.0 <= c.success_rate <= 1.0
             assert c.kappa > 0 and c.mu0 >= 1
 
-    def test_thread_count_does_not_change_results(self):
-        def generator(m, seed):
-            return gen_uniform_kappa(2, m, 10, 0.4, seed=seed)
-
-        kwargs = dict(
-            p0_grid=(1.0, 0.6),
-            M_grid=(4,),
-            lambda_grid=(8.0,),
-            trials=4,
-            base_seed=3,
-            sigma=1.0,
-            max_outer_iters=50,
-        )
-        serial = success_curve(generator, SuccessCurveSpec(threads=1, **kwargs))
-        threaded = success_curve(generator, SuccessCurveSpec(threads=2, **kwargs))
-        assert serial == threaded
-
     def test_full_observation_easy_instance_succeeds(self):
         spec = SuccessCurveSpec(
             p0_grid=(1.0,),

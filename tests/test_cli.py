@@ -40,6 +40,10 @@ class TestParseGrid:
     def test_fractional_step_count(self):
         assert len(parse_grid("0:1:0.02")) == 51
 
+    def test_range_points_carry_no_float_noise(self):
+        assert parse_grid("0.2:1.0:0.1") == (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+        assert parse_grid("0:1:0.02") == tuple(i / 50 for i in range(51))
+
 
 class TestExitCodes:
     def test_version_exits_zero(self, tmp_path, capsys):

@@ -33,6 +33,21 @@ def random_instance(seed, K=2, M=4, P=5, p0=1.0, scale=4.0, variance=0.1):
     return data, truth
 
 
+def dense_systems(data, w, lam, rho):
+    """Per-feature (A, b) of the centroid update, assembled as dense matrices."""
+    mask_f = data.mask.astype(float)
+    counts = data.mask.sum(axis=1)
+    means = np.where(
+        counts > 0, data.observed_values().sum(axis=1) / np.maximum(counts, 1), 0.0
+    )
+    laplacian = np.diag(w.sum(axis=1)) - w
+    n = data.point_count
+    for p in range(data.feature_count):
+        a = np.diag(mask_f[p]) + 2 * lam * laplacian + rho * np.eye(n)
+        b = mask_f[p] * data.observed_values()[p] + rho * means[p]
+        yield a, b
+
+
 class TestObjective:
     def test_identical_points_zero(self):
         col = np.array([[1.0], [2.0]])
@@ -106,23 +121,12 @@ class TestUpdateCentroids:
         with pytest.raises(ValueError, match="symmetric"):
             update_centroids(data, np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0, 0.0)
 
-    @pytest.mark.parametrize("solver", ("direct", "cg"))
-    def test_stationarity_residual(self, solver, rng):
+    def test_stationarity_residual(self):
         data, _ = random_instance(seed=3, K=2, M=5, P=6, p0=0.7)
-        u0 = mean_imputed(data)
-        w = update_weights(u0, H1_UNIT)
+        w = update_weights(mean_imputed(data), H1_UNIT)
         lam, rho = 0.8, 1e-8
-        u = update_centroids(data, w, lam, rho, linear_solver=solver)
-        mask_f = data.mask.astype(float)
-        means = np.where(
-            data.mask.sum(axis=1) > 0,
-            data.observed_values().sum(axis=1) / np.maximum(data.mask.sum(axis=1), 1),
-            0.0,
-        )
-        deg = w.sum(axis=1)
-        for p in range(data.feature_count):
-            a = np.diag(mask_f[p]) + 2 * lam * (np.diag(deg) - w) + rho * np.eye(10)
-            b = mask_f[p] * data.observed_values()[p] + rho * means[p]
+        u = update_centroids(data, w, lam, rho)
+        for p, (a, b) in enumerate(dense_systems(data, w, lam, rho)):
             resid = np.linalg.norm(a @ u[p] - b)
             assert resid < 1e-8 * max(np.linalg.norm(b), 1e-12)
 
@@ -132,17 +136,16 @@ class TestUpdateCentroids:
         from fusecluster.solver import ConvergenceError
 
         with pytest.raises(ConvergenceError) as err:
-            update_centroids(
-                data, w, 0.5, 1e-8, linear_solver="cg", cg_maxiter_factor=0
-            )
+            update_centroids(data, w, 0.5, 1e-8, cg_maxiter_factor=0)
         assert err.value.residual_norm > 0
 
-    def test_direct_and_cg_agree(self, rng):
+    def test_matches_dense_solve(self):
         data, _ = random_instance(seed=9, K=2, M=6, P=4, p0=0.6)
         w = update_weights(mean_imputed(data), H1_UNIT)
-        u_direct = update_centroids(data, w, 0.5, 1e-8, linear_solver="direct")
-        u_cg = update_centroids(data, w, 0.5, 1e-8, linear_solver="cg")
-        np.testing.assert_allclose(u_direct, u_cg, atol=1e-8)
+        lam, rho = 0.5, 1e-8
+        u = update_centroids(data, w, lam, rho)
+        dense = np.array([np.linalg.solve(a, b) for a, b in dense_systems(data, w, lam, rho)])
+        np.testing.assert_allclose(u, dense, atol=1e-8)
 
 
 class TestGradient:
@@ -237,20 +240,6 @@ class TestMMCluster:
         c2, _ = mm_cluster(permuted, cfg)
         np.testing.assert_allclose(c1.U[:, perm], c2.U, atol=1e-9)
 
-    def test_zero_init_flag(self):
-        data, _ = random_instance(seed=2, K=2, M=3, P=4, p0=0.5)
-        cfg = SolverConfig(lam=0.5, penalty=H1_UNIT, max_outer_iters=30, init="zero")
-        centroids, trace = mm_cluster(data, cfg)
-        assert np.all(np.isfinite(centroids.U))
-
-    def test_annealing_runs(self):
-        data, _ = random_instance(seed=4, K=2, M=4, P=4)
-        cfg = SolverConfig(
-            lam=1.0, penalty=PenaltySpec.h1(3.0), max_outer_iters=40, sigma_decay=0.9
-        )
-        centroids, trace = mm_cluster(data, cfg)
-        assert np.all(np.isfinite(centroids.U))
-
     def test_lp_fusion_reaches_exact_coalescence(self):
         data, truth = random_instance(seed=6, K=2, M=5, P=3, scale=9.0, variance=0.02)
         cfg = SolverConfig(lam=0.2, penalty=PenaltySpec.lp(0.5), max_outer_iters=120,
@@ -304,7 +293,5 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(lam=0.0, penalty=H1_UNIT)
-        with pytest.raises(ValueError):
-            SolverConfig(lam=1.0, penalty=H1_UNIT, linear_solver="qr")
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, penalty=H1_UNIT, max_outer_iters=0)
