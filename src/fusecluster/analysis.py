@@ -16,6 +16,7 @@ from .solver import (
     extract_clusters,
     mean_imputed,
     mm_cluster,
+    pairwise_distances,
 )
 
 
@@ -94,8 +95,9 @@ def cluster_once(
         rho=rho,
     )
     centroids, trace = mm_cluster(data, config)
-    tol = default_merge_tol(centroids.U) if merge_tol is None else merge_tol
-    partition = extract_clusters(centroids.U, tol)
+    dists = pairwise_distances(centroids.U)
+    tol = default_merge_tol(centroids.U, dists) if merge_tol is None else merge_tol
+    partition = extract_clusters(centroids.U, tol, dists)
     return ClusterRun(
         centroids=centroids.U,
         weights=centroids.W,

@@ -54,10 +54,8 @@ def write_points_csv(path, data: ObservedDataset, labels=None, header_lines=()):
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         for i in range(data.point_count):
-            row = [
-                repr(float(data.values[p, i])) if data.mask[p, i] else ""
-                for p in range(data.feature_count)
-            ]
+            values, mask = data.values[:, i].tolist(), data.mask[:, i].tolist()
+            row = [repr(v) if m else "" for v, m in zip(values, mask)]
             if labels is not None:
                 row.append(str(int(labels[i])))
             writer.writerow(row)

@@ -203,13 +203,18 @@ def coherence(y) -> float:
 
 
 def _pairwise_sq_dists(values: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between columns (Gram trick, clipped)."""
+    """Squared column distances 0.5 * (d + d.T), d = sq_i + sq_j - 2 g_ij,
+    clipped at 0 (Gram trick); computed in place in two N x N arrays."""
     g = values.T @ values
     sq = np.einsum("pi,pi->i", values, values)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * g
-    d2 = 0.5 * (d2 + d2.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    d2 = np.add.outer(sq, sq)
+    g *= 2.0
+    d2 -= g
+    np.add(d2, d2.T, out=g)
+    g *= 0.5
+    np.maximum(g, 0.0, out=g)
+    np.fill_diagonal(g, 0.0)
+    return g
 
 
 def _pairwise_linf(values: np.ndarray) -> np.ndarray:

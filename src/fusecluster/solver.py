@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ObservedDataset, Partition, _frozen_array
+from .model import ObservedDataset, Partition, _frozen_array, _pairwise_sq_dists
 from .penalty import LP, PenaltySpec, phi, weight
 
 
@@ -88,6 +88,10 @@ class SolverConfig:
             raise ValueError("max_outer_iters must be at least 1")
 
 
+# Byte budget of the P x B x N difference buffer of the exact distance pass.
+_EXACT_BLOCK_BYTES = 1 << 20
+
+
 def pairwise_distances(
     U: np.ndarray, accurate: bool = False, snap_tol: float = 0.0
 ) -> np.ndarray:
@@ -96,24 +100,28 @@ def pairwise_distances(
     The Gram expansion loses ~sqrt(eps)*scale of absolute accuracy near zero,
     which is harmless for the Gaussian-saturating penalty (quadratically flat
     at 0) but not for the power penalty whose slope diverges there; the
-    accurate path accumulates squared differences feature by feature instead.
-    Distances below ``snap_tol`` (when set) are reported as exactly 0.
+    accurate path sums squared differences instead.  It fills B rows at a
+    time from one P x B x N buffer (B from a fixed ~1 MB budget) and adds the
+    features in index order, the order of a per-feature loop, so its result
+    is bitwise that loop's.  Memory is O(N^2 + P*B*N).  Distances below
+    ``snap_tol`` (when set) are reported as exactly 0.
     """
     U = np.asarray(U, dtype=float)
-    n = U.shape[1]
     if accurate:
-        d2 = np.zeros((n, n))
-        for row in U:
-            diff = row[:, None] - row[None, :]
-            d2 += diff * diff
+        p, n = U.shape
+        rows = max(1, _EXACT_BLOCK_BYTES // max(8 * p * n, 1))
+        d = np.empty((n, n))
+        buf = np.empty((p, min(rows, n), n))
+        for start in range(0, n, rows):
+            diff = buf[:, : min(rows, n - start)]
+            np.subtract(U[:, start : start + rows, None], U[:, None, :], out=diff)
+            np.multiply(diff, diff, out=diff)
+            # An axis-0 reduce adds feature by feature, never pairwise.
+            np.add.reduce(diff, axis=0, out=d[start : start + rows])
+        np.fill_diagonal(d, 0.0)
+        np.sqrt(d, out=d)
     else:
-        g = U.T @ U
-        sq = np.einsum("pi,pi->i", U, U)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * g
-        d2 = 0.5 * (d2 + d2.T)
-        np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    d = np.sqrt(d2)
+        d = np.sqrt(_pairwise_sq_dists(U))
     if snap_tol > 0.0:
         d[d < snap_tol] = 0.0
     return d
@@ -162,16 +170,10 @@ def objective(
     data: ObservedDataset, U: np.ndarray, lam: float, penalty: PenaltySpec
 ) -> float:
     """True (non-surrogate) objective value at U."""
-    dists = _distances_for(U, penalty)
-    return _objective_from_distances(data, U, dists, lam, penalty)
-
-
-def _objective_from_distances(data, U, dists, lam, penalty) -> float:
     resid = np.where(data.mask, U - data.values, 0.0)
-    data_term = float(np.sum(resid * resid))
-    pen = phi(dists, penalty)
+    pen = phi(_distances_for(U, penalty), penalty)
     np.fill_diagonal(pen, 0.0)
-    return data_term + lam * float(pen.sum())
+    return float(np.sum(resid * resid)) + lam * float(pen.sum())
 
 
 def objective_gradient(
@@ -341,58 +343,42 @@ class _Groups:
     from the linear algebra, and fused pairs contribute exactly zero to the
     penalty from then on.  Fusion is permanent for a run; the floored weight
     a separation would run into makes un-fusing impossible in practice.
+
+    ``pair_mult`` (the G x G product of group sizes that scales each pair's
+    penalty and weight) stays the scalar 1.0 until the first merge, so runs
+    that never fuse hold no extra G x G array.
     """
 
     def __init__(self, data: ObservedDataset, v0: np.ndarray):
         self.diag = data.mask.astype(float)  # P x G observation counts
         self.rhs = data.observed_values()  # P x G sums of observed values
         self.counts = np.ones(data.point_count)
+        self.pair_mult = 1.0
         self.rep = np.arange(data.point_count)
         self.V = v0.copy()
-
-    @property
-    def size(self) -> int:
-        return self.V.shape[1]
 
     def expanded(self) -> np.ndarray:
         return self.V[:, self.rep]
 
     def merge_close(self, dists: np.ndarray, fuse_tol: float) -> bool:
         """Union all groups within fuse_tol; returns True when merged."""
-        g = self.size
         close = dists < fuse_tol
         np.fill_diagonal(close, False)
         if not close.any():
             return False
-        parent = list(range(g))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, bb in zip(*np.nonzero(close)):
-            ra, rb = find(int(a)), find(int(bb))
-            if ra != rb:
-                parent[rb] = ra
-        roots = [find(a) for a in range(g)]
-        order: dict[int, int] = {}
-        new_of_old = np.array([order.setdefault(r, len(order)) for r in roots])
-        g_new = len(order)
-
-        diag = np.zeros((self.diag.shape[0], g_new))
-        rhs = np.zeros_like(diag)
-        v = np.zeros_like(diag)
-        counts = np.zeros(g_new)
+        new_of_old = _components(close)
+        shape = (self.diag.shape[0], int(new_of_old.max()) + 1)
+        cols = (slice(None), new_of_old)
+        diag, rhs, v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        counts = np.zeros(shape[1])
         np.add.at(counts, new_of_old, self.counts)
-        for old, new in enumerate(new_of_old):
-            diag[:, new] += self.diag[:, old]
-            rhs[:, new] += self.rhs[:, old]
-            v[:, new] += self.counts[old] * self.V[:, old]
+        np.add.at(diag, cols, self.diag)
+        np.add.at(rhs, cols, self.rhs)
+        np.add.at(v, cols, self.counts * self.V)
         self.diag, self.rhs = diag, rhs
         self.V = v / counts[None, :]
         self.counts = counts
+        self.pair_mult = np.outer(counts, counts)
         self.rep = new_of_old[self.rep]
         return True
 
@@ -425,13 +411,12 @@ def mm_cluster(
         resid = np.where(data.mask, groups.expanded() - data.values, 0.0)
         pen = phi(dists, penalty)
         np.fill_diagonal(pen, 0.0)
-        pair_mult = np.outer(groups.counts, groups.counts)
-        return float(np.sum(resid * resid)) + config.lam * float(
-            np.sum(pen * pair_mult)
-        )
+        pen *= groups.pair_mult
+        return float(np.sum(resid * resid)) + config.lam * float(np.sum(pen))
 
     def group_weights(dists):
-        w = weight(dists, penalty) * np.outer(groups.counts, groups.counts)
+        w = weight(dists, penalty)
+        w *= groups.pair_mult
         np.fill_diagonal(w, 0.0)
         return w
 
@@ -474,9 +459,7 @@ def mm_cluster(
     u = groups.expanded()
     # Point-level weights at the final surrogates (coalesced pairs take the
     # floored weight, matching update_weights on the expanded matrix).
-    w_points = _weights_from_distances(
-        dists[groups.rep][:, groups.rep], penalty
-    )
+    w_points = _weights_from_distances(dists[groups.rep][:, groups.rep], penalty)
     centroids = CentroidSet(U=u, W=w_points)
     trace = SolveTrace(
         objectives=np.array(objectives), iterations=iterations, converged=converged
@@ -484,25 +467,37 @@ def mm_cluster(
     return centroids, trace
 
 
-def default_merge_tol(U: np.ndarray) -> float:
+def default_merge_tol(U: np.ndarray, dists: np.ndarray | None = None) -> float:
     """1e-3 times the largest pairwise centroid distance (1.0 if all
-    surrogates coincide)."""
-    dmax = float(pairwise_distances(U).max())
+    surrogates coincide).  ``dists`` may pass ``pairwise_distances(U)`` when
+    the caller already holds it."""
+    dmax = float((pairwise_distances(U) if dists is None else dists).max())
     return 1e-3 * dmax if dmax > 0 else 1.0
 
 
-def extract_clusters(U: np.ndarray, merge_tol: float) -> Partition:
+def extract_clusters(
+    U: np.ndarray, merge_tol: float, dists: np.ndarray | None = None
+) -> Partition:
     """Connected components of the graph linking surrogates within merge_tol.
 
     Chains merge transitively; labels follow first-occurrence order.
+    ``dists`` may pass ``pairwise_distances(U)`` when the caller already
+    holds it.
     """
     if not merge_tol > 0:
         raise ValueError("merge_tol must be positive")
     U = np.asarray(U, dtype=float)
     if not np.all(np.isfinite(U)):
         raise ValueError("U must be finite")
-    n = U.shape[1]
-    adj = pairwise_distances(U) <= merge_tol
+    if dists is None:
+        dists = pairwise_distances(U)
+    return Partition(_components(dists <= merge_tol))
+
+
+def _components(adj: np.ndarray) -> np.ndarray:
+    """Connected-component labels of a symmetric boolean adjacency matrix,
+    numbered in order of each component's first (lowest-index) member."""
+    n = adj.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     next_label = 0
     for start in range(n):
@@ -516,4 +511,4 @@ def extract_clusters(U: np.ndarray, merge_tol: float) -> Partition:
                 labels[j] = next_label
                 stack.append(j)
         next_label += 1
-    return Partition(labels)
+    return labels

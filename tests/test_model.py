@@ -10,6 +10,7 @@ from fusecluster.model import (
     ObservedDataset,
     Partition,
     SyntheticSpec,
+    _pairwise_sq_dists,
     coherence,
     estimate_geometry,
 )
@@ -171,6 +172,26 @@ class TestEstimateGeometry:
         data = ObservedDataset.full(values)
         g = estimate_geometry(data, Partition(np.array([0] * 5 + [1] * 5)))
         assert g.kappa == pytest.approx(g.epsilon * math.sqrt(g.P) / g.delta, rel=1e-12)
+
+
+class TestPairwiseSqDists:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.integers(1, 6),
+        n=st.integers(1, 12),
+        scale=st.sampled_from([1.0, 1e-150, 1e150]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_kernel_is_bitwise_the_expression(self, p, n, scale, seed):
+        values = np.random.default_rng(seed).normal(size=(p, n)) * scale
+        values[:, n // 2] = values[:, 0]  # a coincident pair
+        # Reference: the out-of-place form the in-place kernel replaced.
+        g = values.T @ values
+        sq = np.einsum("pi,pi->i", values, values)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * g
+        d2 = 0.5 * (d2 + d2.T)
+        np.fill_diagonal(d2, 0.0)
+        assert np.array_equal(_pairwise_sq_dists(values), np.maximum(d2, 0.0))
 
 
 class TestSyntheticSpec:

@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fusecluster import solver
 
 from fusecluster.datagen import MaskSpec, apply_mask, block_centers, gen_gaussian
 from fusecluster.model import ObservedDataset, Partition, SyntheticSpec
@@ -20,6 +25,43 @@ from fusecluster.solver import (
 )
 
 H1_UNIT = PenaltySpec.h1(1.0)
+
+
+def loop_distances(U):
+    """Reference for the exact kernel: the per-feature loop it replaced."""
+    U = np.asarray(U, dtype=float)
+    n = U.shape[1]
+    d2 = np.zeros((n, n))
+    for row in U:
+        diff = row[:, None] - row[None, :]
+        d2 += diff * diff
+    np.fill_diagonal(d2, 0.0)
+    return np.sqrt(d2)
+
+
+def union_find_labels(adj):
+    """Reference for _components: union-find over the off-diagonal pairs,
+    roots numbered in order of first occurrence."""
+    parent = list(range(adj.shape[0]))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(*np.nonzero(adj)):
+        ra, rb = find(int(a)), find(int(b))
+        if ra != rb:
+            parent[rb] = ra
+    order = {}
+    return np.array([order.setdefault(find(a), len(order)) for a in range(len(parent))])
+
+
+def exact_block_budget(p, n, rows):
+    """Value of solver._EXACT_BLOCK_BYTES that makes the kernel fill ``rows``
+    rows per pass on a P x N input."""
+    return 8 * p * n * rows
 
 
 def random_instance(seed, K=2, M=4, P=5, p0=1.0, scale=4.0, variance=0.1):
@@ -283,6 +325,35 @@ class TestPairwiseDistances:
             pairwise_distances(u), pairwise_distances(u, accurate=True), atol=1e-9
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from([2, 3, 4, 7]),
+        n_case=st.sampled_from(["1", "2", "B-1", "B", "B+1", "601"]),
+        p=st.sampled_from([1, 3, 50]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_kernel_is_bitwise_the_loop(self, rows, n_case, p, seed):
+        n = {"1": 1, "2": 2, "B-1": rows - 1, "B": rows, "B+1": rows + 1}.get(
+            n_case, 601
+        )
+        rng = np.random.default_rng(seed)
+        scales = rng.choice([1.0, 1e150, 1e-150], size=(p, n))
+        u = rng.normal(size=(p, n)) * scales
+        dup = rng.integers(0, n, size=n // 3)
+        u[:, rng.integers(0, n, size=dup.size)] = u[:, dup]  # exact zeros
+        with mock.patch.object(
+            solver, "_EXACT_BLOCK_BYTES", exact_block_budget(p, n, rows)
+        ):
+            d = pairwise_distances(u, accurate=True)
+        assert np.array_equal(d, loop_distances(u))
+
+    @pytest.mark.parametrize("p", [3, 50])
+    def test_default_block_budget_is_bitwise_the_loop(self, p, rng):
+        # 601 rows split into blocks with a ragged tail (B = 4 at P = 50).
+        u = rng.normal(size=(p, 601))
+        u[:, 300:310] = u[:, 0:10]
+        assert np.array_equal(pairwise_distances(u, accurate=True), loop_distances(u))
+
     def test_snap_threshold(self):
         u = np.array([[0.0, 1e-12, 1.0]])
         d = pairwise_distances(u, accurate=True, snap_tol=1e-9)
@@ -295,3 +366,42 @@ class TestSolverConfig:
             SolverConfig(lam=0.0, penalty=H1_UNIT)
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, penalty=H1_UNIT, max_outer_iters=0)
+
+
+class TestComponents:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        density=st.sampled_from([0.0, 0.02, 0.1, 0.5]),
+        chain=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_union_find(self, n, density, chain, seed):
+        rng = np.random.default_rng(seed)
+        adj = rng.random((n, n)) < density
+        if chain:  # link a random ordering of the points end to end
+            order = rng.permutation(n)
+            adj[order[:-1], order[1:]] = True
+        adj |= adj.T
+        np.fill_diagonal(adj, False)
+        assert np.array_equal(solver._components(adj), union_find_labels(adj))
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_lp_run_with_merges_matches_the_loop_kernel(self, rows, monkeypatch):
+        # The whole lp solve, fused-group merges included, must not move one
+        # bit when the blocked kernel stands in for the per-feature loop.
+        data, _ = random_instance(seed=3, K=3, M=20, P=50, p0=0.6, scale=6.0)
+        if rows is not None:
+            monkeypatch.setattr(
+                solver, "_EXACT_BLOCK_BYTES", exact_block_budget(50, 60, rows)
+            )
+        cfg = SolverConfig(lam=0.2, penalty=PenaltySpec.lp(0.5))
+        blocked, blocked_trace = mm_cluster(data, cfg)
+        monkeypatch.setattr(solver, "_distances_for", lambda U, _: loop_distances(U))
+        loop, loop_trace = mm_cluster(data, cfg)
+        assert np.unique(blocked.U, axis=1).shape[1] < data.point_count  # merged
+        assert np.array_equal(blocked.U, loop.U)
+        assert np.array_equal(blocked.W, loop.W)
+        assert np.array_equal(blocked_trace.objectives, loop_trace.objectives)
