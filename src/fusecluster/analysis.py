@@ -12,6 +12,7 @@ from .model import ClusterGeometry, ObservedDataset, Partition
 from .penalty import H1, PenaltySpec, default_h1_sigma
 from .solver import (
     SolverConfig,
+    SolveTrace,
     default_merge_tol,
     extract_clusters,
     mean_imputed,
@@ -54,14 +55,13 @@ def adjusted_rand_index(a: Partition, b: Partition) -> float:
 
 @dataclass(frozen=True)
 class ClusterRun:
-    """One solve + extraction, with everything needed to score or plot it."""
+    """One solve + extraction, with everything needed to score or plot it:
+    ``centroids`` is the converged P x N surrogate matrix U, ``trace`` the
+    solver's SolveTrace, ``sigma`` the h1 bandwidth (None for lp)."""
 
     centroids: np.ndarray
-    weights: np.ndarray
     partition: Partition
-    objective_trace: np.ndarray
-    iterations: int
-    converged: bool
+    trace: SolveTrace
     merge_tol: float
     sigma: float | None
 
@@ -79,14 +79,15 @@ def cluster_once(
     rho: float = 1e-8,
 ) -> ClusterRun:
     """Convenience wrapper: build the penalty (defaulting sigma from the
-    observed data), run the solver, and extract a partition."""
-    if penalty_kind == H1:
-        if sigma is None:
-            sigma = default_h1_sigma(data)
-        penalty = PenaltySpec.h1(sigma=sigma, tau=tau)
-    else:
-        penalty = PenaltySpec.lp(p=lp_p, tau=tau)
+    observed data), run the solver, and extract a partition.  An unknown
+    ``penalty_kind`` raises ValueError."""
+    if penalty_kind != H1:
         sigma = None
+    elif sigma is None:
+        sigma = default_h1_sigma(data)
+    penalty = PenaltySpec(
+        kind=penalty_kind, sigma=1.0 if sigma is None else sigma, p=lp_p, tau=tau
+    )
     config = SolverConfig(
         lam=lam,
         penalty=penalty,
@@ -99,14 +100,7 @@ def cluster_once(
     tol = default_merge_tol(centroids.U, dists) if merge_tol is None else merge_tol
     partition = extract_clusters(centroids.U, tol, dists)
     return ClusterRun(
-        centroids=centroids.U,
-        weights=centroids.W,
-        partition=partition,
-        objective_trace=trace.objectives,
-        iterations=trace.iterations,
-        converged=trace.converged,
-        merge_tol=tol,
-        sigma=sigma,
+        centroids=centroids.U, partition=partition, trace=trace, merge_tol=tol, sigma=sigma
     )
 
 
@@ -127,6 +121,12 @@ class SuccessCurveSpec:
     sigma: float | None = None
     max_outer_iters: int = 150
     objective_rel_tol: float = 1e-10
+
+    def __post_init__(self):
+        if not (self.p0_grid and self.M_grid and self.lambda_grid):
+            raise ValueError("p0, M and lambda grids must be non-empty")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
 
 
 @dataclass(frozen=True)

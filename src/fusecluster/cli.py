@@ -35,12 +35,11 @@ from .datagen import (
 from .dataio import read_points_csv, write_points_csv, write_table_csv
 from .model import ObservedDataset
 from .oracle import monte_carlo_bound_check
-from .theory import GuaranteeInputs, evaluate_guarantees
+from .theory import guarantee_curve
 
 # Experiment presets: each encodes the parameters of one reproducible study.
-THEORY_PRESETS = {
-    "fig2": dict(P=50, mu0=1.5, kappa=0.5, K=2, M=50, p0_grid="0:1:0.02"),
-}
+# fig2's are the `theory` subcommand defaults, so its entry is a name only.
+THEORY_PRESETS = ("fig2",)
 
 SIMULATE_PRESETS = {
     # Two-cluster uniform-noise success grids; sigma and the lambda sweep were
@@ -120,7 +119,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
         count = int(round((stop - start) / step)) + 1
         # Rounding drops float noise such as 0.30000000000000004.
         values = tuple(round(start + i * step, 12) for i in range(count))
-        return tuple(v for v in values if v <= stop + 1e-12)
+        values = tuple(v for v in values if v <= stop + 1e-12)
+        if not values:
+            raise ValueError(f"grid {text!r} is empty")
+        return values
     return tuple(float(v) for v in text.split(","))
 
 
@@ -150,7 +152,7 @@ def build_parser() -> _Parser:
 
     p_theory = sub.add_parser("theory", help="emit guarantee-bound curves")
     common(p_theory)
-    p_theory.add_argument("--preset", choices=sorted(THEORY_PRESETS))
+    p_theory.add_argument("--preset", choices=THEORY_PRESETS)
     p_theory.add_argument("--P", type=int, default=50)
     p_theory.add_argument("--mu0", type=float, default=1.5)
     p_theory.add_argument("--kappa", type=float, default=0.5)
@@ -252,7 +254,14 @@ def _load_config_defaults(parser, argv):
             action = next((a for a in subparser._actions if a.dest == dest), None)
             if action is None:
                 raise _UsageError(f"unknown config key: {key.strip()!r}")
-            values[dest] = action.type(raw) if action.type else raw
+            if action.nargs == 0:  # a flag such as --labeled
+                if raw not in ("true", "false"):
+                    raise _UsageError(f"config key {key.strip()!r} must be true or false")
+                raw = raw == "true"
+            try:
+                values[dest] = action.type(raw) if action.type else raw
+            except ValueError:
+                raise _UsageError(f"bad value for config key {key.strip()!r}: {raw!r}")
     subparser.set_defaults(**values)
 
 
@@ -296,25 +305,22 @@ def _run_theory(args, argv):
     # The fig2 preset parameters are the subcommand defaults, so flags always
     # carry the effective values; --preset only names the output file.
     grid = parse_grid(args.p0_grid)
-    rows = []
-    for p0 in grid:
-        rep = evaluate_guarantees(
-            GuaranteeInputs(
-                p0=p0, P=args.P, kappa=args.kappa, mu0=args.mu0, K=args.K, M=args.M
-            )
+    reports = guarantee_curve(
+        grid, P=args.P, kappa=args.kappa, mu0=args.mu0, K=args.K, M=args.M
+    )
+    rows = [
+        (
+            p0,
+            rep.gamma0,
+            rep.delta0,
+            rep.beta0,
+            rep.eta0,
+            rep.eta0_approx,
+            rep.approx_valid,
+            rep.success_lower_bound,
         )
-        rows.append(
-            (
-                p0,
-                rep.gamma0,
-                rep.delta0,
-                rep.beta0,
-                rep.eta0,
-                rep.eta0_approx,
-                rep.approx_valid,
-                rep.success_lower_bound,
-            )
-        )
+        for p0, rep in zip(grid, reports)
+    ]
     name = f"{args.preset}_guarantees.csv" if args.preset else "theory_guarantees.csv"
     write_table_csv(
         os.path.join(args.out_dir, name),
@@ -397,7 +403,7 @@ def _run_simulate(args, argv):
     write_table_csv(
         f"{prefix}_trace.csv",
         ("iteration", "objective"),
-        list(enumerate(run.objective_trace.tolist())),
+        list(enumerate(run.trace.objectives.tolist())),
         header_lines=header,
     )
     write_table_csv(
@@ -441,7 +447,7 @@ def _run_cluster(args, argv):
     write_table_csv(
         out_trace,
         ("iteration", "objective"),
-        list(enumerate(run.objective_trace.tolist())),
+        list(enumerate(run.trace.objectives.tolist())),
         header_lines=header,
     )
     if truth is not None:

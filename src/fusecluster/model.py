@@ -217,13 +217,31 @@ def _pairwise_sq_dists(values: np.ndarray) -> np.ndarray:
     return g
 
 
-def _pairwise_linf(values: np.ndarray) -> np.ndarray:
-    """Sup-norm distances between columns, accumulated one feature row at a
-    time to keep memory at O(N^2)."""
-    n = values.shape[1]
-    out = np.zeros((n, n))
-    for row in values:
-        np.maximum(out, np.abs(row[:, None] - row[None, :]), out=out)
+# Byte budget of the P x B x N difference buffer of _pairwise_reduce.
+_EXACT_BLOCK_BYTES = 1 << 20
+
+
+def _pairwise_reduce(values: np.ndarray, elementwise, reduce) -> np.ndarray:
+    """``reduce`` over features of ``elementwise(values[:, i] - values[:, j])``
+    for every pair of columns: squared l2 distances with ``np.square`` and
+    ``np.add``, sup-norm distances with ``np.abs`` and ``np.maximum``.
+
+    Fills B rows at a time from one P x B x N buffer (B from a fixed ~1 MB
+    budget) and reduces the features in index order, the order of a
+    per-feature loop, so the result is bitwise that loop's.  Memory is
+    O(N^2 + P*B*N).  The diagonal is exactly 0.
+    """
+    p, n = values.shape
+    rows = max(1, _EXACT_BLOCK_BYTES // max(8 * p * n, 1))
+    out = np.empty((n, n))
+    buf = np.empty((p, min(rows, n), n))
+    for start in range(0, n, rows):
+        diff = buf[:, : min(rows, n - start)]
+        np.subtract(values[:, start : start + rows, None], values[:, None, :], out=diff)
+        elementwise(diff, out=diff)
+        # An axis-0 reduce combines feature by feature, never pairwise.
+        reduce.reduce(diff, axis=0, out=out[start : start + rows])
+    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -243,7 +261,7 @@ def estimate_geometry(data: ObservedDataset, truth: Partition) -> ClusterGeometr
     same = labels[:, None] == labels[None, :]
     off_diag = ~np.eye(data.point_count, dtype=bool)
 
-    linf = _pairwise_linf(values)
+    linf = _pairwise_reduce(values, np.abs, np.maximum)
     intra = same & off_diag
     epsilon = float(linf[intra].max()) if intra.any() else 0.0
 

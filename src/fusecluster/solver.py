@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ObservedDataset, Partition, _frozen_array, _pairwise_sq_dists
+from .model import ObservedDataset, Partition, _frozen_array
+from .model import _pairwise_reduce, _pairwise_sq_dists
 from .penalty import LP, PenaltySpec, phi, weight
 
 
@@ -39,22 +40,20 @@ class MajorizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CentroidSet:
-    """Converged surrogates U (P x N) and the final pairwise weights W."""
+    """Converged surrogates U (P x N), one column per point.
+
+    The final majorizer weights are ``update_weights(U, penalty)``.
+    """
 
     U: np.ndarray
-    W: np.ndarray
 
     def __post_init__(self):
         U = _frozen_array(self.U, float)
-        W = _frozen_array(self.W, float)
-        if U.ndim != 2 or W.shape != (U.shape[1], U.shape[1]):
-            raise ValueError("U must be P x N and W must be N x N")
-        if not (np.all(np.isfinite(U)) and np.all(np.isfinite(W))):
-            raise ValueError("U and W must be finite")
-        if np.any(W < 0) or np.any(np.diag(W) != 0) or not np.array_equal(W, W.T):
-            raise ValueError("W must be symmetric, non-negative, zero-diagonal")
+        if U.ndim != 2:
+            raise ValueError("U must be P x N")
+        if not np.all(np.isfinite(U)):
+            raise ValueError("U must be finite")
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "W", W)
 
 
 @dataclass(frozen=True)
@@ -88,43 +87,20 @@ class SolverConfig:
             raise ValueError("max_outer_iters must be at least 1")
 
 
-# Byte budget of the P x B x N difference buffer of the exact distance pass.
-_EXACT_BLOCK_BYTES = 1 << 20
-
-
-def pairwise_distances(
-    U: np.ndarray, accurate: bool = False, snap_tol: float = 0.0
-) -> np.ndarray:
+def pairwise_distances(U: np.ndarray, accurate: bool = False) -> np.ndarray:
     """Euclidean distances between columns of U.
 
     The Gram expansion loses ~sqrt(eps)*scale of absolute accuracy near zero,
     which is harmless for the Gaussian-saturating penalty (quadratically flat
     at 0) but not for the power penalty whose slope diverges there; the
-    accurate path sums squared differences instead.  It fills B rows at a
-    time from one P x B x N buffer (B from a fixed ~1 MB budget) and adds the
-    features in index order, the order of a per-feature loop, so its result
-    is bitwise that loop's.  Memory is O(N^2 + P*B*N).  Distances below
-    ``snap_tol`` (when set) are reported as exactly 0.
+    accurate path sums squared differences instead, with the row-blocked
+    exact kernel ``model._pairwise_reduce`` (bitwise a per-feature loop).
     """
     U = np.asarray(U, dtype=float)
     if accurate:
-        p, n = U.shape
-        rows = max(1, _EXACT_BLOCK_BYTES // max(8 * p * n, 1))
-        d = np.empty((n, n))
-        buf = np.empty((p, min(rows, n), n))
-        for start in range(0, n, rows):
-            diff = buf[:, : min(rows, n - start)]
-            np.subtract(U[:, start : start + rows, None], U[:, None, :], out=diff)
-            np.multiply(diff, diff, out=diff)
-            # An axis-0 reduce adds feature by feature, never pairwise.
-            np.add.reduce(diff, axis=0, out=d[start : start + rows])
-        np.fill_diagonal(d, 0.0)
-        np.sqrt(d, out=d)
-    else:
-        d = np.sqrt(_pairwise_sq_dists(U))
-    if snap_tol > 0.0:
-        d[d < snap_tol] = 0.0
-    return d
+        d = _pairwise_reduce(U, np.square, np.add)
+        return np.sqrt(d, out=d)
+    return np.sqrt(_pairwise_sq_dists(U))
 
 
 def _distances_for(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
@@ -456,15 +432,10 @@ def mm_cluster(
             break
         w = group_weights(dists)
 
-    u = groups.expanded()
-    # Point-level weights at the final surrogates (coalesced pairs take the
-    # floored weight, matching update_weights on the expanded matrix).
-    w_points = _weights_from_distances(dists[groups.rep][:, groups.rep], penalty)
-    centroids = CentroidSet(U=u, W=w_points)
     trace = SolveTrace(
         objectives=np.array(objectives), iterations=iterations, converged=converged
     )
-    return centroids, trace
+    return CentroidSet(U=groups.expanded()), trace
 
 
 def default_merge_tol(U: np.ndarray, dists: np.ndarray | None = None) -> float:

@@ -186,6 +186,15 @@ class TestPcaPlotTable:
 
 
 class TestSuccessCurve:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 0), ("p0_grid", ()), ("M_grid", ()), ("lambda_grid", ())],
+    )
+    def test_spec_rejects_empty_grids_and_no_trials(self, field, value):
+        grids = dict(p0_grid=(1.0,), M_grid=(4,), lambda_grid=(8.0,))
+        with pytest.raises(ValueError):
+            SuccessCurveSpec(**{**grids, field: value})
+
     def test_deterministic_and_sorted(self):
         spec = SuccessCurveSpec(
             p0_grid=(1.0, 0.5),
@@ -231,9 +240,15 @@ class TestClusterOnce:
         data, truth, _ = gen_uniform_kappa(2, 5, 10, 0.4, seed=3)
         run = cluster_once(data, lam=8.0, sigma=1.0)
         assert run.partition.point_count == 10
-        assert run.objective_trace.ndim == 1
+        assert run.trace.objectives.ndim == 1
         assert run.merge_tol > 0
         assert run.sigma == 1.0
+
+    @pytest.mark.parametrize("kind", ["H1", "l1", ""])
+    def test_unknown_penalty_kind_raises(self, kind):
+        data, _, _ = gen_uniform_kappa(2, 5, 10, 0.4, seed=3)
+        with pytest.raises(ValueError, match="unknown penalty kind"):
+            cluster_once(data, lam=1.0, penalty_kind=kind)
 
     def test_auto_sigma_recorded(self):
         data, truth, _ = gen_uniform_kappa(2, 5, 10, 0.4, seed=3)

@@ -44,6 +44,10 @@ class TestParseGrid:
         assert parse_grid("0.2:1.0:0.1") == (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
         assert parse_grid("0:1:0.02") == tuple(i / 50 for i in range(51))
 
+    def test_empty_range_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            parse_grid("1:0:0.1")
+
 
 class TestExitCodes:
     def test_version_exits_zero(self, tmp_path, capsys):
@@ -59,6 +63,10 @@ class TestExitCodes:
     def test_runtime_error_exits_two(self, tmp_path):
         # kappa >= 1 makes the guarantee evaluation fail at runtime.
         assert run_in(tmp_path, ["theory", "--kappa", "1.5"]) == 2
+
+    def test_empty_grid_exits_two(self, tmp_path):
+        assert run_in(tmp_path, ["theory", "--p0-grid", "1:0:0.1"]) == 2
+        assert not (tmp_path / "theory_guarantees.csv").exists()
 
     def test_missing_input_file_exits_two(self, tmp_path):
         code = run_in(tmp_path, ["cluster", "--input", "nope.csv", "--lambda", "1"])
@@ -174,6 +182,29 @@ class TestConfigFile:
         (tmp_path / "cfg.ini").write_text("bogus=1\n")
         assert run_in(tmp_path, ["theory", "--config", "cfg.ini"]) == 1
 
+    @pytest.mark.parametrize("value, truth_column", [("true", True), ("false", False)])
+    def test_config_sets_flag_on_or_off(self, tmp_path, value, truth_column):
+        (tmp_path / "toy.csv").write_text("0.0,0.0,0\n0.1,0.0,0\n9.0,9.0,1\n9.1,9.0,1\n")
+        (tmp_path / "cfg.ini").write_text(f"labeled={value}\n")
+        argv = ["cluster", "--config", "cfg.ini", "--input", "toy.csv"]
+        assert run_in(tmp_path, argv + ["--lambda", "2.0", "--sigma", "0.3"]) == 0
+        header = [
+            line for line in (tmp_path / "labels.csv").read_text().splitlines()
+            if not line.startswith("#")
+        ][0]
+        assert ("truth_label" in header.split(",")) == truth_column
+
+    def test_bad_typed_config_value_is_usage_error(self, tmp_path):
+        (tmp_path / "cfg.ini").write_text("M=abc\n")
+        assert run_in(tmp_path, ["theory", "--config", "cfg.ini"]) == 1
+
+    def test_flag_config_value_other_than_true_false_is_usage_error(self, tmp_path):
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        (tmp_path / "cfg.ini").write_text("labeled=no\n")
+        argv = ["cluster", "--config", "cfg.ini", "--input", "toy.csv", "--lambda", "1"]
+        assert run_in(tmp_path, argv) == 1
+        assert not (tmp_path / "labels.csv").exists()
+
 
 class TestOracleCheckCommand:
     def test_json_report(self, tmp_path):
@@ -252,3 +283,9 @@ class TestSimulateCommand:
         lines = (tmp_path / "fig3a_success.csv").read_text().splitlines()
         assert lines[3] == "p0,M,success_rate,kappa,mu0"
         assert len(lines) == 4 + 1
+
+    def test_zero_trials_is_an_error(self, tmp_path, capsys):
+        argv = ["simulate", "--preset", "fig3a", "--trials", "0", "--out-dir", "."]
+        assert run_in(tmp_path, argv) == 2
+        assert "trials must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "fig3a_success.csv").exists()

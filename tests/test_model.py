@@ -174,6 +174,16 @@ class TestEstimateGeometry:
         assert g.kappa == pytest.approx(g.epsilon * math.sqrt(g.P) / g.delta, rel=1e-12)
 
 
+def linf_loop(values):
+    """Reference for the sup-norm reduce: the per-feature loop that
+    estimate_geometry used before the shared blocked kernel."""
+    n = values.shape[1]
+    out = np.zeros((n, n))
+    for row in values:
+        np.maximum(out, np.abs(row[:, None] - row[None, :]), out=out)
+    return out
+
+
 class TestPairwiseSqDists:
     @settings(max_examples=30, deadline=None)
     @given(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusecluster import solver
+from fusecluster import model, solver
 
 from fusecluster.datagen import MaskSpec, apply_mask, block_centers, gen_gaussian
 from fusecluster.model import ObservedDataset, Partition, SyntheticSpec
@@ -23,6 +23,7 @@ from fusecluster.solver import (
     update_centroids,
     update_weights,
 )
+from test_model import linf_loop
 
 H1_UNIT = PenaltySpec.h1(1.0)
 
@@ -59,7 +60,7 @@ def union_find_labels(adj):
 
 
 def exact_block_budget(p, n, rows):
-    """Value of solver._EXACT_BLOCK_BYTES that makes the kernel fill ``rows``
+    """Value of model._EXACT_BLOCK_BYTES that makes the kernel fill ``rows``
     rows per pass on a P x N input."""
     return 8 * p * n * rows
 
@@ -342,10 +343,12 @@ class TestPairwiseDistances:
         dup = rng.integers(0, n, size=n // 3)
         u[:, rng.integers(0, n, size=dup.size)] = u[:, dup]  # exact zeros
         with mock.patch.object(
-            solver, "_EXACT_BLOCK_BYTES", exact_block_budget(p, n, rows)
+            model, "_EXACT_BLOCK_BYTES", exact_block_budget(p, n, rows)
         ):
             d = pairwise_distances(u, accurate=True)
+            linf = model._pairwise_reduce(u, np.abs, np.maximum)
         assert np.array_equal(d, loop_distances(u))
+        assert np.array_equal(linf, linf_loop(u))
 
     @pytest.mark.parametrize("p", [3, 50])
     def test_default_block_budget_is_bitwise_the_loop(self, p, rng):
@@ -353,11 +356,8 @@ class TestPairwiseDistances:
         u = rng.normal(size=(p, 601))
         u[:, 300:310] = u[:, 0:10]
         assert np.array_equal(pairwise_distances(u, accurate=True), loop_distances(u))
-
-    def test_snap_threshold(self):
-        u = np.array([[0.0, 1e-12, 1.0]])
-        d = pairwise_distances(u, accurate=True, snap_tol=1e-9)
-        assert d[0, 1] == 0.0 and d[0, 2] == 1.0
+        linf = model._pairwise_reduce(u, np.abs, np.maximum)
+        assert np.array_equal(linf, linf_loop(u))
 
 
 class TestSolverConfig:
@@ -395,7 +395,7 @@ class TestBitIdentity:
         data, _ = random_instance(seed=3, K=3, M=20, P=50, p0=0.6, scale=6.0)
         if rows is not None:
             monkeypatch.setattr(
-                solver, "_EXACT_BLOCK_BYTES", exact_block_budget(50, 60, rows)
+                model, "_EXACT_BLOCK_BYTES", exact_block_budget(50, 60, rows)
             )
         cfg = SolverConfig(lam=0.2, penalty=PenaltySpec.lp(0.5))
         blocked, blocked_trace = mm_cluster(data, cfg)
@@ -403,5 +403,4 @@ class TestBitIdentity:
         loop, loop_trace = mm_cluster(data, cfg)
         assert np.unique(blocked.U, axis=1).shape[1] < data.point_count  # merged
         assert np.array_equal(blocked.U, loop.U)
-        assert np.array_equal(blocked.W, loop.W)
         assert np.array_equal(blocked_trace.objectives, loop_trace.objectives)
