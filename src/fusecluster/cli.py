@@ -221,7 +221,8 @@ def _load_config_defaults(parser, argv):
     """Apply key=value file defaults to the invoked subcommand.
 
     Precedence stays flags > config file > built-in defaults because the
-    file only replaces parser defaults before the real parse.
+    file only replaces parser defaults before the real parse.  A file value
+    must be one of its option's choices and satisfies a required option.
     """
     path = None
     for i, tok in enumerate(argv):
@@ -259,9 +260,16 @@ def _load_config_defaults(parser, argv):
                     raise _UsageError(f"config key {key.strip()!r} must be true or false")
                 raw = raw == "true"
             try:
-                values[dest] = action.type(raw) if action.type else raw
+                value = action.type(raw) if action.type else raw
             except ValueError:
                 raise _UsageError(f"bad value for config key {key.strip()!r}: {raw!r}")
+            if action.choices is not None and value not in action.choices:
+                raise _UsageError(
+                    f"bad value for config key {key.strip()!r}: {raw!r} "
+                    f"(choose from {', '.join(map(str, action.choices))})"
+                )
+            values[dest] = value
+            action.required = False  # the file supplies it; a flag still wins
     subparser.set_defaults(**values)
 
 

@@ -226,21 +226,33 @@ def _pairwise_reduce(values: np.ndarray, elementwise, reduce) -> np.ndarray:
     for every pair of columns: squared l2 distances with ``np.square`` and
     ``np.add``, sup-norm distances with ``np.abs`` and ``np.maximum``.
 
-    Fills B rows at a time from one P x B x N buffer (B from a fixed ~1 MB
-    budget) and reduces the features in index order, the order of a
-    per-feature loop, so the result is bitwise that loop's.  Memory is
-    O(N^2 + P*B*N).  The diagonal is exactly 0.
+    Works on the upper triangle, B rows at a time (B from a fixed ~1 MB
+    budget for one P x B x N buffer): rows ``[s, s+B)`` are reduced against
+    columns ``[s, N)`` only, and the block's part right of its own columns is
+    copied, transposed, into the lower triangle.  The copy is bitwise what a
+    direct pass would compute: round-to-nearest subtraction is antisymmetric
+    (``fl(a-b) == -fl(b-a)``), both elementwise maps are even, and the
+    features are still reduced in index order, the order of a per-feature
+    loop, so the whole result is bitwise that loop's.  When one block covers
+    every row nothing is copied.  Memory is O(N^2 + P*B*N).  The diagonal is
+    exactly 0.
     """
     p, n = values.shape
     rows = max(1, _EXACT_BLOCK_BYTES // max(8 * p * n, 1))
     out = np.empty((n, n))
     buf = np.empty((p, min(rows, n), n))
     for start in range(0, n, rows):
-        diff = buf[:, : min(rows, n - start)]
-        np.subtract(values[:, start : start + rows, None], values[:, None, :], out=diff)
+        stop = min(start + rows, n)
+        diff = buf
+        if start:  # narrower: packed contiguously, faster than a strided view
+            shape = (p, stop - start, n - start)
+            diff = buf.ravel()[: math.prod(shape)].reshape(shape)
+        np.subtract(values[:, start:stop, None], values[:, None, start:], out=diff)
         elementwise(diff, out=diff)
         # An axis-0 reduce combines feature by feature, never pairwise.
-        reduce.reduce(diff, axis=0, out=out[start : start + rows])
+        reduce.reduce(diff, axis=0, out=out[start:stop, start:])
+        if stop < n:
+            out[stop:, start:stop] = out[start:stop, stop:].T
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -79,10 +79,16 @@ class SolverConfig:
     rho: float = 1e-8
 
     def __post_init__(self):
+        # A NaN setting fails every comparison: CG would return at once
+        # claiming success, or the outer stopping test would never fire.
+        for name in ("lam", "rho", "cg_tol", "objective_rel_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
+        for name in ("rho", "cg_tol", "objective_rel_tol", "cg_maxiter_factor"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
 
@@ -93,8 +99,12 @@ def pairwise_distances(U: np.ndarray, accurate: bool = False) -> np.ndarray:
     The Gram expansion loses ~sqrt(eps)*scale of absolute accuracy near zero,
     which is harmless for the Gaussian-saturating penalty (quadratically flat
     at 0) but not for the power penalty whose slope diverges there; the
-    accurate path sums squared differences instead, with the row-blocked
-    exact kernel ``model._pairwise_reduce`` (bitwise a per-feature loop).
+    accurate path sums squared differences instead, with the exact kernel
+    ``model._pairwise_reduce``.  That kernel computes each unordered pair
+    once, over the upper triangle in row blocks, and mirrors it into the
+    lower one; the mirror is bitwise exact because ``fl(a-b) == -fl(b-a)``
+    and squaring is even, so the result is bitwise a per-feature loop over
+    all ordered pairs, and exactly symmetric.
     """
     U = np.asarray(U, dtype=float)
     if accurate:

@@ -346,36 +346,43 @@ PRESET_INVOCATIONS = {
 }
 
 
-def test_11_cli_determinism(tmp_path, wine_csv):
+def assert_cli_deterministic(tmp_path, preset, argv):
+    """Run one preset twice in fresh directories; the files must match byte
+    for byte."""
+    dirs = []
+    for attempt in ("a", "b"):
+        workdir = tmp_path / f"{preset}-{attempt}"
+        workdir.mkdir()
+        cwd = os.getcwd()
+        try:
+            os.chdir(workdir)
+            assert cli_main(argv) == 0, preset
+        finally:
+            os.chdir(cwd)
+        dirs.append(workdir)
+    files_a = sorted(os.listdir(dirs[0]))
+    files_b = sorted(os.listdir(dirs[1]))
+    assert files_a == files_b and files_a, preset
+    for name in files_a:
+        assert filecmp.cmp(
+            dirs[0] / name, dirs[1] / name, shallow=False
+        ), f"{preset}/{name} differs between runs"
+
+
+def test_11_cli_determinism(tmp_path):
+    # Every preset but Wine; those need no external data.
     with criterion(11, "CLI preset determinism", 600.0):
+        for preset, argv in PRESET_INVOCATIONS.items():
+            if preset != "fig5-wine":
+                assert_cli_deterministic(tmp_path, preset, argv)
+
+
+def test_11_cli_determinism_wine(tmp_path, wine_csv):
+    with criterion(11, "CLI preset determinism (Wine)", 600.0):
         os.environ["FUSECLUSTER_DATA_DIR"] = os.path.dirname(wine_csv)
         try:
-            if not os.path.exists(
-                os.path.join(os.path.dirname(wine_csv), "wine.data")
-            ):
-                import shutil
-
-                shutil.copy(
-                    wine_csv, os.path.join(os.path.dirname(wine_csv), "wine.data")
-                )
-            for preset, argv in PRESET_INVOCATIONS.items():
-                dirs = []
-                for attempt in ("a", "b"):
-                    workdir = tmp_path / f"{preset}-{attempt}"
-                    workdir.mkdir()
-                    cwd = os.getcwd()
-                    try:
-                        os.chdir(workdir)
-                        assert cli_main(argv) == 0, preset
-                    finally:
-                        os.chdir(cwd)
-                    dirs.append(workdir)
-                files_a = sorted(os.listdir(dirs[0]))
-                files_b = sorted(os.listdir(dirs[1]))
-                assert files_a == files_b and files_a, preset
-                for name in files_a:
-                    assert filecmp.cmp(
-                        dirs[0] / name, dirs[1] / name, shallow=False
-                    ), f"{preset}/{name} differs between runs"
+            assert_cli_deterministic(
+                tmp_path, "fig5-wine", PRESET_INVOCATIONS["fig5-wine"]
+            )
         finally:
             os.environ.pop("FUSECLUSTER_DATA_DIR", None)

@@ -68,6 +68,13 @@ class TestExitCodes:
         assert run_in(tmp_path, ["theory", "--p0-grid", "1:0:0.1"]) == 2
         assert not (tmp_path / "theory_guarantees.csv").exists()
 
+    def test_nan_solver_setting_exits_nonzero(self, tmp_path, capsys):
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        argv = ["cluster", "--input", "toy.csv", "--lambda", "1", "--rho", "nan"]
+        assert run_in(tmp_path, argv) == 2
+        assert "rho must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "labels.csv").exists()
+
     def test_missing_input_file_exits_two(self, tmp_path):
         code = run_in(tmp_path, ["cluster", "--input", "nope.csv", "--lambda", "1"])
         assert code == 2
@@ -204,6 +211,24 @@ class TestConfigFile:
         argv = ["cluster", "--config", "cfg.ini", "--input", "toy.csv", "--lambda", "1"]
         assert run_in(tmp_path, argv) == 1
         assert not (tmp_path / "labels.csv").exists()
+
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        (tmp_path / "cfg.ini").write_text("penalty=bogus\n")
+        argv = ["cluster", "--config", "cfg.ini", "--input", "toy.csv", "--lambda", "1"]
+        assert run_in(tmp_path, argv) == 1
+        assert "choose from h1, lp" in capsys.readouterr().err
+        assert not (tmp_path / "labels.csv").exists()
+
+    @pytest.mark.parametrize("flag, written", [([], "fig3a"), (["--preset", "fig3c"], "fig3c")])
+    def test_config_satisfies_required_option(self, tmp_path, flag, written):
+        (tmp_path / "cfg.ini").write_text("preset=fig3a\n")
+        argv = [
+            "simulate", "--config", "cfg.ini", "--trials", "1", "--p0-grid", "1.0",
+            "--m-grid", "4", "--lambda-grid", "8", "--out-dir", ".",
+        ]
+        assert run_in(tmp_path, argv + flag) == 0
+        assert sorted(os.listdir(tmp_path)) == ["cfg.ini", f"{written}_success.csv"]
 
 
 class TestOracleCheckCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -360,12 +361,73 @@ class TestPairwiseDistances:
         assert np.array_equal(linf, linf_loop(u))
 
 
+class TestTriangleKernel:
+    """The exact kernel reduces each unordered pair once and mirrors it."""
+
+    @pytest.mark.parametrize("rows", [2, 3, 7])
+    def test_symmetric_with_zero_diagonal_and_a_one_row_tail(self, rows, rng):
+        n = 5 * rows + 1
+        u = rng.normal(size=(6, n))
+        u[:, n - 1] = u[:, 0]  # the tail row coincides with the first block
+        with mock.patch.object(model, "_EXACT_BLOCK_BYTES", exact_block_budget(6, n, rows)):
+            d = pairwise_distances(u, accurate=True)
+            linf = model._pairwise_reduce(u, np.abs, np.maximum)
+        for got, want in ((d, loop_distances(u)), (linf, linf_loop(u))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, got.T)
+            assert not np.diagonal(got).any()
+
+    @pytest.mark.parametrize(
+        "layout", [lambda u: u[:, ::2], np.asfortranarray], ids=["strided", "fortran"]
+    )
+    def test_non_contiguous_input_matches_contiguous(self, layout, rng):
+        u = layout(rng.normal(size=(5, 46)))
+        n = u.shape[1]
+        dense = np.ascontiguousarray(u)
+        with mock.patch.object(model, "_EXACT_BLOCK_BYTES", exact_block_budget(5, n, 3)):
+            d = pairwise_distances(u, accurate=True)
+            linf = model._pairwise_reduce(u, np.abs, np.maximum)
+            assert np.array_equal(d, pairwise_distances(dense, accurate=True))
+            assert np.array_equal(linf, model._pairwise_reduce(dense, np.abs, np.maximum))
+        assert np.array_equal(d, loop_distances(dense))
+        assert np.array_equal(linf, linf_loop(dense))
+
+    def test_estimate_geometry_matches_the_loop(self, monkeypatch):
+        data, truth = random_instance(seed=8, K=2, M=30, P=50)
+        monkeypatch.setattr(model, "_EXACT_BLOCK_BYTES", exact_block_budget(50, 60, 3))
+        blocked = model.estimate_geometry(data, truth)
+        monkeypatch.setattr(model, "_pairwise_reduce", lambda values, *_: linf_loop(values))
+        looped = model.estimate_geometry(data, truth)
+        assert np.array_equal(dataclasses.astuple(blocked), dataclasses.astuple(looped))
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(lam=0.0, penalty=H1_UNIT)
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, penalty=H1_UNIT, max_outer_iters=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lam", math.nan), ("lam", math.inf),
+            ("rho", math.nan), ("rho", math.inf), ("rho", -1e-8),
+            ("cg_tol", math.nan), ("cg_tol", math.inf), ("cg_tol", -1e-10),
+            ("objective_rel_tol", math.nan), ("objective_rel_tol", math.inf),
+            ("objective_rel_tol", -1.0),
+            ("cg_maxiter_factor", -1),
+        ],
+    )
+    def test_rejects_non_finite_and_negative_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{"lam": 1.0, "penalty": H1_UNIT, field: value})
+
+    def test_zero_settings_stay_legal(self):
+        SolverConfig(
+            lam=1.0, penalty=H1_UNIT, rho=0.0, cg_tol=0.0,
+            objective_rel_tol=0.0, cg_maxiter_factor=0,
+        )
 
 
 class TestComponents:
