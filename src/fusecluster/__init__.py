@@ -21,8 +21,8 @@ from .datagen import (
     MaskSpec,
     apply_mask,
     block_centers,
-    gen_gaussian,
     gen_uniform_kappa,
+    generate,
     wine_prepare,
 )
 from .model import (

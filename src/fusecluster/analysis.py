@@ -15,7 +15,6 @@ from .solver import (
     SolveTrace,
     default_merge_tol,
     extract_clusters,
-    mean_imputed,
     mm_cluster,
     pairwise_distances,
 )
@@ -221,25 +220,18 @@ def pca_project(points: np.ndarray, dims: int = 2) -> np.ndarray:
     return coords
 
 
-def fill_missing(data: ObservedDataset, centroids: np.ndarray | None) -> np.ndarray:
+def fill_missing(data: ObservedDataset, centroids: np.ndarray) -> np.ndarray:
     """Complete the data matrix for visualization: unobserved entries come
-    from the converged centroids (or feature means when centroids=None)."""
-    if centroids is None:
-        return mean_imputed(data)
+    from the converged centroids."""
     return np.where(data.mask, data.values, centroids)
 
 
 def pca_plot_table(
-    data: ObservedDataset,
-    centroids: np.ndarray,
-    truth: Partition | None,
-    fill: str = "centroid",
+    data: ObservedDataset, centroids: np.ndarray, truth: Partition | None
 ) -> list[tuple]:
     """Rows (point_id, truth_label, pc1, pc2, centroid_pc1, centroid_pc2)
     from a joint PCA of the filled points and their centroid estimates."""
-    if fill not in ("centroid", "mean"):
-        raise ValueError(f"unknown fill mode: {fill!r}")
-    filled = fill_missing(data, centroids if fill == "centroid" else None)
+    filled = fill_missing(data, centroids)
     n = data.point_count
     stacked = np.hstack([filled, centroids])
     coords = pca_project(stacked, dims=2)

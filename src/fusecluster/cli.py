@@ -28,8 +28,8 @@ from .datagen import (
     SyntheticSpec,
     apply_mask,
     block_centers,
-    gen_gaussian,
     gen_uniform_kappa,
+    generate,
     wine_prepare,
 )
 from .dataio import read_points_csv, write_points_csv, write_table_csv
@@ -73,7 +73,7 @@ SIMULATE_PRESETS = {
         M=200,
         P=50,
         variance=0.1,
-        center_scale=6.0,
+        scale=6.0,
         lam=4.0,
         sigma=2.0,
     ),
@@ -83,7 +83,7 @@ SIMULATE_PRESETS = {
         M=200,
         P=50,
         variance=0.1,
-        center_scale=3.0,
+        scale=3.0,
         lam=4.0,
         sigma=2.0,
     ),
@@ -127,7 +127,11 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 
 def parse_int_grid(text: str) -> tuple[int, ...]:
-    return tuple(int(round(v)) for v in parse_grid(text))
+    values = parse_grid(text)
+    for v in values:
+        if not v.is_integer():
+            raise ValueError(f"grid value {v!r} is not an integer")
+    return tuple(int(v) for v in values)
 
 
 def _header_lines(argv, seed):
@@ -148,7 +152,7 @@ def build_parser() -> _Parser:
         # Accepted and ignored: trials run serially.  Kept so existing
         # command lines (and bench/child.py, which parses it) still work.
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--config", default=None, help="key=value defaults file")
+        p.add_argument("--config", help="key=value lines of long flags (lambda=2); flags win")
 
     p_theory = sub.add_parser("theory", help="emit guarantee-bound curves")
     common(p_theory)
@@ -217,69 +221,38 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config_defaults(parser, argv):
-    """Apply key=value file defaults to the invoked subcommand.
+def _config_tokens(argv):
+    """Turn the ``--config`` file named in argv into long-flag tokens.
 
-    Precedence stays flags > config file > built-in defaults because the
-    file only replaces parser defaults before the real parse.  A file value
-    must be one of its option's choices and satisfies a required option.
+    Each ``key=value`` line becomes ``--key=value``; ``true`` becomes a bare
+    ``--key`` and ``false`` adds nothing.  The tokens are parsed just after
+    the subcommand, so argparse applies types, choices and required options,
+    and a flag on the command line still wins as the later occurrence.
     """
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise _UsageError("--config requires a path")
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
+    pre = _Parser(prog="fusecluster", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
     if path is None:
-        return
-    sub_actions = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    command = next((tok for tok in argv if tok in sub_actions.choices), None)
-    if command is None:
-        return
-    subparser = sub_actions.choices[command]
-    values = {}
+        return []
+    tokens = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, raw = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise _UsageError(f"bad config line: {line!r}")
-            dest = key.strip().replace("-", "_")
-            raw = raw.strip()
-            action = next((a for a in subparser._actions if a.dest == dest), None)
-            if action is None:
-                raise _UsageError(f"unknown config key: {key.strip()!r}")
-            if action.nargs == 0:  # a flag such as --labeled
-                if raw not in ("true", "false"):
-                    raise _UsageError(f"config key {key.strip()!r} must be true or false")
-                raw = raw == "true"
-            try:
-                value = action.type(raw) if action.type else raw
-            except ValueError:
-                raise _UsageError(f"bad value for config key {key.strip()!r}: {raw!r}")
-            if action.choices is not None and value not in action.choices:
-                raise _UsageError(
-                    f"bad value for config key {key.strip()!r}: {raw!r} "
-                    f"(choose from {', '.join(map(str, action.choices))})"
-                )
-            values[dest] = value
-            action.required = False  # the file supplies it; a flag still wins
-    subparser.set_defaults(**values)
+            if value != "false":
+                tokens.append(f"--{key}" if value == "true" else f"--{key}={value}")
+    return tokens
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _load_config_defaults(parser, argv)
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = build_parser().parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
+    except (_UsageError, OSError) as exc:
         print(f"fusecluster: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help or internal exits
@@ -380,11 +353,11 @@ def _run_simulate(args, argv):
         K=preset["K"],
         M=preset["M"],
         P=preset["P"],
-        centers=block_centers(preset["K"], preset["P"], preset["center_scale"]),
+        centers=block_centers(preset["K"], preset["P"], preset["scale"]),
         noise=("gaussian", preset["variance"]),
         seed=_derive_seed(args.seed, 1),
     )
-    data, truth = gen_gaussian(spec)
+    data, truth = generate(spec)
     masked = (
         data
         if args.p0 >= 1.0

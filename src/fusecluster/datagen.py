@@ -55,19 +55,12 @@ def generate(spec: SyntheticSpec) -> tuple[ObservedDataset, Partition]:
     return ObservedDataset.full(values), Partition(labels)
 
 
-def gen_gaussian(spec: SyntheticSpec) -> tuple[ObservedDataset, Partition]:
-    if spec.noise[0] != "gaussian":
-        raise ValueError("spec must use the gaussian noise model")
-    return generate(spec)
-
-
 def gen_uniform_kappa(
     K: int,
     M: int,
     P: int,
     target_kappa: float,
     seed: int,
-    center_scale: float = 1.0,
     rel_tol: float = 0.05,
 ) -> tuple[ObservedDataset, Partition, ClusterGeometry]:
     """Uniform-noise clusters rescaled until the measured difficulty ratio
@@ -79,7 +72,7 @@ def gen_uniform_kappa(
     """
     if not target_kappa > 0:
         raise ValueError("target_kappa must be positive")
-    centers = block_centers(K, P, center_scale)
+    centers = block_centers(K, P, 1.0)
     rng = np.random.default_rng(seed)
     unit = rng.uniform(-1.0, 1.0, size=(K, M, P))
     labels = Partition(np.repeat(np.arange(K), M))

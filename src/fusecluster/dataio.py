@@ -3,7 +3,9 @@
 Dataset format: one point per row with P comma-separated feature fields.
 Missing entries are an empty field or the literal ``NaN`` on input and are
 written back as empty fields.  An optional final integer ``label`` column
-carries ground truth.  Lines starting with ``#`` are comments.
+carries ground truth; its distinct values are renumbered 0..K-1 in sorted
+order, so 1..K (as in UCI tables) or gapped labels such as {0, 5} are fine.
+Lines starting with ``#`` are comments.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def read_points_csv(path, labeled: bool = False):
     values = np.array(rows, dtype=float).T
     mask = ~np.isnan(values)
     data = ObservedDataset(np.where(mask, values, 0.0), mask)
-    truth = Partition(np.array(labels)) if labeled else None
+    truth = Partition(np.unique(labels, return_inverse=True)[1]) if labeled else None
     return data, truth
 
 
@@ -47,7 +49,7 @@ def _parse_entry(field: str) -> float:
     return float(field)  # accepts the NaN literal in any case
 
 
-def write_points_csv(path, data: ObservedDataset, labels=None, header_lines=()):
+def write_points_csv(path, data: ObservedDataset, header_lines=()):
     """Write a dataset (points as rows, missing entries as empty fields)."""
     with open(path, "w", newline="") as fh:
         for line in header_lines:
@@ -55,10 +57,7 @@ def write_points_csv(path, data: ObservedDataset, labels=None, header_lines=()):
         writer = csv.writer(fh)
         for i in range(data.point_count):
             values, mask = data.values[:, i].tolist(), data.mask[:, i].tolist()
-            row = [repr(v) if m else "" for v, m in zip(values, mask)]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
+            writer.writerow([repr(v) if m else "" for v, m in zip(values, mask)])
 
 
 def write_table_csv(path, column_names, rows, header_lines=()):

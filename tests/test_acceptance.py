@@ -26,8 +26,8 @@ from fusecluster.datagen import (
     MaskSpec,
     apply_mask,
     block_centers,
-    gen_gaussian,
     gen_uniform_kappa,
+    generate,
     wine_prepare,
 )
 from fusecluster.model import ObservedDataset, Partition, SyntheticSpec, estimate_geometry
@@ -119,7 +119,7 @@ def test_04_solver_monotonicity():
     with criterion(4, "solver monotonicity over 100 instances", 120.0):
         runs = 0
         for i, spec, rng in _random_instances(17):
-            data, _ = gen_gaussian(spec)
+            data, _ = generate(spec)
             for p0 in (1.0, 0.7, 0.4):
                 masked = (
                     data if p0 >= 1.0 else apply_mask(data, MaskSpec(p0, seed=900 + i))
@@ -145,7 +145,7 @@ def test_05_stationarity_and_gradient():
     with criterion(5, "stationarity residual and gradient check", 30.0):
         rng = np.random.default_rng(77)
         for i, spec, _ in _random_instances(20, seed0=700):
-            data, _ = gen_gaussian(spec)
+            data, _ = generate(spec)
             if rng.random() < 0.5:
                 data = apply_mask(data, MaskSpec(p0=0.7, seed=i))
             penalty = PenaltySpec.h1(0.8) if i % 2 == 0 else PenaltySpec.lp(0.5)
@@ -273,7 +273,7 @@ def _fig4_instance(center_scale, seed):
         noise=("gaussian", 0.1),
         seed=seed,
     )
-    return gen_gaussian(spec)
+    return generate(spec)
 
 
 def _fig4_trial_succeeds(center_scale, p0, trial):

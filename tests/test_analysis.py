@@ -161,13 +161,6 @@ class TestFillMissing:
         assert np.array_equal(filled[mask], values[mask])
         assert np.array_equal(filled[~mask], centroids[~mask])
 
-    def test_mean_fill(self):
-        values = np.array([[1.0, 3.0, np.nan]])
-        mask = np.array([[True, True, False]])
-        data = ObservedDataset(np.where(mask, values, 0.0), mask)
-        filled = fill_missing(data, None)
-        assert filled[0, 2] == pytest.approx(2.0)
-
 
 class TestPcaPlotTable:
     def test_row_shape_and_labels(self, rng):

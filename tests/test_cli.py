@@ -37,6 +37,10 @@ class TestParseGrid:
     def test_int_grid(self):
         assert parse_int_grid("10,50") == (10, 50)
 
+    def test_int_grid_rejects_fractional_values(self):
+        with pytest.raises(ValueError, match="4.5"):
+            parse_int_grid("10,4.5")
+
     def test_fractional_step_count(self):
         assert len(parse_grid("0:1:0.02")) == 51
 
@@ -74,6 +78,12 @@ class TestExitCodes:
         assert run_in(tmp_path, argv) == 2
         assert "rho must be finite" in capsys.readouterr().err
         assert not (tmp_path / "labels.csv").exists()
+
+    def test_fractional_m_grid_exits_two(self, tmp_path, capsys):
+        argv = ["simulate", "--preset", "fig3a", "--m-grid", "4.5", "--out-dir", "."]
+        assert run_in(tmp_path, argv) == 2
+        assert "4.5 is not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "fig3a_success.csv").exists()
 
     def test_missing_input_file_exits_two(self, tmp_path):
         code = run_in(tmp_path, ["cluster", "--input", "nope.csv", "--lambda", "1"])
@@ -136,6 +146,12 @@ class TestClusterCommand:
             if not line.startswith("#")
         ][0]
         assert header == "point_id,label,truth_label"
+
+    def test_labels_need_not_start_at_zero(self, tmp_path, capsys):
+        (tmp_path / "toy.csv").write_text("0.0,0.0,1\n0.1,0.0,1\n9.0,9.0,2\n9.1,9.0,2\n")
+        argv = ["cluster", "--input", "toy.csv", "--labeled", "--lambda", "2.0", "--sigma", "0.3"]
+        assert run_in(tmp_path, argv) == 0
+        assert "ari: 1.0000" in capsys.readouterr().out
 
     def test_missing_entries_accepted(self, tmp_path):
         (tmp_path / "toy.csv").write_text("1.0,,2.0\n1.0,NaN,2.0\n")
@@ -217,7 +233,7 @@ class TestConfigFile:
         (tmp_path / "cfg.ini").write_text("penalty=bogus\n")
         argv = ["cluster", "--config", "cfg.ini", "--input", "toy.csv", "--lambda", "1"]
         assert run_in(tmp_path, argv) == 1
-        assert "choose from h1, lp" in capsys.readouterr().err
+        assert "argument --penalty: invalid choice: 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "labels.csv").exists()
 
     @pytest.mark.parametrize("flag, written", [([], "fig3a"), (["--preset", "fig3c"], "fig3c")])
@@ -229,6 +245,33 @@ class TestConfigFile:
         ]
         assert run_in(tmp_path, argv + flag) == 0
         assert sorted(os.listdir(tmp_path)) == ["cfg.ini", f"{written}_success.csv"]
+
+    def test_keys_are_flag_names(self, tmp_path):
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        (tmp_path / "cfg.ini").write_text("lambda=2.0\n")
+        argv = ["cluster", "--config", "cfg.ini", "--input", "toy.csv"]
+        assert run_in(tmp_path, argv) == 0
+        (tmp_path / "sim.ini").write_text("preset=fig3a\nlambda=8\n")
+        argv = [
+            "simulate", "--config", "sim.ini", "--trials", "1", "--p0-grid", "1.0",
+            "--m-grid", "4", "--lambda-grid", "8", "--out-dir", ".",
+        ]
+        assert run_in(tmp_path, argv) == 0
+
+    def test_dest_spelling_is_not_a_key(self, tmp_path):
+        (tmp_path / "cfg.ini").write_text("p0_grid=0:1:0.5\n")
+        assert run_in(tmp_path, ["theory", "--config", "cfg.ini"]) == 1
+        assert not (tmp_path / "theory_guarantees.csv").exists()
+
+    def test_missing_config_file_is_usage_error(self, tmp_path):
+        assert run_in(tmp_path, ["theory", "--config", "nope.ini"]) == 1
+
+    def test_header_records_the_given_argv(self, tmp_path):
+        (tmp_path / "cfg.ini").write_text("p0-grid=0:1:0.5\nM=4\n")
+        argv = ["theory", "--config", "cfg.ini", "--out-dir", "."]
+        assert run_in(tmp_path, argv) == 0
+        lines = (tmp_path / "theory_guarantees.csv").read_text().splitlines()
+        assert lines[1] == "# argv: theory --config cfg.ini --out-dir ."
 
 
 class TestOracleCheckCommand:
@@ -269,6 +312,15 @@ class TestWineCommand:
         assert code == 0
         assert (tmp_path / "wine_summary.csv").exists()
         assert (tmp_path / "wine_pca_p1.csv").exists()
+
+    def test_synthetic_table(self, tmp_path, synthetic_wine):
+        path, _, _ = synthetic_wine()
+        argv = ["wine", "--wine-csv", path, "--p0-grid", "1.0", "--lambda-grid", "30"]
+        with pytest.warns(UserWarning, match="checksum"):
+            assert run_in(tmp_path, argv + ["--out-dir", "."]) == 0
+        lines = (tmp_path / "wine_summary.csv").read_text().splitlines()
+        assert lines[3] == "p0,best_lambda,ari,clusters"
+        assert len(lines) == 4 + 1
 
     def test_missing_wine_path_is_usage_error(self, tmp_path):
         env_backup = os.environ.pop("FUSECLUSTER_DATA_DIR", None)

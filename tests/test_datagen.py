@@ -7,7 +7,6 @@ from fusecluster.datagen import (
     MaskSpec,
     apply_mask,
     block_centers,
-    gen_gaussian,
     gen_uniform_kappa,
     generate,
     load_wine_csv,
@@ -32,21 +31,21 @@ class TestBlockCenters:
 
 class TestGenGaussian:
     def test_deterministic_given_seed(self):
-        d1, t1 = gen_gaussian(gaussian_spec(seed=5))
-        d2, t2 = gen_gaussian(gaussian_spec(seed=5))
+        d1, t1 = generate(gaussian_spec(seed=5))
+        d2, t2 = generate(gaussian_spec(seed=5))
         assert np.array_equal(d1.values, d2.values)
         assert np.array_equal(t1.labels, t2.labels)
-        d3, _ = gen_gaussian(gaussian_spec(seed=6))
+        d3, _ = generate(gaussian_spec(seed=6))
         assert not np.array_equal(d1.values, d3.values)
 
     def test_zero_variance_collapses_to_centers(self):
-        data, truth = gen_gaussian(gaussian_spec(K=2, M=3, P=4, variance=0.0))
+        data, truth = generate(gaussian_spec(K=2, M=3, P=4, variance=0.0))
         geom = estimate_geometry(data, truth)
         assert geom.epsilon == 0.0
 
     def test_cluster_means_near_centers(self):
         spec = gaussian_spec(seed=11)
-        data, truth = gen_gaussian(spec)
+        data, truth = generate(spec)
         sd = math.sqrt(0.1)
         for k in range(spec.K):
             sample_mean = data.values[:, truth.labels == k].mean(axis=1)
@@ -54,8 +53,8 @@ class TestGenGaussian:
             assert np.all(np.abs(sample_mean - spec.centers[k]) <= 4 * tol)
 
     def test_halved_separation_halves_delta(self):
-        d1, t1 = gen_gaussian(gaussian_spec(K=2, M=100, P=20, scale=8.0, seed=3))
-        d2, t2 = gen_gaussian(gaussian_spec(K=2, M=100, P=20, scale=4.0, seed=3))
+        d1, t1 = generate(gaussian_spec(K=2, M=100, P=20, scale=8.0, seed=3))
+        d2, t2 = generate(gaussian_spec(K=2, M=100, P=20, scale=4.0, seed=3))
         g1 = estimate_geometry(d1, t1)
         g2 = estimate_geometry(d2, t2)
         assert g2.delta == pytest.approx(g1.delta / 2, rel=0.1)
@@ -110,23 +109,23 @@ class TestGenUniformKappa:
 
 class TestApplyMask:
     def test_p0_one_keeps_everything(self):
-        data, _ = gen_gaussian(gaussian_spec(K=2, M=5, P=4))
+        data, _ = generate(gaussian_spec(K=2, M=5, P=4))
         masked = apply_mask(data, MaskSpec(p0=1.0, seed=0))
         assert masked.mask.all()
 
     def test_p0_zero_hides_everything(self):
-        data, _ = gen_gaussian(gaussian_spec(K=2, M=5, P=4))
+        data, _ = generate(gaussian_spec(K=2, M=5, P=4))
         masked = apply_mask(data, MaskSpec(p0=0.0, seed=0))
         assert not masked.mask.any()
 
     def test_fraction_within_binomial_band(self):
-        data, _ = gen_gaussian(gaussian_spec(K=2, M=100, P=50))
+        data, _ = generate(gaussian_spec(K=2, M=100, P=50))
         masked = apply_mask(data, MaskSpec(p0=0.5, seed=123))
         frac = masked.mask.mean()
         assert 0.48 <= frac <= 0.52  # 4 sigma on 10000 entries
 
     def test_values_unchanged(self):
-        data, _ = gen_gaussian(gaussian_spec(K=2, M=5, P=4))
+        data, _ = generate(gaussian_spec(K=2, M=5, P=4))
         masked = apply_mask(data, MaskSpec(p0=0.3, seed=7))
         assert np.array_equal(masked.values, data.values)
 
@@ -196,3 +195,71 @@ class TestWine:
         path.write_text("1,1.0,2.0\n")
         with pytest.raises(ValueError, match="fields"):
             load_wine_csv(path)
+
+
+def _nearest_rows(labels, standardized, m):
+    """Reference trim: per class, the m rows nearest the class mean, ties
+    broken by row order, listed in row order."""
+    keep = []
+    for cls in range(3):
+        idx = np.nonzero(labels == cls)[0]
+        dists = np.linalg.norm(standardized[idx] - standardized[idx].mean(axis=0), axis=1)
+        nearest = sorted(range(idx.size), key=lambda j: (dists[j], idx[j]))[:m]
+        keep += sorted(idx[nearest].tolist())
+    return keep
+
+
+@pytest.mark.filterwarnings("ignore:wine table content")
+class TestWineSynthetic:
+    """The Wine pipeline's mechanics on a table that needs no external data."""
+
+    def test_comment_lines_skipped_and_classes_remapped(self, synthetic_wine):
+        path, raw_labels, features = synthetic_wine()
+        labels, loaded = load_wine_csv(path)
+        assert labels.tolist() == (raw_labels - 1).tolist()
+        assert np.array_equal(loaded, features)
+
+    def test_zscore_over_all_rows_then_trim(self, synthetic_wine):
+        path, raw_labels, features = synthetic_wine()
+        data, truth = wine_prepare(path, m_per_class=40)
+        standardized = (features - features.mean(axis=0)) / features.std(axis=0)
+        keep = _nearest_rows(raw_labels - 1, standardized, 40)
+        np.testing.assert_allclose(data.values, standardized[keep].T, rtol=0, atol=1e-12)
+        assert truth.labels.tolist() == [0] * 40 + [1] * 40 + [2] * 40
+
+    def test_ties_keep_the_earlier_rows(self, synthetic_wine):
+        # Each column holds as many +1 as -1 entries, both in the 48-row class
+        # and in the other 130 rows.  z-scoring then leaves every value as it
+        # is, and all 48 rows lie exactly sqrt(13) from their class mean.
+        _, labels, _ = synthetic_wine()
+        rng = np.random.default_rng(5)
+        features = np.empty((178, 13))
+        for rows in (labels == 3, labels != 3):
+            signs = np.repeat([1.0, -1.0], rows.sum() // 2)
+            features[rows] = np.column_stack([rng.permutation(signs) for _ in range(13)])
+        path, _, _ = synthetic_wine(labels, features)
+        data, _ = wine_prepare(path, m_per_class=40)
+        tied = np.nonzero(labels == 3)[0]
+        np.testing.assert_array_equal(data.values[:, 80:], features[tied[:40]].T)
+
+    def test_checksum_warning(self, synthetic_wine):
+        path, _, _ = synthetic_wine()
+        with pytest.warns(UserWarning, match="checksum"):
+            load_wine_csv(path)
+
+    def test_malformed_tables_rejected(self, synthetic_wine):
+        _, labels, features = synthetic_wine()
+        for table, message in [
+            ((labels[:177], features[:177]), "177 rows"),
+            ((labels, features[:, :12]), "13 fields"),
+            ((np.minimum(labels, 2), features), "2 classes"),
+        ]:
+            path, _, _ = synthetic_wine(*table)
+            with pytest.raises(ValueError, match=message):
+                load_wine_csv(path)
+
+    def test_m_per_class_above_smallest_class_rejected(self, synthetic_wine):
+        path, _, _ = synthetic_wine()
+        wine_prepare(path, m_per_class=48)
+        with pytest.raises(ValueError, match="smallest class size 48"):
+            wine_prepare(path, m_per_class=49)

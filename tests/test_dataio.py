@@ -29,12 +29,18 @@ class TestRoundTrip:
 
     def test_labels_round_trip(self, tmp_path):
         values = np.array([[0.0, 1.0, 2.0]])
-        data = ObservedDataset.full(values)
         path = tmp_path / "pts.csv"
-        write_points_csv(path, data, labels=[0, 1, 0])
+        path.write_text("0.0,0\n1.0,1\n2.0,0\n")
         loaded, truth = read_points_csv(path, labeled=True)
         assert truth.labels.tolist() == [0, 1, 0]
         np.testing.assert_array_equal(loaded.values, values)
+
+    @pytest.mark.parametrize("raw, expected", [((1, 2, 1), [0, 1, 0]), ((5, 0, 5), [1, 0, 1])])
+    def test_labels_renumbered_in_sorted_order(self, tmp_path, raw, expected):
+        path = tmp_path / "pts.csv"
+        path.write_text("".join(f"{i}.0,{lab}\n" for i, lab in enumerate(raw)))
+        _, truth = read_points_csv(path, labeled=True)
+        assert truth.labels.tolist() == expected
 
 
 class TestReadFormats:

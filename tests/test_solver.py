@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fusecluster import model, solver
 
-from fusecluster.datagen import MaskSpec, apply_mask, block_centers, gen_gaussian
+from fusecluster.datagen import MaskSpec, apply_mask, block_centers, generate
 from fusecluster.model import ObservedDataset, Partition, SyntheticSpec
 from fusecluster.penalty import PenaltySpec
 from fusecluster.solver import (
@@ -71,7 +71,7 @@ def random_instance(seed, K=2, M=4, P=5, p0=1.0, scale=4.0, variance=0.1):
         K=K, M=M, P=P, centers=block_centers(K, P, scale),
         noise=("gaussian", variance), seed=seed,
     )
-    data, truth = gen_gaussian(spec)
+    data, truth = generate(spec)
     if p0 < 1.0:
         data = apply_mask(data, MaskSpec(p0=p0, seed=seed + 1000))
     return data, truth
