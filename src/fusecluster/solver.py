@@ -11,6 +11,14 @@ current distances, which yields a weighted graph-Laplacian least-squares
 problem per feature; the weights saturate, so far-apart pairs decouple while
 nearby surrogates are pulled together until they coalesce into clusters.
 
+For the Gaussian-saturating penalty (h1) one row-blocked pass per iteration
+does all the N x N work (:func:`_h1_pass`): it forms squared distances from
+Gram blocks, evaluates the shared exponential once, adds the fusion sum of
+the objective and writes the next weights in place into one N x N buffer
+that the solve reuses.  h1 never fuses, so its solve runs on the points
+themselves; the fused-group quotient :class:`_Groups` is the power
+penalty's alone.
+
 The solver is deterministic: no randomness enters anywhere.
 """
 
@@ -35,7 +43,22 @@ class ConvergenceError(RuntimeError):
 
 
 class MajorizationError(RuntimeError):
-    """Objective increased beyond slack; indicates an implementation bug."""
+    """Objective increased beyond slack; indicates an implementation bug.
+
+    ``iteration`` is the outer iteration whose objective ``current`` rose
+    above its predecessor ``previous``.
+    """
+
+    def __init__(self, iteration: int, previous: float, current: float):
+        super().__init__(
+            f"majorization violated: objective rose {previous:.12g} -> {current:.12g}"
+        )
+        self.iteration = iteration
+        self.previous = previous
+        self.current = current
+
+    def __reduce__(self):  # args holds only the message
+        return type(self), (self.iteration, self.previous, self.current)
 
 
 @dataclass(frozen=True)
@@ -107,22 +130,81 @@ def pairwise_distances(U: np.ndarray, accurate: bool = False) -> np.ndarray:
     all ordered pairs, and exactly symmetric.
     """
     U = np.asarray(U, dtype=float)
-    if accurate:
-        d = _pairwise_reduce(U, np.square, np.add)
-        return np.sqrt(d, out=d)
-    return np.sqrt(_pairwise_sq_dists(U))
+    d = _pairwise_reduce(U, np.square, np.add) if accurate else _pairwise_sq_dists(U)
+    return np.sqrt(d, out=d)
 
 
 def _distances_for(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
-    """Pairwise distances at the precision the penalty needs.
+    """Pairwise distances for the power penalty, whose slope diverges at 0:
+    they come from the cancellation-free accumulation.  (h1 needs no
+    distances; :func:`_h1_pass` works on squared Gram distances.)"""
+    return pairwise_distances(U, accurate=True)
 
-    The power penalty's slope diverges at 0, so its distances come from the
-    cancellation-free accumulation; the Gaussian-saturating penalty is
-    quadratically flat there and the Gram expansion suffices.
+
+# Byte budget of one B x N row block of _h1_pass: small enough that the
+# block's elementwise passes run in cache.
+_H1_BLOCK_BYTES = 1 << 20
+
+
+def _h1_pass(U: np.ndarray, sigma: float, W: np.ndarray) -> float:
+    """Fused h1 majorization at U: returns the fusion sum
+    ``sum_{i != j} phi(d_ij)`` and writes the weights ``w(d_ij)`` (zero
+    diagonal) into the N x N buffer ``W``.
+
+    Works on the upper triangle, B rows at a time (B from the fixed byte
+    budget ``_H1_BLOCK_BYTES``).  Rows ``[s, e)`` get Gram squared distances
+    ``sq_i + sq_j - 2 g_ij`` against columns ``[s, N)``; the block's own
+    B x B square is made exactly symmetric as ``0.5 * (A + A.T)`` (addition
+    commutes) and distances are clipped at 0.  With
+    ``t = expm1(-d^2 / (2 sigma^2))`` the penalty is ``-t`` and the weight
+    ``(1 + t) / (2 sigma^2)``; the square counts once in the fusion sum and
+    the part right of it twice.  That part is mirrored, transposed, into
+    the lower triangle, so ``W`` is exactly symmetric.  When one block
+    covers every row nothing is mirrored.  Extra memory is O(P*N + budget).
     """
-    if penalty.kind == LP:
-        return pairwise_distances(U, accurate=True)
-    return pairwise_distances(U)
+    U = np.ascontiguousarray(U, dtype=float)
+    n = U.shape[1]
+    rows = max(1, _H1_BLOCK_BYTES // max(8 * n, 1))
+    sq = np.einsum("pi,pi->i", U, U)
+    minus_2u = -2.0 * U  # scaling by -2 is exact: the block is -2 * U.T @ U
+    two_s2 = 2.0 * sigma**2
+    fusion = 0.0
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        block = W[s:e, s:]
+        np.matmul(minus_2u[:, s:e].T, U[:, s:], out=block)
+        block += sq[s:e, None]
+        block += sq[None, s:]
+        square = block[:, : e - s]
+        square += square.T.copy()
+        square *= 0.5
+        np.fill_diagonal(square, 0.0)
+        np.maximum(block, 0.0, out=block)
+        block /= -two_s2
+        t = np.expm1(block, out=block)
+        fusion -= float(square.sum()) + 2.0 * float(t[:, e - s :].sum())
+        t += 1.0
+        t /= two_s2
+        if e < n:
+            W[e:, s:e] = t[:, e - s :].T
+    np.fill_diagonal(W, 0.0)
+    return fusion
+
+
+def _lp_fusion(dists: np.ndarray, penalty: PenaltySpec, pair_mult) -> float:
+    """Fusion sum of the power penalty, each pair scaled by ``pair_mult``."""
+    pen = phi(dists, penalty)
+    np.fill_diagonal(pen, 0.0)
+    pen *= pair_mult
+    return float(np.sum(pen))
+
+
+def _lp_weights(dists: np.ndarray, penalty: PenaltySpec, pair_mult) -> np.ndarray:
+    """Power-penalty weights, each pair scaled by ``pair_mult``, zero diagonal."""
+    w = weight(dists, penalty)
+    w *= pair_mult
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def _fuse_threshold(penalty: PenaltySpec, u0: np.ndarray) -> float:
@@ -134,8 +216,6 @@ def _fuse_threshold(penalty: PenaltySpec, u0: np.ndarray) -> float:
     solve-level jitter into non-monotone objective noise.  The threshold is
     fixed up front (from the initial scale) so the bookkeeping is sticky.
     """
-    if penalty.kind != LP:
-        return 0.0
     col_scale = float(np.max(np.linalg.norm(u0, axis=0), initial=0.0))
     return max(penalty.tau, 32.0 * math.sqrt(np.finfo(float).eps) * col_scale)
 
@@ -156,10 +236,13 @@ def objective(
     data: ObservedDataset, U: np.ndarray, lam: float, penalty: PenaltySpec
 ) -> float:
     """True (non-surrogate) objective value at U."""
+    U = np.asarray(U, dtype=float)
+    if penalty.kind == LP:
+        fusion = _lp_fusion(_distances_for(U, penalty), penalty, 1.0)
+    else:
+        fusion = _h1_pass(U, penalty.sigma, np.empty((U.shape[1],) * 2))
     resid = np.where(data.mask, U - data.values, 0.0)
-    pen = phi(_distances_for(U, penalty), penalty)
-    np.fill_diagonal(pen, 0.0)
-    return float(np.sum(resid * resid)) + lam * float(pen.sum())
+    return float(np.sum(resid * resid)) + lam * fusion
 
 
 def objective_gradient(
@@ -171,23 +254,28 @@ def objective_gradient(
     using phi'(d)/d = 2 w(d); this is the same linear form whose zero set
     defines the centroid update.
     """
-    dists = _distances_for(U, penalty)
-    w = _weights_from_distances(dists, penalty)
+    w = update_weights(U, penalty)
     resid = np.where(data.mask, U - data.values, 0.0)
     deg = w.sum(axis=1)
     return 2.0 * resid + 4.0 * lam * _laplacian(w, deg, U)
 
 
 def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
-    """Majorizer weights w_ij = w(||u_i - u_j||) with a zero diagonal."""
-    dists = _distances_for(U, penalty)
-    return _weights_from_distances(dists, penalty)
+    """Majorizer weights w_ij = w(||u_i - u_j||) with a zero diagonal.
 
-
-def _weights_from_distances(dists: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
-    w = weight(dists, penalty)
-    np.fill_diagonal(w, 0.0)
-    return w
+    h1 weights come from the fused pass as ``(1 + t) / (2 sigma^2)`` with
+    ``t = expm1(-d^2 / (2 sigma^2))``, so each holds an absolute error of
+    ~eps / (2 sigma^2): a weight far below that flushes to 0 instead of
+    keeping its relative precision as ``exp`` would.  Such a pair exerts no
+    measurable pull either way.  The penalty itself, ``-t``, keeps
+    ``expm1``'s relative accuracy near 0.
+    """
+    U = np.asarray(U, dtype=float)
+    if penalty.kind == LP:
+        return _lp_weights(_distances_for(U, penalty), penalty, 1.0)
+    W = np.empty((U.shape[1],) * 2)
+    _h1_pass(U, penalty.sigma, W)
+    return W
 
 
 def update_centroids(
@@ -320,6 +408,35 @@ def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature, maxiter_factor):
     return d
 
 
+class _Points:
+    """Solve state of the Gaussian-saturating penalty: one column per point.
+
+    h1 weights never blow up, so no pair is fused and no quotient is kept.
+    Each :meth:`fusion` call runs the fused pass at ``V``, which also writes
+    the next weights into the one N x N buffer of the solve.
+    """
+
+    def __init__(self, data: ObservedDataset, v0: np.ndarray, sigma: float):
+        self.diag = data.mask.astype(float)
+        self.rhs = data.observed_values()
+        self.counts = np.ones(data.point_count)
+        self.V = v0
+        self.sigma = sigma
+        self.W = np.empty((data.point_count, data.point_count))
+
+    def expanded(self) -> np.ndarray:
+        return self.V
+
+    def fusion(self) -> float:
+        return _h1_pass(self.V, self.sigma, self.W)
+
+    def weights(self) -> np.ndarray:
+        return self.W
+
+    def merge(self) -> bool:
+        return False
+
+
 class _Groups:
     """Fused-group bookkeeping for the power penalty.
 
@@ -332,23 +449,34 @@ class _Groups:
 
     ``pair_mult`` (the G x G product of group sizes that scales each pair's
     penalty and weight) stays the scalar 1.0 until the first merge, so runs
-    that never fuse hold no extra G x G array.
+    that never fuse hold no extra G x G array.  :meth:`fusion` measures the
+    group distances that :meth:`weights` and :meth:`merge` then use.
     """
 
-    def __init__(self, data: ObservedDataset, v0: np.ndarray):
+    def __init__(self, data: ObservedDataset, v0: np.ndarray, penalty: PenaltySpec):
         self.diag = data.mask.astype(float)  # P x G observation counts
         self.rhs = data.observed_values()  # P x G sums of observed values
         self.counts = np.ones(data.point_count)
         self.pair_mult = 1.0
         self.rep = np.arange(data.point_count)
         self.V = v0.copy()
+        self.penalty = penalty
+        self.fuse_tol = _fuse_threshold(penalty, v0)
+        self.dists = None
 
     def expanded(self) -> np.ndarray:
         return self.V[:, self.rep]
 
-    def merge_close(self, dists: np.ndarray, fuse_tol: float) -> bool:
+    def fusion(self) -> float:
+        self.dists = _distances_for(self.V, self.penalty)
+        return _lp_fusion(self.dists, self.penalty, self.pair_mult)
+
+    def weights(self) -> np.ndarray:
+        return _lp_weights(self.dists, self.penalty, self.pair_mult)
+
+    def merge(self) -> bool:
         """Union all groups within fuse_tol; returns True when merged."""
-        close = dists < fuse_tol
+        close = self.dists < self.fuse_tol
         np.fill_diagonal(close, False)
         if not close.any():
             return False
@@ -366,6 +494,7 @@ class _Groups:
         self.counts = counts
         self.pair_mult = np.outer(counts, counts)
         self.rep = new_of_old[self.rep]
+        self.dists = _distances_for(self.V, self.penalty)
         return True
 
 
@@ -378,7 +507,8 @@ def mm_cluster(
     With the power penalty, surrogate columns that coalesce below a run-level
     threshold are consolidated into quotient super-nodes (see
     :class:`_Groups`), which keeps the linear systems well conditioned
-    through complete fusion.
+    through complete fusion; h1 solves on the points themselves (see
+    :class:`_Points`).
 
     The trace records the true objective, whose monotone descent the
     majorize-minimize construction guarantees; an increase beyond slack
@@ -387,65 +517,48 @@ def mm_cluster(
     penalty = config.penalty
     u0 = mean_imputed(data)
     means = observed_feature_means(data)
-    fuse_tol = _fuse_threshold(penalty, u0)
-    groups = _Groups(data, u0)
+    if penalty.kind == LP:
+        system = _Groups(data, u0, penalty)
+    else:
+        system = _Points(data, u0, penalty.sigma)
 
-    def group_distances():
-        return _distances_for(groups.V, penalty)
+    def true_objective():
+        resid = np.where(data.mask, system.expanded() - data.values, 0.0)
+        return float(np.sum(resid * resid)) + config.lam * system.fusion()
 
-    def true_objective(dists):
-        resid = np.where(data.mask, groups.expanded() - data.values, 0.0)
-        pen = phi(dists, penalty)
-        np.fill_diagonal(pen, 0.0)
-        pen *= groups.pair_mult
-        return float(np.sum(resid * resid)) + config.lam * float(np.sum(pen))
-
-    def group_weights(dists):
-        w = weight(dists, penalty)
-        w *= groups.pair_mult
-        np.fill_diagonal(w, 0.0)
-        return w
-
-    dists = group_distances()
-    f = true_objective(dists)
+    f = true_objective()
     objectives = [f]
     converged = False
     iterations = 0
-    w = group_weights(dists)
 
     for iterations in range(1, config.max_outer_iters + 1):
-        groups.V = _solve_weighted_system(
-            diag_data=groups.diag,
-            rhs_data=groups.rhs,
-            rho_diag=config.rho * groups.counts,
+        system.V = _solve_weighted_system(
+            diag_data=system.diag,
+            rhs_data=system.rhs,
+            rho_diag=config.rho * system.counts,
             means=means,
-            W=w,
+            W=system.weights(),
             lam=config.lam,
-            anchor=groups.V,
+            anchor=system.V,
             cg_tol=config.cg_tol,
             cg_maxiter_factor=config.cg_maxiter_factor,
         )
-        dists = group_distances()
-        f_new = true_objective(dists)
+        f_new = true_objective()
         objectives.append(f_new)
         if f_new > f + 1e-10 * max(abs(f), 1.0):
-            raise MajorizationError(
-                f"majorization violated: objective rose {f:.12g} -> {f_new:.12g}"
-            )
+            raise MajorizationError(iterations, f, f_new)
         stop = abs(f_new - f) <= config.objective_rel_tol * max(abs(f), 1e-12)
         f = f_new
-        if fuse_tol > 0.0 and groups.merge_close(dists, fuse_tol):
-            dists = group_distances()
+        if system.merge():
             stop = False  # topology changed; give the quotient a pass
         if stop:
             converged = True
             break
-        w = group_weights(dists)
 
     trace = SolveTrace(
         objectives=np.array(objectives), iterations=iterations, converged=converged
     )
-    return CentroidSet(U=groups.expanded()), trace
+    return CentroidSet(U=system.expanded()), trace
 
 
 def default_merge_tol(U: np.ndarray, dists: np.ndarray | None = None) -> float:

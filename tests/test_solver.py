@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 
 from fusecluster import model, solver
 
+from fusecluster.analysis import cluster_once
 from fusecluster.datagen import MaskSpec, apply_mask, block_centers, generate
 from fusecluster.model import ObservedDataset, Partition, SyntheticSpec
-from fusecluster.penalty import PenaltySpec
+from fusecluster.penalty import PenaltySpec, phi, weight
 from fusecluster.solver import (
+    MajorizationError,
     SolverConfig,
     default_merge_tol,
     extract_clusters,
@@ -64,6 +68,18 @@ def exact_block_budget(p, n, rows):
     """Value of model._EXACT_BLOCK_BYTES that makes the kernel fill ``rows``
     rows per pass on a P x N input."""
     return 8 * p * n * rows
+
+
+def h1_block_budget(n, rows):
+    """Value of solver._H1_BLOCK_BYTES that makes the fused h1 pass fill
+    ``rows`` rows per block on N points."""
+    return 8 * n * rows
+
+
+def h1_pass(u, sigma):
+    """Fused pass on ``u``: (fusion sum, weights)."""
+    w = np.empty((u.shape[1],) * 2)
+    return solver._h1_pass(u, sigma, w), w
 
 
 def random_instance(seed, K=2, M=4, P=5, p0=1.0, scale=4.0, variance=0.1):
@@ -399,6 +415,115 @@ class TestTriangleKernel:
         monkeypatch.setattr(model, "_pairwise_reduce", lambda values, *_: linf_loop(values))
         looped = model.estimate_geometry(data, truth)
         assert np.array_equal(dataclasses.astuple(blocked), dataclasses.astuple(looped))
+
+
+class TestH1Pass:
+    """The fused h1 pass: one row-blocked sweep gives the fusion sum and the
+    weights, exactly symmetric, close to phi and weight on the distances."""
+
+    SIGMA = 1.5
+
+    def check_against_reference(self, u, fusion, w):
+        two_s2 = 2.0 * self.SIGMA**2
+        assert np.array_equal(w, w.T)
+        assert not np.diagonal(w).any()
+        d = pairwise_distances(u)
+        penalty = PenaltySpec.h1(self.SIGMA)
+        want_w = weight(d, penalty)
+        np.fill_diagonal(want_w, 0.0)
+        assert np.abs(w - want_w).max() <= 1e-13 / two_s2
+        pen = phi(d, penalty)
+        np.fill_diagonal(pen, 0.0)
+        assert fusion == pytest.approx(pen.sum(), rel=1e-13)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
+    def test_blocks_with_a_ragged_tail_match_phi_and_weight(self, rows, rng):
+        n = 23  # prime: every rows > 1 leaves a ragged tail
+        u = rng.normal(size=(6, n))
+        u[:, n - 1] = u[:, 0]  # the tail coincides with the first block
+        u[:, 5] = u[:, 4]
+        budget = solver._H1_BLOCK_BYTES if rows is None else h1_block_budget(n, rows)
+        assert rows is not None or budget >= 8 * n * n  # one block covers all
+        with mock.patch.object(solver, "_H1_BLOCK_BYTES", budget):
+            fusion, w = h1_pass(u, self.SIGMA)
+        self.check_against_reference(u, fusion, w)
+
+    @pytest.mark.parametrize("rows", [3, None])
+    @pytest.mark.parametrize(
+        "layout", [lambda u: u[:, ::2], np.asfortranarray], ids=["strided", "fortran"]
+    )
+    def test_non_contiguous_input_matches_contiguous(self, layout, rows, rng):
+        u = layout(rng.normal(size=(5, 46)))
+        n = u.shape[1]
+        budget = solver._H1_BLOCK_BYTES if rows is None else h1_block_budget(n, rows)
+        with mock.patch.object(solver, "_H1_BLOCK_BYTES", budget):
+            fusion, w = h1_pass(u, self.SIGMA)
+            dense_fusion, dense_w = h1_pass(np.ascontiguousarray(u), self.SIGMA)
+        assert fusion == dense_fusion
+        assert np.array_equal(w, dense_w)
+        self.check_against_reference(u, fusion, w)
+
+    def test_multi_block_solve_matches_single_block(self, monkeypatch):
+        data, truth = random_instance(seed=3, K=3, M=20, P=50, p0=0.6, scale=6.0)
+        cfg = SolverConfig(lam=16.0, penalty=PenaltySpec.h1(2.0))
+        single, single_trace = mm_cluster(data, cfg)
+        monkeypatch.setattr(solver, "_H1_BLOCK_BYTES", h1_block_budget(60, 7))
+        blocked, blocked_trace = mm_cluster(data, cfg)
+        parts = [
+            extract_clusters(c.U, default_merge_tol(c.U)) for c in (single, blocked)
+        ]
+        assert parts[0].same_clustering(truth)
+        assert np.array_equal(parts[0].labels, parts[1].labels)
+        assert blocked_trace.iterations == single_trace.iterations
+        np.testing.assert_allclose(
+            blocked_trace.objectives, single_trace.objectives, rtol=1e-9, atol=0
+        )
+
+    @pytest.mark.parametrize("rows", [7, None])
+    def test_trace_is_the_objective_at_the_result(self, rows, monkeypatch):
+        data, _ = random_instance(seed=4, K=3, M=20, P=50, p0=0.6, scale=6.0)
+        if rows is not None:
+            monkeypatch.setattr(solver, "_H1_BLOCK_BYTES", h1_block_budget(60, rows))
+        penalty = PenaltySpec.h1(2.0)
+        centroids, trace = mm_cluster(data, SolverConfig(lam=16.0, penalty=penalty))
+        assert trace.objectives[-1] == objective(data, centroids.U, 16.0, penalty)
+
+    def test_solve_holds_one_n_by_n_array(self):
+        # The fused pass writes into the solve's one weight buffer; distances,
+        # penalties and a second weight matrix are never held beside it.
+        n = 600
+        data, _ = random_instance(seed=5, K=3, M=n // 3, P=50, p0=0.6, scale=6.0)
+        cfg = SolverConfig(lam=4.0, penalty=PenaltySpec.h1(2.0))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mm_cluster(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n * n
+
+
+class TestMajorizationError:
+    def test_carries_the_rise(self):
+        # At this scale the CG error, relative to ||b|| ~ 1e20, costs far
+        # more in the data term than the fusion term can save.
+        y = np.random.default_rng(0).normal(size=(5, 20))
+        y[:, 0:5] += 4.0
+        y[:, 5:10] -= 4.0
+        with pytest.raises(MajorizationError) as err:
+            cluster_once(ObservedDataset.full(y * 1e20), lam=1.0, sigma=1e20)
+        e = err.value
+        assert e.iteration == 1
+        assert e.previous == pytest.approx(369.7118497, rel=1e-9)
+        assert 1e26 < e.current < 1e27
+        assert str(e) == (
+            f"majorization violated: objective rose {e.previous:.12g} -> {e.current:.12g}"
+        )
+        copy = pickle.loads(pickle.dumps(e))
+        assert (copy.iteration, copy.previous, copy.current, str(copy)) == (
+            e.iteration, e.previous, e.current, str(e)
+        )
 
 
 class TestSolverConfig:
