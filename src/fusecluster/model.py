@@ -202,19 +202,28 @@ def coherence(y) -> float:
     return y.size / float(scaled @ scaled)
 
 
-def _pairwise_sq_dists(values: np.ndarray) -> np.ndarray:
-    """Squared column distances 0.5 * (d + d.T), d = sq_i + sq_j - 2 g_ij,
-    clipped at 0 (Gram trick); computed in place in two N x N arrays."""
-    g = values.T @ values
-    sq = np.einsum("pi,pi->i", values, values)
-    d2 = np.add.outer(sq, sq)
+def _pairwise_sq_dists(
+    values: np.ndarray, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Squared column distances d = sq_i + sq_j - 2 g_ij (Gram trick),
+    clipped at 0, from columns ``[start, stop)`` to columns ``[start, N)``:
+    all of them by default.  The leading square of the result is made
+    exactly symmetric as 0.5 * (d + d.T) with a zero diagonal; computed in
+    place in two arrays of the result's shape."""
+    stop = values.shape[1] if stop is None else stop
+    b = stop - start
+    cols = values[:, start:]
+    g = values[:, start:stop].T @ cols
+    sq = np.einsum("pi,pi->i", cols, cols)
+    d2 = np.add.outer(sq[:b], sq)
     g *= 2.0
     d2 -= g
-    np.add(d2, d2.T, out=g)
-    g *= 0.5
-    np.maximum(g, 0.0, out=g)
-    np.fill_diagonal(g, 0.0)
-    return g
+    head = d2[:, :b]
+    np.add(head, head.T, out=g[:, :b])
+    np.multiply(g[:, :b], 0.5, out=head)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(head, 0.0)
+    return d2
 
 
 # Byte budget of the P x B x N difference buffer of _pairwise_reduce.

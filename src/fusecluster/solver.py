@@ -12,12 +12,12 @@ problem per feature; the weights saturate, so far-apart pairs decouple while
 nearby surrogates are pulled together until they coalesce into clusters.
 
 For the Gaussian-saturating penalty (h1) one row-blocked pass per iteration
-does all the N x N work (:func:`_h1_pass`): it forms squared distances from
-Gram blocks, evaluates the shared exponential once, adds the fusion sum of
-the objective and writes the next weights in place into one N x N buffer
-that the solve reuses.  h1 never fuses, so its solve runs on the points
-themselves; the fused-group quotient :class:`_Groups` is the power
-penalty's alone.
+does all the N x N work (:func:`_h1_pass`): per block of rows it takes the
+Gram distances over the upper triangle, evaluates ``phi`` and ``weight`` on
+them while they are in cache, adds the fusion sum of the objective and
+writes the next weights into one N x N buffer that the solve reuses.  h1
+never fuses, so its solve runs on the points themselves; the fused-group
+quotient :class:`_Groups` is the power penalty's alone.
 
 The solver is deterministic: no randomness enters anywhere.
 """
@@ -116,7 +116,9 @@ class SolverConfig:
             raise ValueError("max_outer_iters must be at least 1")
 
 
-def pairwise_distances(U: np.ndarray, accurate: bool = False) -> np.ndarray:
+def pairwise_distances(
+    U: np.ndarray, accurate: bool = False, rows: tuple[int, int] | None = None
+) -> np.ndarray:
     """Euclidean distances between columns of U.
 
     The Gram expansion loses ~sqrt(eps)*scale of absolute accuracy near zero,
@@ -128,16 +130,25 @@ def pairwise_distances(U: np.ndarray, accurate: bool = False) -> np.ndarray:
     lower one; the mirror is bitwise exact because ``fl(a-b) == -fl(b-a)``
     and squaring is even, so the result is bitwise a per-feature loop over
     all ordered pairs, and exactly symmetric.
+
+    ``rows=(s, e)`` asks the Gram path for one upper row block only: the
+    distances from columns ``[s, e)`` to columns ``[s, N)``, whose leading
+    square is exactly symmetric with a zero diagonal.
     """
     U = np.asarray(U, dtype=float)
-    d = _pairwise_reduce(U, np.square, np.add) if accurate else _pairwise_sq_dists(U)
+    if accurate:
+        if rows is not None:
+            raise ValueError("row blocks come from the Gram path only")
+        d = _pairwise_reduce(U, np.square, np.add)
+    else:
+        d = _pairwise_sq_dists(U, *(rows or ()))
     return np.sqrt(d, out=d)
 
 
 def _distances_for(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
     """Pairwise distances for the power penalty, whose slope diverges at 0:
-    they come from the cancellation-free accumulation.  (h1 needs no
-    distances; :func:`_h1_pass` works on squared Gram distances.)"""
+    they come from the cancellation-free accumulation.  (h1 takes its
+    distances block by block in :func:`_h1_pass`.)"""
     return pairwise_distances(U, accurate=True)
 
 
@@ -146,48 +157,41 @@ def _distances_for(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
 _H1_BLOCK_BYTES = 1 << 20
 
 
-def _h1_pass(U: np.ndarray, sigma: float, W: np.ndarray) -> float:
-    """Fused h1 majorization at U: returns the fusion sum
+def _h1_pass(U: np.ndarray, penalty: PenaltySpec, W: np.ndarray) -> float:
+    """h1 majorization at U in one row-blocked pass: returns the fusion sum
     ``sum_{i != j} phi(d_ij)`` and writes the weights ``w(d_ij)`` (zero
     diagonal) into the N x N buffer ``W``.
 
     Works on the upper triangle, B rows at a time (B from the fixed byte
-    budget ``_H1_BLOCK_BYTES``).  Rows ``[s, e)`` get Gram squared distances
-    ``sq_i + sq_j - 2 g_ij`` against columns ``[s, N)``; the block's own
-    B x B square is made exactly symmetric as ``0.5 * (A + A.T)`` (addition
-    commutes) and distances are clipped at 0.  With
-    ``t = expm1(-d^2 / (2 sigma^2))`` the penalty is ``-t`` and the weight
-    ``(1 + t) / (2 sigma^2)``; the square counts once in the fusion sum and
-    the part right of it twice.  That part is mirrored, transposed, into
-    the lower triangle, so ``W`` is exactly symmetric.  When one block
-    covers every row nothing is mirrored.  Extra memory is O(P*N + budget).
+    budget ``_H1_BLOCK_BYTES``): rows ``[s, e)`` take their Gram distances
+    to columns ``[s, N)`` and evaluate ``phi`` and ``weight`` on them while
+    the block is in cache.  The block's own B x B square counts once in the
+    fusion sum and the part right of it twice; that part is mirrored,
+    transposed, into the lower triangle, so ``W`` is exactly symmetric.
+    When one block covers every row the pass is the whole-matrix chain,
+    with nothing mirrored.  Extra memory is O(P*N + budget).
     """
-    U = np.ascontiguousarray(U, dtype=float)
+    U = np.ascontiguousarray(U, dtype=float)  # one BLAS path for every layout
     n = U.shape[1]
-    rows = max(1, _H1_BLOCK_BYTES // max(8 * n, 1))
-    sq = np.einsum("pi,pi->i", U, U)
-    minus_2u = -2.0 * U  # scaling by -2 is exact: the block is -2 * U.T @ U
-    two_s2 = 2.0 * sigma**2
+    step = max(1, _H1_BLOCK_BYTES // max(8 * n, 1))
     fusion = 0.0
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        block = W[s:e, s:]
-        np.matmul(minus_2u[:, s:e].T, U[:, s:], out=block)
-        block += sq[s:e, None]
-        block += sq[None, s:]
-        square = block[:, : e - s]
-        square += square.T.copy()
-        square *= 0.5
-        np.fill_diagonal(square, 0.0)
-        np.maximum(block, 0.0, out=block)
-        block /= -two_s2
-        t = np.expm1(block, out=block)
-        fusion -= float(square.sum()) + 2.0 * float(t[:, e - s :].sum())
-        t += 1.0
-        t /= two_s2
-        if e < n:
-            W[e:, s:e] = t[:, e - s :].T
-    np.fill_diagonal(W, 0.0)
+    for s in range(0, n, step):
+        fusion += _h1_block(U, penalty, s, min(s + step, n), W)
+    return fusion
+
+
+def _h1_block(U, penalty, s, e, W) -> float:
+    """Rows ``[s, e)`` of :func:`_h1_pass`; returns their share of the
+    fusion sum.  Its block-sized temporaries die when it returns."""
+    d = pairwise_distances(U, rows=(s, e))
+    pen = phi(d, penalty)
+    fusion = float(pen[:, : e - s].sum()) + 2.0 * float(pen[:, e - s :].sum())
+    del pen
+    w = weight(d, penalty)
+    np.fill_diagonal(w, 0.0)  # the diagonal of the leading square
+    W[s:e, s:] = w
+    if e < len(W):
+        W[e:, s:e] = w[:, e - s :].T
     return fusion
 
 
@@ -240,7 +244,7 @@ def objective(
     if penalty.kind == LP:
         fusion = _lp_fusion(_distances_for(U, penalty), penalty, 1.0)
     else:
-        fusion = _h1_pass(U, penalty.sigma, np.empty((U.shape[1],) * 2))
+        fusion = _h1_pass(U, penalty, np.empty((U.shape[1],) * 2))
     resid = np.where(data.mask, U - data.values, 0.0)
     return float(np.sum(resid * resid)) + lam * fusion
 
@@ -263,18 +267,14 @@ def objective_gradient(
 def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
     """Majorizer weights w_ij = w(||u_i - u_j||) with a zero diagonal.
 
-    h1 weights come from the fused pass as ``(1 + t) / (2 sigma^2)`` with
-    ``t = expm1(-d^2 / (2 sigma^2))``, so each holds an absolute error of
-    ~eps / (2 sigma^2): a weight far below that flushes to 0 instead of
-    keeping its relative precision as ``exp`` would.  Such a pair exerts no
-    measurable pull either way.  The penalty itself, ``-t``, keeps
-    ``expm1``'s relative accuracy near 0.
+    h1 weights come from the row-blocked pass :func:`_h1_pass`, the one the
+    solve and :func:`objective` use, so they match a solve's weights bitwise.
     """
     U = np.asarray(U, dtype=float)
     if penalty.kind == LP:
         return _lp_weights(_distances_for(U, penalty), penalty, 1.0)
     W = np.empty((U.shape[1],) * 2)
-    _h1_pass(U, penalty.sigma, W)
+    _h1_pass(U, penalty, W)
     return W
 
 
@@ -382,6 +382,10 @@ def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature, maxiter_factor):
     d = np.zeros_like(r)
     res = r.copy()
     precond = diag_total + 2.0 * lam * deg[None, :]
+    # A coordinate with no data, no ridge and no pull (every weight of its
+    # point underflowed) has a zero row: its residual stays exactly 0, so
+    # any non-zero divisor keeps it there instead of making 0/0.
+    precond[precond == 0.0] = 1.0
     z = res / precond
     p = z.copy()
     rz = np.einsum("pi,pi->p", res, z)
@@ -412,23 +416,23 @@ class _Points:
     """Solve state of the Gaussian-saturating penalty: one column per point.
 
     h1 weights never blow up, so no pair is fused and no quotient is kept.
-    Each :meth:`fusion` call runs the fused pass at ``V``, which also writes
-    the next weights into the one N x N buffer of the solve.
+    Each :meth:`fusion` call runs the row-blocked pass at ``V``, which also
+    writes the next weights into the one N x N buffer of the solve.
     """
 
-    def __init__(self, data: ObservedDataset, v0: np.ndarray, sigma: float):
+    def __init__(self, data: ObservedDataset, v0: np.ndarray, penalty: PenaltySpec):
         self.diag = data.mask.astype(float)
         self.rhs = data.observed_values()
         self.counts = np.ones(data.point_count)
         self.V = v0
-        self.sigma = sigma
+        self.penalty = penalty
         self.W = np.empty((data.point_count, data.point_count))
 
     def expanded(self) -> np.ndarray:
         return self.V
 
     def fusion(self) -> float:
-        return _h1_pass(self.V, self.sigma, self.W)
+        return _h1_pass(self.V, self.penalty, self.W)
 
     def weights(self) -> np.ndarray:
         return self.W
@@ -520,7 +524,7 @@ def mm_cluster(
     if penalty.kind == LP:
         system = _Groups(data, u0, penalty)
     else:
-        system = _Points(data, u0, penalty.sigma)
+        system = _Points(data, u0, penalty)
 
     def true_objective():
         resid = np.where(data.mask, system.expanded() - data.values, 0.0)

@@ -71,15 +71,15 @@ def exact_block_budget(p, n, rows):
 
 
 def h1_block_budget(n, rows):
-    """Value of solver._H1_BLOCK_BYTES that makes the fused h1 pass fill
-    ``rows`` rows per block on N points."""
+    """Value of solver._H1_BLOCK_BYTES that makes the row-blocked h1 pass
+    fill ``rows`` rows per block on N points."""
     return 8 * n * rows
 
 
 def h1_pass(u, sigma):
-    """Fused pass on ``u``: (fusion sum, weights)."""
+    """Row-blocked h1 pass on ``u``: (fusion sum, weights)."""
     w = np.empty((u.shape[1],) * 2)
-    return solver._h1_pass(u, sigma, w), w
+    return solver._h1_pass(u, PenaltySpec.h1(sigma), w), w
 
 
 def random_instance(seed, K=2, M=4, P=5, p0=1.0, scale=4.0, variance=0.1):
@@ -237,6 +237,22 @@ class TestMMCluster:
         assert np.array_equal(centroids.U, data.values)
         assert trace.objectives.tolist() == [0.0, 0.0]
 
+    def test_isolated_point_with_a_missing_entry_and_no_ridge(self):
+        # Point 7 sits 100 sigma from the rest, so every weight it has
+        # underflows to 0; with rho = 0 its unobserved coordinate has a zero
+        # row in the system, which must not turn the CG step into 0/0.
+        y = np.random.default_rng(0).normal(size=(3, 8))
+        y[0, 7] = 100.0
+        mask = np.ones_like(y, dtype=bool)
+        mask[1, 7] = False
+        data = ObservedDataset(y, mask)
+        cfg = SolverConfig(lam=1.0, penalty=H1_UNIT, rho=0.0)
+        centroids, _ = mm_cluster(data, cfg)
+        u = centroids.U
+        assert np.all(np.isfinite(u))
+        assert u[1, 7] == mean_imputed(data)[1, 7]
+        assert np.array_equal(u[[0, 2], 7], y[[0, 2], 7])
+
     def test_small_lambda_keeps_points_apart(self):
         data = ObservedDataset.full(np.array([[0.0, 10.0], [0.0, 10.0]]))
         cfg = SolverConfig(lam=1e-6, penalty=H1_UNIT, max_outer_iters=50)
@@ -377,6 +393,24 @@ class TestPairwiseDistances:
         assert np.array_equal(linf, linf_loop(u))
 
 
+    @pytest.mark.parametrize("rows", [(0, 23), (0, 5), (5, 12), (20, 23), (22, 23)])
+    def test_row_block_is_the_upper_slice(self, rows, rng):
+        u = rng.normal(size=(6, 23))
+        u[:, 21] = u[:, 6]
+        s, e = rows
+        block = pairwise_distances(u, rows=rows)
+        full = pairwise_distances(u)
+        assert block.shape == (e - s, 23 - s)
+        np.testing.assert_allclose(block, full[s:e, s:], rtol=0, atol=1e-12)
+        square = block[:, : e - s]
+        assert np.array_equal(square, square.T)
+        assert not np.diagonal(square).any()
+        if rows == (0, 23):
+            assert np.array_equal(block, full)
+        with pytest.raises(ValueError):
+            pairwise_distances(u, accurate=True, rows=rows)
+
+
 class TestTriangleKernel:
     """The exact kernel reduces each unordered pair once and mirrors it."""
 
@@ -447,6 +481,17 @@ class TestH1Pass:
         with mock.patch.object(solver, "_H1_BLOCK_BYTES", budget):
             fusion, w = h1_pass(u, self.SIGMA)
         self.check_against_reference(u, fusion, w)
+
+    def test_one_block_is_the_whole_matrix_chain(self, rng):
+        u = rng.normal(size=(6, 23))
+        fusion, w = h1_pass(u, self.SIGMA)
+        penalty = PenaltySpec.h1(self.SIGMA)
+        d = pairwise_distances(u)
+        pen = phi(d, penalty)
+        want_w = weight(d, penalty)
+        np.fill_diagonal(want_w, 0.0)
+        assert fusion == pen.sum()
+        assert np.array_equal(w, want_w)
 
     @pytest.mark.parametrize("rows", [3, None])
     @pytest.mark.parametrize(
