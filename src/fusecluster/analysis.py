@@ -154,11 +154,7 @@ def success_curve(
         successes = []
         for p_idx, p0 in enumerate(spec.p0_grid):
             mask_seed = _derive_seed(spec.base_seed, m, trial, p_idx + 1)
-            masked = (
-                data
-                if p0 >= 1.0
-                else apply_mask(data, MaskSpec(p0=p0, seed=mask_seed))
-            )
+            masked = apply_mask(data, MaskSpec(p0=p0, seed=mask_seed))
             ok = False
             for lam in spec.lambda_grid:
                 run = cluster_once(
@@ -199,8 +195,9 @@ def _derive_seed(*parts: int) -> int:
     )
 
 
-def pca_project(points: np.ndarray, dims: int = 2) -> np.ndarray:
-    """Project columns onto the top principal directions.
+def pca_project(points: np.ndarray) -> np.ndarray:
+    """Project columns onto the top two principal directions: a 2 x Q
+    array (1 x Q when P = 1).
 
     Columns are centered first; directions are ordered by singular value and
     sign-fixed so each direction's largest-magnitude entry is positive.
@@ -209,7 +206,7 @@ def pca_project(points: np.ndarray, dims: int = 2) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] < 2:
         raise ValueError("need a P x Q matrix with Q >= 2")
-    dims = min(dims, points.shape[0])
+    dims = min(2, points.shape[0])
     centered = points - points.mean(axis=1, keepdims=True)
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
     coords = s[:dims, None] * vt[:dims]
@@ -234,7 +231,7 @@ def pca_plot_table(
     filled = fill_missing(data, centroids)
     n = data.point_count
     stacked = np.hstack([filled, centroids])
-    coords = pca_project(stacked, dims=2)
+    coords = pca_project(stacked)
     if coords.shape[0] < 2:
         coords = np.vstack([coords, np.zeros((2 - coords.shape[0], 2 * n))])
     rows = []

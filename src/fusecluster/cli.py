@@ -181,7 +181,9 @@ def build_parser() -> _Parser:
     p_cluster = sub.add_parser("cluster", help="cluster a CSV dataset")
     common(p_cluster)
     p_cluster.add_argument("--input", required=True)
-    p_cluster.add_argument("--labeled", action="store_true")
+    p_cluster.add_argument(
+        "--labeled", nargs="?", const="true", default="false", choices=("true", "false")
+    )
     p_cluster.add_argument("--lambda", dest="lam", type=float, required=True)
     p_cluster.add_argument("--penalty", choices=("h1", "lp"), default="h1")
     p_cluster.add_argument("--sigma", type=float, default=None)
@@ -224,10 +226,11 @@ def build_parser() -> _Parser:
 def _config_tokens(argv):
     """Turn the ``--config`` file named in argv into long-flag tokens.
 
-    Each ``key=value`` line becomes ``--key=value``; ``true`` becomes a bare
-    ``--key`` and ``false`` adds nothing.  The tokens are parsed just after
-    the subcommand, so argparse applies types, choices and required options,
-    and a flag on the command line still wins as the later occurrence.
+    Each ``key=value`` line becomes ``--key=value`` (the on/off flag
+    ``--labeled`` takes ``true`` or ``false``).  The tokens are parsed just
+    after the subcommand, so argparse applies types, choices and required
+    options, and a flag on the command line still wins as the later
+    occurrence.
     """
     pre = _Parser(prog="fusecluster", add_help=False)
     pre.add_argument("--config")
@@ -243,8 +246,7 @@ def _config_tokens(argv):
             key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise _UsageError(f"bad config line: {line!r}")
-            if value != "false":
-                tokens.append(f"--{key}" if value == "true" else f"--{key}={value}")
+            tokens.append(f"--{key}={value}")
     return tokens
 
 
@@ -354,15 +356,11 @@ def _run_simulate(args, argv):
         M=preset["M"],
         P=preset["P"],
         centers=block_centers(preset["K"], preset["P"], preset["scale"]),
-        noise=("gaussian", preset["variance"]),
+        variance=preset["variance"],
         seed=_derive_seed(args.seed, 1),
     )
     data, truth = generate(spec)
-    masked = (
-        data
-        if args.p0 >= 1.0
-        else apply_mask(data, MaskSpec(p0=args.p0, seed=_derive_seed(args.seed, 2)))
-    )
+    masked = apply_mask(data, MaskSpec(p0=args.p0, seed=_derive_seed(args.seed, 2)))
     lam = args.lam if args.lam is not None else preset["lam"]
     run = cluster_once(
         masked,
@@ -396,7 +394,7 @@ def _run_simulate(args, argv):
 
 
 def _run_cluster(args, argv):
-    data, truth = read_points_csv(args.input, labeled=args.labeled)
+    data, truth = read_points_csv(args.input, labeled=args.labeled == "true")
     run = cluster_once(
         data,
         lam=args.lam,
@@ -454,11 +452,7 @@ def _run_wine(args, argv):
     header = _header_lines(argv, args.seed)
     summary = []
     for p_idx, p0 in enumerate(p0_grid):
-        masked = (
-            data
-            if p0 >= 1.0
-            else apply_mask(data, MaskSpec(p0=p0, seed=_derive_seed(args.seed, p_idx)))
-        )
+        masked = apply_mask(data, MaskSpec(p0=p0, seed=_derive_seed(args.seed, p_idx)))
         best = None
         for lam in lambda_grid:
             run = cluster_once(

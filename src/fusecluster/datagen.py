@@ -41,18 +41,19 @@ def block_centers(K: int, P: int, scale: float) -> np.ndarray:
 
 
 def generate(spec: SyntheticSpec) -> tuple[ObservedDataset, Partition]:
-    """Draw K*M noisy points around the spec's centers, cluster by cluster."""
+    """Draw K*M points around the spec's centers with Gaussian noise of the
+    spec's variance, cluster by cluster; point k*M + m belongs to cluster k.
+    (Uniform-noise clusters come from :func:`gen_uniform_kappa`.)"""
     rng = np.random.default_rng(spec.seed)
-    kind, param = spec.noise
-    if kind == "gaussian":
-        noise = rng.normal(0.0, math.sqrt(param), size=(spec.K, spec.M, spec.P))
-    else:
-        half = np.broadcast_to(np.asarray(param, dtype=float), (spec.P,))
-        noise = rng.uniform(-1.0, 1.0, size=(spec.K, spec.M, spec.P)) * half
+    noise = rng.normal(0.0, math.sqrt(spec.variance), size=(spec.K, spec.M, spec.P))
     points = spec.centers[:, None, :] + noise
     values = points.reshape(spec.K * spec.M, spec.P).T
     labels = np.repeat(np.arange(spec.K), spec.M)
     return ObservedDataset.full(values), Partition(labels)
+
+
+# Relative tolerance of gen_uniform_kappa's kappa search.
+_KAPPA_REL_TOL = 0.05
 
 
 def gen_uniform_kappa(
@@ -61,10 +62,10 @@ def gen_uniform_kappa(
     P: int,
     target_kappa: float,
     seed: int,
-    rel_tol: float = 0.05,
 ) -> tuple[ObservedDataset, Partition, ClusterGeometry]:
-    """Uniform-noise clusters rescaled until the measured difficulty ratio
-    kappa lands within rel_tol of the target.
+    """Uniform-noise clusters around :func:`block_centers` (unit scale),
+    rescaled until the measured difficulty ratio kappa lands within the
+    fixed relative tolerance ``_KAPPA_REL_TOL`` of the target.
 
     One unit noise draw is shared by all candidate half-widths, so the search
     is over a deterministic one-parameter family; the returned geometry is
@@ -100,7 +101,7 @@ def gen_uniform_kappa(
     lo, hi = 0.0, h
 
     for _ in range(100):
-        if abs(geom.kappa - target_kappa) <= rel_tol * target_kappa:
+        if abs(geom.kappa - target_kappa) <= _KAPPA_REL_TOL * target_kappa:
             return data, labels, geom
         mid = 0.5 * (lo + hi)
         data, geom = measure(mid)
@@ -114,9 +115,17 @@ def gen_uniform_kappa(
 
 
 def apply_mask(data: ObservedDataset, mask_spec: MaskSpec) -> ObservedDataset:
-    """Hide each entry independently with probability 1 - p0."""
+    """Hide each entry independently with probability 1 - p0.
+
+    At p0 = 1 nothing is hidden and ``data`` itself comes back.  A drawn
+    all-True mask would be C-ordered, where ``data``'s follows the layout of
+    its values; a solve's centroids inherit that layout, and their PCA
+    rounds differently in the other one.
+    """
     if not data.fully_observed:
         raise ValueError("apply_mask expects a fully observed dataset")
+    if mask_spec.p0 == 1.0:
+        return data
     rng = np.random.default_rng(mask_spec.seed)
     mask = rng.random(data.values.shape) < mask_spec.p0
     return ObservedDataset(data.values, mask)

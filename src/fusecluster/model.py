@@ -153,10 +153,8 @@ class ClusterGeometry:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for K clusters of M points around explicit centers in R^P.
-
-    ``noise`` selects the perturbation model: ``("gaussian", variance)`` or
-    ``("uniform", half_width)`` with a scalar or per-feature half width.
+    """Recipe for K clusters of M points around explicit centers in R^P,
+    each coordinate perturbed by Gaussian noise of the given ``variance``.
     Generation is deterministic given ``seed``.
     """
 
@@ -164,7 +162,7 @@ class SyntheticSpec:
     M: int
     P: int
     centers: np.ndarray
-    noise: tuple = ("gaussian", 0.1)
+    variance: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -173,11 +171,8 @@ class SyntheticSpec:
             raise ValueError("K, M, P must be positive")
         if centers.shape != (self.K, self.P):
             raise ValueError("centers must have shape (K, P)")
-        kind, param = self.noise
-        if kind not in ("gaussian", "uniform"):
-            raise ValueError(f"unknown noise model: {kind!r}")
-        if np.any(np.asarray(param) < 0):
-            raise ValueError("noise parameter must be non-negative")
+        if not self.variance >= 0:
+            raise ValueError("variance must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be unsigned")
         object.__setattr__(self, "centers", centers)

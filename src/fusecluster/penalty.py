@@ -43,8 +43,8 @@ class PenaltySpec:
             raise ValueError("tau must be positive")
 
     @staticmethod
-    def h1(sigma: float, tau: float = 1e-9) -> "PenaltySpec":
-        return PenaltySpec(kind=H1, sigma=sigma, tau=tau)
+    def h1(sigma: float) -> "PenaltySpec":
+        return PenaltySpec(kind=H1, sigma=sigma)
 
     @staticmethod
     def lp(p: float, tau: float = 1e-9) -> "PenaltySpec":

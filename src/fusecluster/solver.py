@@ -39,7 +39,11 @@ class ConvergenceError(RuntimeError):
 
     def __init__(self, message: str, residual_norm: float):
         super().__init__(f"{message} (residual norm {residual_norm:.3e})")
+        self.message = message
         self.residual_norm = residual_norm
+
+    def __reduce__(self):  # args holds only the formatted message
+        return type(self), (self.message, self.residual_norm)
 
 
 class MajorizationError(RuntimeError):
@@ -91,25 +95,40 @@ class SolveTrace:
         object.__setattr__(self, "objectives", _frozen_array(self.objectives, float))
 
 
+# Conjugate-gradient stopping rule: the residual target relative to ||b||
+# and the iteration cap as a multiple of the system size.
+_CG_TOL = 1e-10
+_CG_MAXITER_FACTOR = 10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of one :func:`mm_cluster` run.
+
+    ``lam`` weighs the fusion penalty ``penalty``; the outer iteration stops
+    after ``max_outer_iters`` steps or once the objective changes by at most
+    ``objective_rel_tol`` relative; ``rho`` is the ridge that anchors each
+    coordinate toward its observed feature mean.  The tolerance and the
+    iteration cap of the inner conjugate-gradient solve are fixed module
+    constants (``_CG_TOL``, ``_CG_MAXITER_FACTOR``), to be derived from the
+    data's scale rather than set per run.
+    """
+
     lam: float
     penalty: PenaltySpec
     max_outer_iters: int = 200
     objective_rel_tol: float = 1e-8
-    cg_tol: float = 1e-10
-    cg_maxiter_factor: int = 10
     rho: float = 1e-8
 
     def __post_init__(self):
-        # A NaN setting fails every comparison: CG would return at once
-        # claiming success, or the outer stopping test would never fire.
-        for name in ("lam", "rho", "cg_tol", "objective_rel_tol"):
+        # A NaN setting fails every comparison: the outer stopping test
+        # would never fire, or the solve would not be finite.
+        for name in ("lam", "rho", "objective_rel_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
-        for name in ("rho", "cg_tol", "objective_rel_tol", "cg_maxiter_factor"):
+        for name in ("rho", "objective_rel_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.max_outer_iters < 1:
@@ -143,13 +162,6 @@ def pairwise_distances(
     else:
         d = _pairwise_sq_dists(U, *(rows or ()))
     return np.sqrt(d, out=d)
-
-
-def _distances_for(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
-    """Pairwise distances for the power penalty, whose slope diverges at 0:
-    they come from the cancellation-free accumulation.  (h1 takes its
-    distances block by block in :func:`_h1_pass`.)"""
-    return pairwise_distances(U, accurate=True)
 
 
 # Byte budget of one B x N row block of _h1_pass: small enough that the
@@ -242,7 +254,7 @@ def objective(
     """True (non-surrogate) objective value at U."""
     U = np.asarray(U, dtype=float)
     if penalty.kind == LP:
-        fusion = _lp_fusion(_distances_for(U, penalty), penalty, 1.0)
+        fusion = _lp_fusion(pairwise_distances(U, accurate=True), penalty, 1.0)
     else:
         fusion = _h1_pass(U, penalty, np.empty((U.shape[1],) * 2))
     resid = np.where(data.mask, U - data.values, 0.0)
@@ -272,7 +284,7 @@ def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
     """
     U = np.asarray(U, dtype=float)
     if penalty.kind == LP:
-        return _lp_weights(_distances_for(U, penalty), penalty, 1.0)
+        return _lp_weights(pairwise_distances(U, accurate=True), penalty, 1.0)
     W = np.empty((U.shape[1],) * 2)
     _h1_pass(U, penalty, W)
     return W
@@ -283,9 +295,6 @@ def update_centroids(
     W: np.ndarray,
     lam: float,
     rho: float,
-    u0: np.ndarray | None = None,
-    cg_tol: float = 1e-10,
-    cg_maxiter_factor: int = 10,
 ) -> np.ndarray:
     """Exact minimizer of the weighted surrogate for fixed weights W.
 
@@ -296,8 +305,10 @@ def update_centroids(
     with D_p the observation-mask diagonal, L_W the Laplacian of W (the 2
     comes from the ordered double sum) and mbar_p the observed feature mean
     that the ridge anchors toward.  The solve is carried out on the
-    correction d = u - u0 so that already-stationary anchors are preserved
-    exactly; u0 defaults to the mean-imputed data.
+    correction d = u - u0 from the mean-imputed data u0, so anchors that are
+    already stationary are preserved exactly.  Conjugate gradients run to
+    the fixed relative tolerance ``_CG_TOL`` and raise
+    :class:`ConvergenceError` after ``_CG_MAXITER_FACTOR * N`` iterations.
     """
     W = np.asarray(W, dtype=float)
     n = data.point_count
@@ -306,7 +317,6 @@ def update_centroids(
     if np.any(np.diag(W) != 0) or not np.allclose(W, W.T, rtol=0, atol=0):
         raise ValueError("W must be symmetric with zero diagonal")
 
-    anchor = mean_imputed(data) if u0 is None else np.asarray(u0, dtype=float)
     return _solve_weighted_system(
         diag_data=data.mask.astype(float),
         rhs_data=data.observed_values(),
@@ -314,23 +324,11 @@ def update_centroids(
         means=observed_feature_means(data),
         W=W,
         lam=lam,
-        anchor=anchor,
-        cg_tol=cg_tol,
-        cg_maxiter_factor=cg_maxiter_factor,
+        anchor=mean_imputed(data),
     )
 
 
-def _solve_weighted_system(
-    diag_data,
-    rhs_data,
-    rho_diag,
-    means,
-    W,
-    lam,
-    anchor,
-    cg_tol,
-    cg_maxiter_factor,
-):
+def _solve_weighted_system(diag_data, rhs_data, rho_diag, means, W, lam, anchor):
     """Solve (diag(diag_data_p + rho_diag) + 2 lam L_W) v_p = rhs_p per feature.
 
     ``diag_data``/``rhs_data`` are P x G (per-feature diagonal and data rhs),
@@ -353,16 +351,16 @@ def _solve_weighted_system(
     b = rhs_data + rho_diag[None, :] * means[:, None]
     b_norm = np.linalg.norm(b, axis=1)
     diag_total = diag_data + rho_diag[None, :]
-    # Residual target per feature: cg_tol relative to ||b||, floored at the
+    # Residual target per feature: _CG_TOL relative to ||b||, floored at the
     # backward-stable limit ~eps * ||A|| * ||u|| that saturated-weight
     # (stiff) systems impose on any finite-precision solve.
     a_scale = np.max(diag_total, axis=1) + 2.0 * lam * float(deg.max(initial=0.0))
     anchor_norm = np.linalg.norm(anchor, axis=1)
     eps_floor = 64.0 * np.finfo(float).eps * a_scale * np.maximum(anchor_norm, b_norm)
     tol_per_feature = np.maximum.reduce(
-        [cg_tol * b_norm, eps_floor, np.full_like(b_norm, 1e-300)]
+        [_CG_TOL * b_norm, eps_floor, np.full_like(b_norm, 1e-300)]
     )
-    d = _solve_cg(diag_total, W, deg, lam, r, tol_per_feature, cg_maxiter_factor)
+    d = _solve_cg(diag_total, W, deg, lam, r, tol_per_feature)
     return anchor + d
 
 
@@ -376,7 +374,7 @@ def _apply_system(diag_total, W, deg, lam, V):
     return diag_total * V + 2.0 * lam * _laplacian(W, deg, V)
 
 
-def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature, maxiter_factor):
+def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature):
     """Jacobi-preconditioned conjugate gradients, batched over features."""
     n = W.shape[1]
     d = np.zeros_like(r)
@@ -390,7 +388,7 @@ def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature, maxiter_factor):
     p = z.copy()
     rz = np.einsum("pi,pi->p", res, z)
     res_norm = np.linalg.norm(res, axis=1)
-    for _ in range(maxiter_factor * n):
+    for _ in range(_CG_MAXITER_FACTOR * n):
         active = res_norm > tol_per_feature
         if not active.any():
             return d
@@ -472,7 +470,7 @@ class _Groups:
         return self.V[:, self.rep]
 
     def fusion(self) -> float:
-        self.dists = _distances_for(self.V, self.penalty)
+        self.dists = pairwise_distances(self.V, accurate=True)
         return _lp_fusion(self.dists, self.penalty, self.pair_mult)
 
     def weights(self) -> np.ndarray:
@@ -498,7 +496,7 @@ class _Groups:
         self.counts = counts
         self.pair_mult = np.outer(counts, counts)
         self.rep = new_of_old[self.rep]
-        self.dists = _distances_for(self.V, self.penalty)
+        self.dists = pairwise_distances(self.V, accurate=True)
         return True
 
 
@@ -544,8 +542,6 @@ def mm_cluster(
             W=system.weights(),
             lam=config.lam,
             anchor=system.V,
-            cg_tol=config.cg_tol,
-            cg_maxiter_factor=config.cg_maxiter_factor,
         )
         f_new = true_objective()
         objectives.append(f_new)

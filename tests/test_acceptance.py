@@ -109,7 +109,7 @@ def _random_instances(count, seed0=500):
         spec = SyntheticSpec(
             K=k, M=m, P=p,
             centers=block_centers(k, p, float(rng.uniform(2.0, 6.0))),
-            noise=("gaussian", float(rng.uniform(0.02, 0.3))),
+            variance=float(rng.uniform(0.02, 0.3)),
             seed=seed0 + i,
         )
         yield i, spec, rng
@@ -121,9 +121,7 @@ def test_04_solver_monotonicity():
         for i, spec, rng in _random_instances(17):
             data, _ = generate(spec)
             for p0 in (1.0, 0.7, 0.4):
-                masked = (
-                    data if p0 >= 1.0 else apply_mask(data, MaskSpec(p0, seed=900 + i))
-                )
+                masked = apply_mask(data, MaskSpec(p0, seed=900 + i))
                 for pen in (
                     PenaltySpec.h1(float(rng.uniform(0.3, 2.0))),
                     PenaltySpec.lp(0.5),
@@ -270,7 +268,7 @@ def _fig4_instance(center_scale, seed):
     spec = SyntheticSpec(
         K=3, M=200, P=50,
         centers=block_centers(3, 50, center_scale),
-        noise=("gaussian", 0.1),
+        variance=0.1,
         seed=seed,
     )
     return generate(spec)
@@ -278,11 +276,7 @@ def _fig4_instance(center_scale, seed):
 
 def _fig4_trial_succeeds(center_scale, p0, trial):
     data, truth = _fig4_instance(center_scale, seed=trial)
-    masked = (
-        data
-        if p0 >= 1.0
-        else apply_mask(data, MaskSpec(p0=p0, seed=31 * trial + 5))
-    )
+    masked = apply_mask(data, MaskSpec(p0=p0, seed=31 * trial + 5))
     for lam in (4.0, 1.0, 16.0):
         run = cluster_once(
             masked, lam=lam, sigma=2.0, max_outer_iters=100,
@@ -307,11 +301,7 @@ def test_10_wine_ari(wine_csv):
         data, truth = wine_prepare(wine_csv)
 
         def best_ari(p0):
-            masked = (
-                data
-                if p0 >= 1.0
-                else apply_mask(data, MaskSpec(p0=p0, seed=17))
-            )
+            masked = apply_mask(data, MaskSpec(p0=p0, seed=17))
             best = -2.0
             for lam in (3.0, 10.0, 30.0, 100.0):
                 run = cluster_once(

@@ -109,12 +109,12 @@ class TestPCAProject:
     def test_collinear_second_component_vanishes(self):
         t = np.linspace(0, 1, 9)
         pts = np.vstack([t, 2 * t, -t])
-        coords = pca_project(pts, dims=2)
+        coords = pca_project(pts)
         assert np.abs(coords[1]).max() <= 1e-10
 
     def test_planar_distances_preserved(self, rng):
         pts = rng.normal(size=(2, 10))
-        coords = pca_project(pts, dims=2)
+        coords = pca_project(pts)
         for i in range(10):
             for j in range(10):
                 orig = np.linalg.norm(pts[:, i] - pts[:, j])
@@ -123,7 +123,7 @@ class TestPCAProject:
 
     def test_captures_maximal_variance(self, rng):
         pts = rng.normal(size=(6, 40)) * np.array([5, 3, 1, 1, 1, 1])[:, None]
-        coords = pca_project(pts, dims=2)
+        coords = pca_project(pts)
         captured = coords.var(axis=1, ddof=0).sum()
         centered = pts - pts.mean(axis=1, keepdims=True)
         for _ in range(200):
@@ -134,16 +134,16 @@ class TestPCAProject:
     def test_equivariant_to_orthogonal_rotation(self, rng):
         pts = rng.normal(size=(4, 15))
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        c1 = pca_project(pts, dims=2)
-        c2 = pca_project(q @ pts, dims=2)
+        c1 = pca_project(pts)
+        c2 = pca_project(q @ pts)
         d1 = np.linalg.norm(c1[:, :, None] - c1[:, None, :], axis=0)
         d2 = np.linalg.norm(c2[:, :, None] - c2[:, None, :], axis=0)
         np.testing.assert_allclose(d1, d2, atol=1e-8)
 
     def test_deterministic_sign_convention(self, rng):
         pts = rng.normal(size=(3, 8))
-        c1 = pca_project(pts, dims=2)
-        c2 = pca_project(pts, dims=2)
+        c1 = pca_project(pts)
+        c2 = pca_project(pts)
         assert np.array_equal(c1, c2)
 
     def test_requires_two_points(self):

@@ -217,6 +217,20 @@ class TestConfigFile:
         ][0]
         assert ("truth_label" in header.split(",")) == truth_column
 
+    @pytest.mark.parametrize("config, flag", [("true", "--labeled=false"), ("false", "--labeled")])
+    def test_command_line_switch_wins_over_config(self, tmp_path, config, flag):
+        (tmp_path / "toy.csv").write_text("0.0,0.0,0\n0.1,0.0,0\n9.0,9.0,1\n9.1,9.0,1\n")
+        (tmp_path / "cfg.ini").write_text(f"labeled={config}\n")
+        argv = ["cluster", "--config", "cfg.ini", "--input", "toy.csv", flag]
+        assert run_in(tmp_path, argv + ["--lambda", "2.0", "--sigma", "0.3"]) == 0
+        header = (tmp_path / "labels.csv").read_text().splitlines()[3]
+        assert ("truth_label" in header.split(",")) == (config == "false")
+
+    def test_true_is_an_ordinary_value_of_other_keys(self, tmp_path):
+        (tmp_path / "cfg.ini").write_text("out-dir=true\np0-grid=0:1:0.5\n")
+        assert run_in(tmp_path, ["theory", "--config", "cfg.ini"]) == 0
+        assert (tmp_path / "true" / "theory_guarantees.csv").exists()
+
     def test_bad_typed_config_value_is_usage_error(self, tmp_path):
         (tmp_path / "cfg.ini").write_text("M=abc\n")
         assert run_in(tmp_path, ["theory", "--config", "cfg.ini"]) == 1
@@ -360,6 +374,12 @@ class TestSimulateCommand:
         lines = (tmp_path / "fig3a_success.csv").read_text().splitlines()
         assert lines[3] == "p0,M,success_rate,kappa,mu0"
         assert len(lines) == 4 + 1
+
+    def test_p0_above_one_is_rejected(self, tmp_path, capsys):
+        argv = ["simulate", "--preset", "fig4-dataset1", "--p0", "1.5", "--out-dir", "."]
+        assert run_in(tmp_path, argv) == 2
+        assert "p0 must lie in [0, 1]" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_zero_trials_is_an_error(self, tmp_path, capsys):
         argv = ["simulate", "--preset", "fig3a", "--trials", "0", "--out-dir", "."]

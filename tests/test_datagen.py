@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fusecluster import datagen
 from fusecluster.datagen import (
     MaskSpec,
     apply_mask,
@@ -18,7 +19,7 @@ from fusecluster.model import ObservedDataset, SyntheticSpec, estimate_geometry
 def gaussian_spec(K=3, M=200, P=50, variance=0.1, scale=6.0, seed=0):
     return SyntheticSpec(
         K=K, M=M, P=P, centers=block_centers(K, P, scale),
-        noise=("gaussian", variance), seed=seed,
+        variance=variance, seed=seed,
     )
 
 
@@ -59,15 +60,6 @@ class TestGenGaussian:
         g2 = estimate_geometry(d2, t2)
         assert g2.delta == pytest.approx(g1.delta / 2, rel=0.1)
 
-    def test_uniform_noise_model(self):
-        spec = SyntheticSpec(
-            K=2, M=50, P=3, centers=block_centers(2, 3, 5.0),
-            noise=("uniform", 0.25), seed=1,
-        )
-        data, truth = generate(spec)
-        noise = data.values.T - spec.centers[truth.labels]
-        assert np.abs(noise).max() <= 0.25
-
 
 class TestGenUniformKappa:
     def test_hits_target_window(self):
@@ -102,9 +94,10 @@ class TestGenUniformKappa:
         with pytest.raises(RuntimeError, match="bracket"):
             gen_uniform_kappa(2, 4, 6, 1e6, seed=0)
 
-    def test_zero_tolerance_exhausts_bisection(self):
+    def test_zero_tolerance_exhausts_bisection(self, monkeypatch):
+        monkeypatch.setattr(datagen, "_KAPPA_REL_TOL", 0.0)
         with pytest.raises(RuntimeError, match="100 bisection steps"):
-            gen_uniform_kappa(2, 4, 6, 0.5, seed=0, rel_tol=0.0)
+            gen_uniform_kappa(2, 4, 6, 0.5, seed=0)
 
 
 class TestApplyMask:
@@ -112,6 +105,7 @@ class TestApplyMask:
         data, _ = generate(gaussian_spec(K=2, M=5, P=4))
         masked = apply_mask(data, MaskSpec(p0=1.0, seed=0))
         assert masked.mask.all()
+        assert masked is data  # same memory layout, so byte-identical solves
 
     def test_p0_zero_hides_everything(self):
         data, _ = generate(gaussian_spec(K=2, M=5, P=4))

@@ -212,6 +212,7 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match="centers"):
             SyntheticSpec(K=2, M=3, P=4, centers=np.zeros((2, 3)))
 
-    def test_rejects_unknown_noise(self):
-        with pytest.raises(ValueError, match="noise"):
-            SyntheticSpec(K=1, M=1, P=1, centers=np.zeros((1, 1)), noise=("exp", 1.0))
+    @pytest.mark.parametrize("variance", (-0.1, math.nan))
+    def test_rejects_negative_variance(self, variance):
+        with pytest.raises(ValueError, match="variance"):
+            SyntheticSpec(K=1, M=1, P=1, centers=np.zeros((1, 1)), variance=variance)

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import tracemalloc
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusecluster import model, solver
+from fusecluster import analysis, model, solver
 
 from fusecluster.analysis import cluster_once
 from fusecluster.datagen import MaskSpec, apply_mask, block_centers, generate
@@ -85,7 +87,7 @@ def h1_pass(u, sigma):
 def random_instance(seed, K=2, M=4, P=5, p0=1.0, scale=4.0, variance=0.1):
     spec = SyntheticSpec(
         K=K, M=M, P=P, centers=block_centers(K, P, scale),
-        noise=("gaussian", variance), seed=seed,
+        variance=variance, seed=seed,
     )
     data, truth = generate(spec)
     if p0 < 1.0:
@@ -190,14 +192,20 @@ class TestUpdateCentroids:
             resid = np.linalg.norm(a @ u[p] - b)
             assert resid < 1e-8 * max(np.linalg.norm(b), 1e-12)
 
-    def test_cg_nonconvergence_reports_residual(self):
+    def test_cg_nonconvergence_reports_residual(self, monkeypatch):
         data, _ = random_instance(seed=9, K=2, M=6, P=4, p0=0.6)
         w = update_weights(mean_imputed(data), H1_UNIT)
         from fusecluster.solver import ConvergenceError
 
+        monkeypatch.setattr(solver, "_CG_MAXITER_FACTOR", 0)
         with pytest.raises(ConvergenceError) as err:
-            update_centroids(data, w, 0.5, 1e-8, cg_maxiter_factor=0)
-        assert err.value.residual_norm > 0
+            update_centroids(data, w, 0.5, 1e-8)
+        e = err.value
+        assert e.residual_norm > 0
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e)):
+            assert (type(twin), twin.residual_norm, str(twin)) == (
+                ConvergenceError, e.residual_norm, str(e)
+            )
 
     def test_matches_dense_solve(self):
         data, _ = random_instance(seed=9, K=2, M=6, P=4, p0=0.6)
@@ -583,10 +591,8 @@ class TestSolverConfig:
         [
             ("lam", math.nan), ("lam", math.inf),
             ("rho", math.nan), ("rho", math.inf), ("rho", -1e-8),
-            ("cg_tol", math.nan), ("cg_tol", math.inf), ("cg_tol", -1e-10),
             ("objective_rel_tol", math.nan), ("objective_rel_tol", math.inf),
             ("objective_rel_tol", -1.0),
-            ("cg_maxiter_factor", -1),
         ],
     )
     def test_rejects_non_finite_and_negative_settings(self, field, value):
@@ -594,10 +600,14 @@ class TestSolverConfig:
             SolverConfig(**{"lam": 1.0, "penalty": H1_UNIT, field: value})
 
     def test_zero_settings_stay_legal(self):
-        SolverConfig(
-            lam=1.0, penalty=H1_UNIT, rho=0.0, cg_tol=0.0,
-            objective_rel_tol=0.0, cg_maxiter_factor=0,
-        )
+        SolverConfig(lam=1.0, penalty=H1_UNIT, rho=0.0, objective_rel_tol=0.0)
+
+    def test_every_setting_is_reachable_from_cluster_once(self):
+        # A setting that only tests can set belongs in a module constant.
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert fields == ["lam", "penalty", "max_outer_iters", "objective_rel_tol", "rho"]
+        params = inspect.signature(analysis.cluster_once).parameters
+        assert [f for f in fields if f != "penalty" and f not in params] == []
 
 
 class TestComponents:
@@ -631,7 +641,9 @@ class TestBitIdentity:
             )
         cfg = SolverConfig(lam=0.2, penalty=PenaltySpec.lp(0.5))
         blocked, blocked_trace = mm_cluster(data, cfg)
-        monkeypatch.setattr(solver, "_distances_for", lambda U, _: loop_distances(U))
+        monkeypatch.setattr(
+            solver, "pairwise_distances", lambda U, accurate: loop_distances(U)
+        )
         loop, loop_trace = mm_cluster(data, cfg)
         assert np.unique(blocked.U, axis=1).shape[1] < data.point_count  # merged
         assert np.array_equal(blocked.U, loop.U)
