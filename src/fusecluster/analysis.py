@@ -9,7 +9,7 @@ import numpy as np
 
 from .datagen import MaskSpec, apply_mask
 from .model import ClusterGeometry, ObservedDataset, Partition
-from .penalty import H1, PenaltySpec, default_h1_sigma
+from .penalty import H1, LP, PenaltySpec, default_h1_sigma
 from .solver import (
     SolverConfig,
     SolveTrace,
@@ -78,15 +78,17 @@ def cluster_once(
     rho: float = 1e-8,
 ) -> ClusterRun:
     """Convenience wrapper: build the penalty (defaulting sigma from the
-    observed data), run the solver, and extract a partition.  An unknown
+    observed data), run the solver, and extract a partition.  ``sigma``
+    applies to h1 only, ``lp_p`` and ``tau`` to lp only.  An unknown
     ``penalty_kind`` raises ValueError."""
-    if penalty_kind != H1:
+    if penalty_kind == H1:
+        sigma = default_h1_sigma(data) if sigma is None else sigma
+        penalty = PenaltySpec.h1(sigma)
+    elif penalty_kind == LP:
         sigma = None
-    elif sigma is None:
-        sigma = default_h1_sigma(data)
-    penalty = PenaltySpec(
-        kind=penalty_kind, sigma=1.0 if sigma is None else sigma, p=lp_p, tau=tau
-    )
+        penalty = PenaltySpec.lp(lp_p, tau)
+    else:
+        raise ValueError(f"unknown penalty kind: {penalty_kind!r}")
     config = SolverConfig(
         lam=lam,
         penalty=penalty,

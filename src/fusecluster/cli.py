@@ -188,7 +188,7 @@ def build_parser() -> _Parser:
     p_cluster.add_argument("--penalty", choices=("h1", "lp"), default="h1")
     p_cluster.add_argument("--sigma", type=float, default=None)
     p_cluster.add_argument("--p", type=float, default=0.5)
-    p_cluster.add_argument("--tau", type=float, default=1e-9)
+    p_cluster.add_argument("--tau", type=float, default=None)
     p_cluster.add_argument("--merge-tol", type=float, default=None)
     p_cluster.add_argument("--rho", type=float, default=1e-8)
     p_cluster.add_argument("--max-iters", type=int, default=200)
@@ -394,6 +394,8 @@ def _run_simulate(args, argv):
 
 
 def _run_cluster(args, argv):
+    if args.tau is not None and args.penalty != "lp":
+        raise _UsageError("--tau applies to --penalty lp only")
     data, truth = read_points_csv(args.input, labeled=args.labeled == "true")
     run = cluster_once(
         data,
@@ -401,7 +403,7 @@ def _run_cluster(args, argv):
         penalty_kind=args.penalty,
         sigma=args.sigma,
         lp_p=args.p,
-        tau=args.tau,
+        **({} if args.tau is None else {"tau": args.tau}),
         merge_tol=args.merge_tol,
         max_outer_iters=args.max_iters,
         objective_rel_tol=args.tol,

@@ -225,38 +225,39 @@ def _pairwise_sq_dists(
 _EXACT_BLOCK_BYTES = 1 << 20
 
 
-def _pairwise_reduce(values: np.ndarray, elementwise, reduce) -> np.ndarray:
+def _pairwise_reduce(
+    values: np.ndarray, elementwise, reduce, start: int = 0, stop: int | None = None
+) -> np.ndarray:
     """``reduce`` over features of ``elementwise(values[:, i] - values[:, j])``
-    for every pair of columns: squared l2 distances with ``np.square`` and
-    ``np.add``, sup-norm distances with ``np.abs`` and ``np.maximum``.
+    for pairs of columns: squared l2 distances with ``np.square`` and
+    ``np.add``, sup-norm distances with ``np.abs`` and ``np.maximum``.  Rows
+    ``[start, stop)`` against columns ``[start, N)``: all pairs by default.
 
-    Works on the upper triangle, B rows at a time (B from a fixed ~1 MB
+    Works on that upper triangle, B rows at a time (B from a fixed ~1 MB
     budget for one P x B x N buffer): rows ``[s, s+B)`` are reduced against
-    columns ``[s, N)`` only, and the block's part right of its own columns is
-    copied, transposed, into the lower triangle.  The copy is bitwise what a
-    direct pass would compute: round-to-nearest subtraction is antisymmetric
-    (``fl(a-b) == -fl(b-a)``), both elementwise maps are even, and the
-    features are still reduced in index order, the order of a per-feature
-    loop, so the whole result is bitwise that loop's.  When one block covers
-    every row nothing is copied.  Memory is O(N^2 + P*B*N).  The diagonal is
-    exactly 0.
+    columns ``[s, N)`` only, and the part of the range's leading square left
+    of the diagonal is copied, transposed, from the part right of it.  The
+    copy is bitwise what a direct pass would compute: round-to-nearest
+    subtraction is antisymmetric (``fl(a-b) == -fl(b-a)``), both elementwise
+    maps are even, and the features are still reduced in index order, the
+    order of a per-feature loop, so every entry is bitwise that loop's.
+    Memory is O(result + P*B*N).  The leading square's diagonal is exactly 0.
     """
     p, n = values.shape
+    stop = n if stop is None else stop
     rows = max(1, _EXACT_BLOCK_BYTES // max(8 * p * n, 1))
-    out = np.empty((n, n))
-    buf = np.empty((p, min(rows, n), n))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        diff = buf
-        if start:  # narrower: packed contiguously, faster than a strided view
-            shape = (p, stop - start, n - start)
-            diff = buf.ravel()[: math.prod(shape)].reshape(shape)
-        np.subtract(values[:, start:stop, None], values[:, None, start:], out=diff)
+    out = np.empty((stop - start, n - start))
+    buf = np.empty(p * min(rows, stop - start) * (n - start))
+    for a in range(start, stop, rows):
+        b = min(a + rows, stop)
+        # Packed contiguously: faster than a strided view of a wider buffer.
+        diff = buf[: p * (b - a) * (n - a)].reshape(p, b - a, n - a)
+        np.subtract(values[:, a:b, None], values[:, None, a:], out=diff)
         elementwise(diff, out=diff)
+        i, j = a - start, b - start
         # An axis-0 reduce combines feature by feature, never pairwise.
-        reduce.reduce(diff, axis=0, out=out[start:stop, start:])
-        if stop < n:
-            out[stop:, start:stop] = out[start:stop, stop:].T
+        reduce.reduce(diff, axis=0, out=out[i:j, i:])
+        out[j:, i:j] = out[i:j, j : stop - start].T
     np.fill_diagonal(out, 0.0)
     return out
 

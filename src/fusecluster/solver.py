@@ -11,13 +11,15 @@ current distances, which yields a weighted graph-Laplacian least-squares
 problem per feature; the weights saturate, so far-apart pairs decouple while
 nearby surrogates are pulled together until they coalesce into clusters.
 
-For the Gaussian-saturating penalty (h1) one row-blocked pass per iteration
-does all the N x N work (:func:`_h1_pass`): per block of rows it takes the
-Gram distances over the upper triangle, evaluates ``phi`` and ``weight`` on
-them while they are in cache, adds the fusion sum of the objective and
-writes the next weights into one N x N buffer that the solve reuses.  h1
-never fuses, so its solve runs on the points themselves; the fused-group
-quotient :class:`_Groups` is the power penalty's alone.
+Both penalties share that surrogate, ``w(x) = phi'(x) / (2x)``, and one
+row-blocked pass per iteration does all the N x N work for either
+(:func:`_majorize`): per block of rows it takes the distances over the upper
+triangle (Gram for h1, exact for the power penalty), evaluates ``phi`` and
+``weight`` on them while they are in cache, adds the fusion sum of the
+objective, writes the next weights into one N x N buffer that the solve
+reuses and records the pairs close enough to fuse.  One solve state,
+:class:`_Groups`, merges those pairs into quotient columns; h1 never fuses,
+so its solve stays on the points themselves.
 
 The solver is deterministic: no randomness enters anywhere.
 """
@@ -35,22 +37,33 @@ from .penalty import LP, PenaltySpec, phi, weight
 
 
 class ConvergenceError(RuntimeError):
-    """Linear solver failed to reach its residual tolerance."""
+    """Linear solver failed to reach its residual tolerance: ``iterations``
+    conjugate-gradient steps left the largest residual norm
+    ``residual_norm``."""
 
-    def __init__(self, message: str, residual_norm: float):
-        super().__init__(f"{message} (residual norm {residual_norm:.3e})")
+    def __init__(self, message: str, residual_norm: float, iterations: int):
+        super().__init__(
+            f"{message} after {iterations} iterations"
+            f" (residual norm {residual_norm:.3e})"
+        )
         self.message = message
         self.residual_norm = residual_norm
+        self.iterations = iterations
 
     def __reduce__(self):  # args holds only the formatted message
-        return type(self), (self.message, self.residual_norm)
+        return type(self), (self.message, self.residual_norm, self.iterations)
 
 
 class MajorizationError(RuntimeError):
-    """Objective increased beyond slack; indicates an implementation bug.
+    """Objective increased beyond the descent slack.
 
     ``iteration`` is the outer iteration whose objective ``current`` rose
-    above its predecessor ``previous``.
+    above its predecessor ``previous``.  Measured triggers: lambda held
+    fixed while the data is scaled by c >= 1e20, where the rise is about
+    1.8e-13 * c**2, the rounding floor of the solve (its CG error is
+    relative to ||b|| ~ c, and the data term pays it squared); and stiff
+    systems, h1 with sigma = 1 and lambda >= 1e10 on 5 x 20 standard
+    Gaussians for some seeds.
     """
 
     def __init__(self, iteration: int, previous: float, current: float):
@@ -145,93 +158,99 @@ def pairwise_distances(
     at 0) but not for the power penalty whose slope diverges there; the
     accurate path sums squared differences instead, with the exact kernel
     ``model._pairwise_reduce``.  That kernel computes each unordered pair
-    once, over the upper triangle in row blocks, and mirrors it into the
-    lower one; the mirror is bitwise exact because ``fl(a-b) == -fl(b-a)``
-    and squaring is even, so the result is bitwise a per-feature loop over
-    all ordered pairs, and exactly symmetric.
+    once and mirrors it, bitwise exact because ``fl(a-b) == -fl(b-a)`` and
+    squaring is even, so the result is bitwise a per-feature loop over all
+    ordered pairs, and exactly symmetric.
 
-    ``rows=(s, e)`` asks the Gram path for one upper row block only: the
+    ``rows=(s, e)`` asks either path for one upper row block only: the
     distances from columns ``[s, e)`` to columns ``[s, N)``, whose leading
-    square is exactly symmetric with a zero diagonal.
+    square is exactly symmetric with a zero diagonal.  The majorization pass
+    :func:`_majorize` takes the distances of both penalties this way.
     """
     U = np.asarray(U, dtype=float)
     if accurate:
-        if rows is not None:
-            raise ValueError("row blocks come from the Gram path only")
-        d = _pairwise_reduce(U, np.square, np.add)
+        d = _pairwise_reduce(U, np.square, np.add, *(rows or ()))
     else:
         d = _pairwise_sq_dists(U, *(rows or ()))
     return np.sqrt(d, out=d)
 
 
-# Byte budget of one B x N row block of _h1_pass: small enough that the
+# Byte budget of one B x N row block of _majorize: small enough that the
 # block's elementwise passes run in cache.
-_H1_BLOCK_BYTES = 1 << 20
+_PASS_BLOCK_BYTES = 1 << 20
 
 
-def _h1_pass(U: np.ndarray, penalty: PenaltySpec, W: np.ndarray) -> float:
-    """h1 majorization at U in one row-blocked pass: returns the fusion sum
-    ``sum_{i != j} phi(d_ij)`` and writes the weights ``w(d_ij)`` (zero
-    diagonal) into the N x N buffer ``W``.
+def _majorize(U, penalty, W, counts=None, fuse_tol=0.0):
+    """Majorization at U in one row-blocked pass.
+
+    Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)`` and the close
+    pairs, and writes the weights ``c_i c_j w(d_ij)`` (zero diagonal) into
+    the G x G buffer ``W``.  The close pairs come as one ``((s, e), hits)``
+    per row block: ``hits`` are the flat indices, into the block's distances
+    from rows ``[s, e)`` to columns ``[s, G)``, of those below ``fuse_tol``,
+    the diagonal left out.
+    ``counts`` are the group sizes ``c`` of fused columns; ``None`` means
+    every column is one point.  The power penalty takes the exact distances,
+    the Gaussian-saturating one the Gram distances.
 
     Works on the upper triangle, B rows at a time (B from the fixed byte
-    budget ``_H1_BLOCK_BYTES``): rows ``[s, e)`` take their Gram distances
-    to columns ``[s, N)`` and evaluate ``phi`` and ``weight`` on them while
-    the block is in cache.  The block's own B x B square counts once in the
+    budget ``_PASS_BLOCK_BYTES``): rows ``[s, e)`` take their distances to
+    columns ``[s, G)`` and evaluate ``phi`` and ``weight`` on them while the
+    block is in cache.  The block's own B x B square counts once in the
     fusion sum and the part right of it twice; that part is mirrored,
     transposed, into the lower triangle, so ``W`` is exactly symmetric.
     When one block covers every row the pass is the whole-matrix chain,
-    with nothing mirrored.  Extra memory is O(P*N + budget).
+    with nothing mirrored.  Extra memory is O(P*G + budget).
     """
+    accurate = penalty.kind == LP
     U = np.ascontiguousarray(U, dtype=float)  # one BLAS path for every layout
     n = U.shape[1]
-    step = max(1, _H1_BLOCK_BYTES // max(8 * n, 1))
+    step = max(1, _PASS_BLOCK_BYTES // max(8 * n, 1))
     fusion = 0.0
+    close = []
     for s in range(0, n, step):
-        fusion += _h1_block(U, penalty, s, min(s + step, n), W)
-    return fusion
+        e = min(s + step, n)
+        part, hits = _majorize_block(U, penalty, accurate, s, e, W, counts, fuse_tol)
+        fusion += part
+        close.append(((s, e), hits))
+    return fusion, close
 
 
-def _h1_block(U, penalty, s, e, W) -> float:
-    """Rows ``[s, e)`` of :func:`_h1_pass`; returns their share of the
-    fusion sum.  Its block-sized temporaries die when it returns."""
-    d = pairwise_distances(U, rows=(s, e))
+def _majorize_block(U, penalty, accurate, s, e, W, counts, fuse_tol):
+    """Rows ``[s, e)`` of :func:`_majorize`: returns their share of the
+    fusion sum and their close hits.  Its block-sized temporaries die when
+    it returns."""
+    d = pairwise_distances(U, accurate=accurate, rows=(s, e))
+    mult = None if counts is None else np.outer(counts[s:e], counts[s:])
     pen = phi(d, penalty)
+    if mult is not None:
+        pen *= mult
     fusion = float(pen[:, : e - s].sum()) + 2.0 * float(pen[:, e - s :].sum())
     del pen
     w = weight(d, penalty)
+    if mult is not None:
+        w *= mult
     np.fill_diagonal(w, 0.0)  # the diagonal of the leading square
     W[s:e, s:] = w
     if e < len(W):
         W[e:, s:e] = w[:, e - s :].T
-    return fusion
-
-
-def _lp_fusion(dists: np.ndarray, penalty: PenaltySpec, pair_mult) -> float:
-    """Fusion sum of the power penalty, each pair scaled by ``pair_mult``."""
-    pen = phi(dists, penalty)
-    np.fill_diagonal(pen, 0.0)
-    pen *= pair_mult
-    return float(np.sum(pen))
-
-
-def _lp_weights(dists: np.ndarray, penalty: PenaltySpec, pair_mult) -> np.ndarray:
-    """Power-penalty weights, each pair scaled by ``pair_mult``, zero diagonal."""
-    w = weight(dists, penalty)
-    w *= pair_mult
-    np.fill_diagonal(w, 0.0)
-    return w
+    close = d < fuse_tol
+    np.fill_diagonal(close, False)  # a column is not its own close pair
+    return fusion, np.flatnonzero(close)
 
 
 def _fuse_threshold(penalty: PenaltySpec, u0: np.ndarray) -> float:
-    """Run-level coalescence threshold for the power penalty.
+    """Run-level coalescence threshold: 0 (never fuse) for h1, whose weights
+    stay bounded.
 
-    Pairs that dip below it are treated as permanently fused by the
-    iteration: the floored weight is so stiff that they cannot separate
-    again, while near the threshold the penalty slope would amplify
+    Power-penalty pairs that dip below it are treated as permanently fused
+    by the iteration: the floored weight is so stiff that they cannot
+    separate again, while near the threshold the penalty slope would amplify
     solve-level jitter into non-monotone objective noise.  The threshold is
     fixed up front (from the initial scale) so the bookkeeping is sticky.
     """
+    if penalty.kind != LP:
+        return 0.0
     col_scale = float(np.max(np.linalg.norm(u0, axis=0), initial=0.0))
     return max(penalty.tau, 32.0 * math.sqrt(np.finfo(float).eps) * col_scale)
 
@@ -253,10 +272,7 @@ def objective(
 ) -> float:
     """True (non-surrogate) objective value at U."""
     U = np.asarray(U, dtype=float)
-    if penalty.kind == LP:
-        fusion = _lp_fusion(pairwise_distances(U, accurate=True), penalty, 1.0)
-    else:
-        fusion = _h1_pass(U, penalty, np.empty((U.shape[1],) * 2))
+    fusion, _ = _majorize(U, penalty, np.empty((U.shape[1],) * 2))
     resid = np.where(data.mask, U - data.values, 0.0)
     return float(np.sum(resid * resid)) + lam * fusion
 
@@ -279,14 +295,12 @@ def objective_gradient(
 def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
     """Majorizer weights w_ij = w(||u_i - u_j||) with a zero diagonal.
 
-    h1 weights come from the row-blocked pass :func:`_h1_pass`, the one the
-    solve and :func:`objective` use, so they match a solve's weights bitwise.
+    They come from the row-blocked pass :func:`_majorize`, the one the solve
+    and :func:`objective` use, so they match a solve's weights bitwise.
     """
     U = np.asarray(U, dtype=float)
-    if penalty.kind == LP:
-        return _lp_weights(pairwise_distances(U, accurate=True), penalty, 1.0)
     W = np.empty((U.shape[1],) * 2)
-    _h1_pass(U, penalty, W)
+    _majorize(U, penalty, W)
     return W
 
 
@@ -333,9 +347,10 @@ def _solve_weighted_system(diag_data, rhs_data, rho_diag, means, W, lam, anchor)
 
     ``diag_data``/``rhs_data`` are P x G (per-feature diagonal and data rhs),
     ``rho_diag`` is the ridge diagonal (per column), and the rhs includes the
-    ridge pull ``rho_diag * means``.  Works both on the point-level system
-    (diagonal = observation mask) and on the fused-group quotient system
-    (diagonal = per-group observation counts).
+    ridge pull ``rho_diag * means``.  ``W`` holds the weights of the one
+    majorization pass, for either penalty; the system is the point-level
+    one (diagonal = observation mask) until something fuses and the
+    fused-group quotient (diagonal = per-group observation counts) after.
 
     The solve computes the correction d = v - anchor by batched
     Jacobi-preconditioned conjugate gradients; the residual r = b - A @ anchor
@@ -388,7 +403,8 @@ def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature):
     p = z.copy()
     rz = np.einsum("pi,pi->p", res, z)
     res_norm = np.linalg.norm(res, axis=1)
-    for _ in range(_CG_MAXITER_FACTOR * n):
+    maxiter = _CG_MAXITER_FACTOR * n
+    for _ in range(maxiter):
         active = res_norm > tol_per_feature
         if not active.any():
             return d
@@ -405,84 +421,58 @@ def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature):
         rz = rz_new
     if np.any(res_norm > tol_per_feature):
         raise ConvergenceError(
-            "conjugate gradient did not converge", float(res_norm.max())
+            "conjugate gradient did not converge", float(res_norm.max()), maxiter
         )
     return d
 
 
-class _Points:
-    """Solve state of the Gaussian-saturating penalty: one column per point.
-
-    h1 weights never blow up, so no pair is fused and no quotient is kept.
-    Each :meth:`fusion` call runs the row-blocked pass at ``V``, which also
-    writes the next weights into the one N x N buffer of the solve.
-    """
-
-    def __init__(self, data: ObservedDataset, v0: np.ndarray, penalty: PenaltySpec):
-        self.diag = data.mask.astype(float)
-        self.rhs = data.observed_values()
-        self.counts = np.ones(data.point_count)
-        self.V = v0
-        self.penalty = penalty
-        self.W = np.empty((data.point_count, data.point_count))
-
-    def expanded(self) -> np.ndarray:
-        return self.V
-
-    def fusion(self) -> float:
-        return _h1_pass(self.V, self.penalty, self.W)
-
-    def weights(self) -> np.ndarray:
-        return self.W
-
-    def merge(self) -> bool:
-        return False
-
-
 class _Groups:
-    """Fused-group bookkeeping for the power penalty.
+    """Solve state: one column per group of fused points.
 
-    Groups of points whose surrogates have coalesced are consolidated into
-    single quotient columns: the aggregated system is exactly the original
-    one restricted to equal columns per group, the floored weights disappear
+    Every point starts as its own group.  Groups whose surrogates have
+    coalesced below the run's fuse threshold are consolidated into single
+    quotient columns: the aggregated system is exactly the original one
+    restricted to equal columns per group, the floored weights disappear
     from the linear algebra, and fused pairs contribute exactly zero to the
     penalty from then on.  Fusion is permanent for a run; the floored weight
-    a separation would run into makes un-fusing impossible in practice.
+    a separation would run into makes un-fusing impossible in practice.  The
+    h1 threshold is 0, so an h1 solve stays on the points themselves.
 
-    ``pair_mult`` (the G x G product of group sizes that scales each pair's
-    penalty and weight) stays the scalar 1.0 until the first merge, so runs
-    that never fuse hold no extra G x G array.  :meth:`fusion` measures the
-    group distances that :meth:`weights` and :meth:`merge` then use.
+    Each :meth:`fusion` call runs the majorization pass at ``V``: it writes
+    the next weights into the solve's one G x G buffer and records the close
+    pairs that :meth:`merge` consumes.  ``rep`` (each point's group) stays
+    ``None`` until the first merge.
     """
 
     def __init__(self, data: ObservedDataset, v0: np.ndarray, penalty: PenaltySpec):
         self.diag = data.mask.astype(float)  # P x G observation counts
         self.rhs = data.observed_values()  # P x G sums of observed values
         self.counts = np.ones(data.point_count)
-        self.pair_mult = 1.0
-        self.rep = np.arange(data.point_count)
-        self.V = v0.copy()
+        self.rep = None
+        self.V = v0
         self.penalty = penalty
         self.fuse_tol = _fuse_threshold(penalty, v0)
-        self.dists = None
+        self.W = np.empty((data.point_count, data.point_count))
+        self.close = None
 
     def expanded(self) -> np.ndarray:
-        return self.V[:, self.rep]
+        return self.V if self.rep is None else self.V[:, self.rep]
 
     def fusion(self) -> float:
-        self.dists = pairwise_distances(self.V, accurate=True)
-        return _lp_fusion(self.dists, self.penalty, self.pair_mult)
-
-    def weights(self) -> np.ndarray:
-        return _lp_weights(self.dists, self.penalty, self.pair_mult)
+        counts = None if self.rep is None else self.counts
+        fusion, self.close = _majorize(
+            self.V, self.penalty, self.W, counts, self.fuse_tol
+        )
+        return fusion
 
     def merge(self) -> bool:
-        """Union all groups within fuse_tol; returns True when merged."""
-        close = self.dists < self.fuse_tol
-        np.fill_diagonal(close, False)
-        if not close.any():
+        """Union the groups of the close pairs; returns True when merged."""
+        if not any(hits.size for _, hits in self.close):
             return False
-        new_of_old = _components(close)
+        close = np.zeros(self.W.shape, dtype=bool)
+        for (s, e), hits in self.close:
+            close[s:e, s:].flat[hits] = True
+        new_of_old = _components(close | close.T)
         shape = (self.diag.shape[0], int(new_of_old.max()) + 1)
         cols = (slice(None), new_of_old)
         diag, rhs, v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
@@ -494,9 +484,9 @@ class _Groups:
         self.diag, self.rhs = diag, rhs
         self.V = v / counts[None, :]
         self.counts = counts
-        self.pair_mult = np.outer(counts, counts)
-        self.rep = new_of_old[self.rep]
-        self.dists = pairwise_distances(self.V, accurate=True)
+        self.rep = new_of_old if self.rep is None else new_of_old[self.rep]
+        self.W = np.empty((shape[1], shape[1]))
+        self.fusion()  # the merged columns' weights for the next solve
         return True
 
 
@@ -506,23 +496,21 @@ def mm_cluster(
     """Run the alternating weight/centroid updates to convergence.
 
     Initialization fills unobserved entries with observed feature means.
-    With the power penalty, surrogate columns that coalesce below a run-level
-    threshold are consolidated into quotient super-nodes (see
-    :class:`_Groups`), which keeps the linear systems well conditioned
-    through complete fusion; h1 solves on the points themselves (see
-    :class:`_Points`).
+    Each outer iteration runs one majorization pass (:func:`_majorize`) at
+    the new surrogates, for either penalty: it gives the true objective's
+    fusion sum and the weights of the next solve.  With the power penalty,
+    surrogate columns that coalesce below a run-level threshold are
+    consolidated into quotient super-nodes (see :class:`_Groups`), which
+    keeps the linear systems well conditioned through complete fusion; h1
+    never fuses.
 
     The trace records the true objective, whose monotone descent the
     majorize-minimize construction guarantees; an increase beyond slack
     raises :class:`MajorizationError`.
     """
-    penalty = config.penalty
     u0 = mean_imputed(data)
     means = observed_feature_means(data)
-    if penalty.kind == LP:
-        system = _Groups(data, u0, penalty)
-    else:
-        system = _Points(data, u0, penalty)
+    system = _Groups(data, u0, config.penalty)
 
     def true_objective():
         resid = np.where(data.mask, system.expanded() - data.values, 0.0)
@@ -539,7 +527,7 @@ def mm_cluster(
             rhs_data=system.rhs,
             rho_diag=config.rho * system.counts,
             means=means,
-            W=system.weights(),
+            W=system.W,
             lam=config.lam,
             anchor=system.V,
         )

@@ -1,6 +1,7 @@
 """The benchmark under bench/ reaches into the package by name: its tracer
-replaces module attributes, and its child process parses each workload's argv
-with the CLI parser to read ``--threads``.  bench/selftest.py checks this but
+replaces module attributes and expects every solve to call the solver names
+it traces, and its child process parses each workload's argv with the CLI
+parser to read ``--threads``.  bench/selftest.py checks this but
 is not part of this suite, so these tests keep a package change from breaking
 the benchmark unnoticed.  The bench modules are loaded read-only."""
 
@@ -9,9 +10,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fusecluster import cli
+from fusecluster import cli, solver
+from fusecluster.model import ObservedDataset
+from fusecluster.penalty import PenaltySpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -31,6 +35,24 @@ def test_every_traced_name_resolves(monkeypatch):
     for patch in tracer.PATCHES:
         module = importlib.import_module(patch.namespace)
         assert callable(getattr(module, patch.attr)), patch
+
+
+@pytest.mark.parametrize(
+    "penalty", [PenaltySpec.h1(1.0), PenaltySpec.lp(0.5)], ids=["h1", "lp"]
+)
+def test_every_traced_solver_name_is_called(penalty, monkeypatch):
+    # A solve that stops calling a traced name would leave that layer empty
+    # and fail the benchmark's own self-check.
+    tracer = load_bench_module("tracer", monkeypatch)
+    patches = [p for p in tracer.PATCHES if p.namespace == "fusecluster.solver"]
+    assert patches
+    x = np.random.default_rng(0).normal(size=(3, 12))
+    x[:, :6] += 5.0
+    config = solver.SolverConfig(lam=0.5, penalty=penalty, max_outer_iters=5)
+    with tracer.installed(tracer.Tracer(), patches) as recorder:
+        solver.mm_cluster(ObservedDataset.full(x), config)
+    called = {span.name for span in recorder.spans}
+    assert [p.span for p in patches if p.span not in called] == []
 
 
 def test_every_workload_argv_parses(monkeypatch, tmp_path):

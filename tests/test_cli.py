@@ -180,6 +180,30 @@ class TestClusterCommand:
         assert labels[0] == labels[1] and labels[2] == labels[3]
         assert labels[0] != labels[2]
 
+    @pytest.mark.parametrize("tau", ["0", "5"])
+    def test_tau_with_h1_is_usage_error(self, tmp_path, capsys, tau):
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n0.1,0.0\n9.0,9.0\n9.1,9.0\n")
+        argv = [
+            "cluster", "--input", "toy.csv", "--lambda", "2.0",
+            "--penalty", "h1", "--sigma", "0.3", "--tau", tau,
+        ]
+        assert run_in(tmp_path, argv) == 1
+        assert "--tau applies to --penalty lp only" in capsys.readouterr().err
+        assert not (tmp_path / "labels.csv").exists()
+
+    def test_lp_tau_defaults_to_the_penalty_floor(self, tmp_path):
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n0.1,0.0\n9.0,9.0\n9.1,9.0\n")
+        argv = ["cluster", "--input", "toy.csv", "--lambda", "0.2", "--penalty", "lp"]
+        bodies = []
+        for extra, out in (([], "default"), (["--tau", "1e-9"], "given")):
+            assert run_in(tmp_path, argv + extra + ["--out-dir", out]) == 0
+            bodies.append([
+                [line for line in (tmp_path / out / name).read_text().splitlines()
+                 if not line.startswith("#")]
+                for name in ("labels.csv", "centroids.csv", "trace.csv")
+            ])
+        assert bodies[0] == bodies[1]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_still_win(self, tmp_path):

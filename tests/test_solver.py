@@ -72,16 +72,27 @@ def exact_block_budget(p, n, rows):
     return 8 * p * n * rows
 
 
-def h1_block_budget(n, rows):
-    """Value of solver._H1_BLOCK_BYTES that makes the row-blocked h1 pass
-    fill ``rows`` rows per block on N points."""
+def pass_block_budget(n, rows):
+    """Value of solver._PASS_BLOCK_BYTES that makes the row-blocked
+    majorization pass fill ``rows`` rows per block on N points."""
     return 8 * n * rows
 
 
-def h1_pass(u, sigma):
-    """Row-blocked h1 pass on ``u``: (fusion sum, weights)."""
+def majorize(u, penalty, fuse_tol=0.0):
+    """Row-blocked majorization pass on ``u``: (fusion sum, weights, close
+    hits per row block)."""
     w = np.empty((u.shape[1],) * 2)
-    return solver._h1_pass(u, PenaltySpec.h1(sigma), w), w
+    fusion, close = solver._majorize(u, penalty, w, fuse_tol=fuse_tol)
+    return fusion, w, close
+
+
+def h1_and_lp(values):
+    """Cases of each value for h1 (id: the value) and for lp (id: lp-value)."""
+    return [
+        pytest.param(kind, v, id=f"{prefix}{v}")
+        for kind, prefix in (("h1", ""), ("lp", "lp-"))
+        for v in values
+    ]
 
 
 def random_instance(seed, K=2, M=4, P=5, p0=1.0, scale=4.0, variance=0.1):
@@ -202,10 +213,16 @@ class TestUpdateCentroids:
             update_centroids(data, w, 0.5, 1e-8)
         e = err.value
         assert e.residual_norm > 0
+        assert e.iterations == 0
+        assert "after 0 iterations" in str(e)
         for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e)):
-            assert (type(twin), twin.residual_norm, str(twin)) == (
-                ConvergenceError, e.residual_norm, str(e)
+            assert (type(twin), twin.residual_norm, twin.iterations, str(twin)) == (
+                ConvergenceError, e.residual_norm, e.iterations, str(e)
             )
+        monkeypatch.setattr(solver, "_CG_MAXITER_FACTOR", 1)
+        with pytest.raises(ConvergenceError) as err:
+            update_centroids(data, w, 1e8, 1e-8)  # stiff: needs more than N steps
+        assert err.value.iterations == data.point_count
 
     def test_matches_dense_solve(self):
         data, _ = random_instance(seed=9, K=2, M=6, P=4, p0=0.6)
@@ -415,8 +432,8 @@ class TestPairwiseDistances:
         assert not np.diagonal(square).any()
         if rows == (0, 23):
             assert np.array_equal(block, full)
-        with pytest.raises(ValueError):
-            pairwise_distances(u, accurate=True, rows=rows)
+        exact = pairwise_distances(u, accurate=True, rows=rows)
+        assert np.array_equal(exact, loop_distances(u)[s:e, s:])
 
 
 class TestTriangleKernel:
@@ -460,67 +477,95 @@ class TestTriangleKernel:
 
 
 class TestH1Pass:
-    """The fused h1 pass: one row-blocked sweep gives the fusion sum and the
-    weights, exactly symmetric, close to phi and weight on the distances."""
+    """The majorization pass of both penalties: one row-blocked sweep gives
+    the fusion sum, the weights, exactly symmetric, and the close pairs.  h1
+    is close to phi and weight on the Gram distances; lp is bitwise them on
+    the exact distances."""
 
-    SIGMA = 1.5
+    PENALTIES = {"h1": PenaltySpec.h1(1.5), "lp": PenaltySpec.lp(0.5)}
 
-    def check_against_reference(self, u, fusion, w):
-        two_s2 = 2.0 * self.SIGMA**2
+    def check_against_reference(self, u, penalty, fusion, w):
         assert np.array_equal(w, w.T)
         assert not np.diagonal(w).any()
-        d = pairwise_distances(u)
-        penalty = PenaltySpec.h1(self.SIGMA)
+        d = pairwise_distances(u, accurate=penalty.kind == "lp")
         want_w = weight(d, penalty)
         np.fill_diagonal(want_w, 0.0)
-        assert np.abs(w - want_w).max() <= 1e-13 / two_s2
         pen = phi(d, penalty)
         np.fill_diagonal(pen, 0.0)
         assert fusion == pytest.approx(pen.sum(), rel=1e-13)
+        if penalty.kind == "lp":
+            assert np.array_equal(w, want_w)
+        else:
+            assert np.abs(w - want_w).max() <= 1e-13 / (2.0 * penalty.sigma**2)
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
-    def test_blocks_with_a_ragged_tail_match_phi_and_weight(self, rows, rng):
+    @pytest.mark.parametrize("kind, rows", h1_and_lp([1, 2, 3, 7, None]))
+    def test_blocks_with_a_ragged_tail_match_phi_and_weight(self, kind, rows, rng):
         n = 23  # prime: every rows > 1 leaves a ragged tail
         u = rng.normal(size=(6, n))
         u[:, n - 1] = u[:, 0]  # the tail coincides with the first block
         u[:, 5] = u[:, 4]
-        budget = solver._H1_BLOCK_BYTES if rows is None else h1_block_budget(n, rows)
+        penalty = self.PENALTIES[kind]
+        exact = pairwise_distances(u, accurate=True)
+        fuse_tol = float(np.median(exact))
+        blocks = []
+
+        def recorded(U, accurate, rows):
+            blocks.append((rows, pairwise_distances(U, accurate, rows)))
+            return blocks[-1][1]
+
+        budget = solver._PASS_BLOCK_BYTES if rows is None else pass_block_budget(n, rows)
         assert rows is not None or budget >= 8 * n * n  # one block covers all
-        with mock.patch.object(solver, "_H1_BLOCK_BYTES", budget):
-            fusion, w = h1_pass(u, self.SIGMA)
-        self.check_against_reference(u, fusion, w)
+        with mock.patch.object(solver, "_PASS_BLOCK_BYTES", budget), mock.patch.object(
+            solver, "pairwise_distances", recorded
+        ):
+            fusion, w, close = majorize(u, penalty, fuse_tol)
+        self.check_against_reference(u, penalty, fusion, w)
+        assert [r for r, _ in blocks] == [
+            (s, min(s + (rows or n), n)) for s in range(0, n, rows or n)
+        ]
+        if kind == "lp":
+            for (s, e), d in blocks:
+                assert np.array_equal(d, exact[s:e, s:])
+            got = np.zeros((n, n), dtype=bool)
+            for (s, e), hits in close:
+                i, j = np.unravel_index(hits, (e - s, n - s))
+                got[i + s, j + s] = True
+            want = exact < fuse_tol
+            assert np.array_equal(np.triu(got, 1), np.triu(want, 1))
+            assert not got.diagonal().any()
 
     def test_one_block_is_the_whole_matrix_chain(self, rng):
         u = rng.normal(size=(6, 23))
-        fusion, w = h1_pass(u, self.SIGMA)
-        penalty = PenaltySpec.h1(self.SIGMA)
-        d = pairwise_distances(u)
-        pen = phi(d, penalty)
-        want_w = weight(d, penalty)
-        np.fill_diagonal(want_w, 0.0)
-        assert fusion == pen.sum()
-        assert np.array_equal(w, want_w)
+        for penalty in self.PENALTIES.values():
+            fusion, w, _ = majorize(u, penalty)
+            d = pairwise_distances(u, accurate=penalty.kind == "lp")
+            pen = phi(d, penalty)
+            want_w = weight(d, penalty)
+            np.fill_diagonal(want_w, 0.0)
+            assert fusion == pen.sum()
+            assert np.array_equal(w, want_w)
 
-    @pytest.mark.parametrize("rows", [3, None])
+    @pytest.mark.parametrize("kind, rows", h1_and_lp([3, None]))
     @pytest.mark.parametrize(
         "layout", [lambda u: u[:, ::2], np.asfortranarray], ids=["strided", "fortran"]
     )
-    def test_non_contiguous_input_matches_contiguous(self, layout, rows, rng):
+    def test_non_contiguous_input_matches_contiguous(self, layout, kind, rows, rng):
         u = layout(rng.normal(size=(5, 46)))
         n = u.shape[1]
-        budget = solver._H1_BLOCK_BYTES if rows is None else h1_block_budget(n, rows)
-        with mock.patch.object(solver, "_H1_BLOCK_BYTES", budget):
-            fusion, w = h1_pass(u, self.SIGMA)
-            dense_fusion, dense_w = h1_pass(np.ascontiguousarray(u), self.SIGMA)
+        penalty = self.PENALTIES[kind]
+        budget = solver._PASS_BLOCK_BYTES if rows is None else pass_block_budget(n, rows)
+        with mock.patch.object(solver, "_PASS_BLOCK_BYTES", budget):
+            fusion, w, _ = majorize(u, penalty)
+            dense_fusion, dense_w, _ = majorize(np.ascontiguousarray(u), penalty)
         assert fusion == dense_fusion
         assert np.array_equal(w, dense_w)
-        self.check_against_reference(u, fusion, w)
+        self.check_against_reference(u, penalty, fusion, w)
 
     def test_multi_block_solve_matches_single_block(self, monkeypatch):
         data, truth = random_instance(seed=3, K=3, M=20, P=50, p0=0.6, scale=6.0)
         cfg = SolverConfig(lam=16.0, penalty=PenaltySpec.h1(2.0))
         single, single_trace = mm_cluster(data, cfg)
-        monkeypatch.setattr(solver, "_H1_BLOCK_BYTES", h1_block_budget(60, 7))
+        monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(60, 7))
         blocked, blocked_trace = mm_cluster(data, cfg)
         parts = [
             extract_clusters(c.U, default_merge_tol(c.U)) for c in (single, blocked)
@@ -536,7 +581,7 @@ class TestH1Pass:
     def test_trace_is_the_objective_at_the_result(self, rows, monkeypatch):
         data, _ = random_instance(seed=4, K=3, M=20, P=50, p0=0.6, scale=6.0)
         if rows is not None:
-            monkeypatch.setattr(solver, "_H1_BLOCK_BYTES", h1_block_budget(60, rows))
+            monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(60, rows))
         penalty = PenaltySpec.h1(2.0)
         centroids, trace = mm_cluster(data, SolverConfig(lam=16.0, penalty=penalty))
         assert trace.objectives[-1] == objective(data, centroids.U, 16.0, penalty)
@@ -630,21 +675,43 @@ class TestComponents:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("rows", [None, 3])
-    def test_lp_run_with_merges_matches_the_loop_kernel(self, rows, monkeypatch):
+    @pytest.mark.parametrize(
+        "rows, pass_rows",
+        [
+            pytest.param(None, None, id="None"),
+            pytest.param(3, None, id="3"),
+            pytest.param(None, 7, id="pass7"),
+            pytest.param(3, 7, id="3-pass7"),
+        ],
+    )
+    def test_lp_run_with_merges_matches_the_loop_kernel(self, rows, pass_rows, monkeypatch):
         # The whole lp solve, fused-group merges included, must not move one
         # bit when the blocked kernel stands in for the per-feature loop.
         data, _ = random_instance(seed=3, K=3, M=20, P=50, p0=0.6, scale=6.0)
+        cfg = SolverConfig(lam=0.2, penalty=PenaltySpec.lp(0.5))
+        whole, _ = mm_cluster(data, cfg)  # default budgets: one pass block
         if rows is not None:
             monkeypatch.setattr(
                 model, "_EXACT_BLOCK_BYTES", exact_block_budget(50, 60, rows)
             )
-        cfg = SolverConfig(lam=0.2, penalty=PenaltySpec.lp(0.5))
+        if pass_rows is not None:
+            monkeypatch.setattr(
+                solver, "_PASS_BLOCK_BYTES", pass_block_budget(60, pass_rows)
+            )
         blocked, blocked_trace = mm_cluster(data, cfg)
+        # Weights and merges are bitwise blind to the blocking; only the
+        # fusion sum's rounding may see it.
+        assert np.array_equal(blocked.U, whole.U)
         monkeypatch.setattr(
-            solver, "pairwise_distances", lambda U, accurate: loop_distances(U)
+            solver,
+            "pairwise_distances",
+            lambda U, accurate, rows: loop_distances(U)[rows[0] : rows[1], rows[0] :],
         )
         loop, loop_trace = mm_cluster(data, cfg)
-        assert np.unique(blocked.U, axis=1).shape[1] < data.point_count  # merged
+        groups = np.unique(blocked.U, axis=1, return_inverse=True)[1]
+        assert groups.max() + 1 < data.point_count  # merged
+        if pass_rows is not None:  # some fused group spans two pass blocks
+            block_of = np.arange(data.point_count) // pass_rows
+            assert any(len(set(block_of[groups == g])) > 1 for g in range(groups.max() + 1))
         assert np.array_equal(blocked.U, loop.U)
         assert np.array_equal(blocked_trace.objectives, loop_trace.objectives)
