@@ -13,7 +13,6 @@ from .analysis import (
     SuccessCurveSpec,
     adjusted_rand_index,
     cluster_once,
-    exact_success,
     pca_project,
     success_curve,
 )
@@ -56,7 +55,6 @@ from .solver import (
     update_weights,
 )
 from .theory import (
-    GuaranteeInputs,
     GuaranteeReport,
     eta0,
     eta0_approx,

@@ -20,13 +20,6 @@ from .solver import (
 )
 
 
-def exact_success(found: Partition, truth: Partition) -> bool:
-    """Partition equality up to label permutation."""
-    if found.point_count != truth.point_count:
-        raise ValueError("partitions must label the same number of points")
-    return found.same_clustering(truth)
-
-
 def adjusted_rand_index(a: Partition, b: Partition) -> float:
     """Chance-adjusted pair-counting agreement between two partitions."""
     if a.point_count != b.point_count:
@@ -166,7 +159,7 @@ def success_curve(
                     max_outer_iters=spec.max_outer_iters,
                     objective_rel_tol=spec.objective_rel_tol,
                 )
-                if exact_success(run.partition, truth):
+                if run.partition.same_clustering(truth):
                     ok = True
                     break
             successes.append(ok)
@@ -225,11 +218,15 @@ def fill_missing(data: ObservedDataset, centroids: np.ndarray) -> np.ndarray:
     return np.where(data.mask, data.values, centroids)
 
 
+# The columns of pca_plot_table's rows, in order.
+PCA_COLUMNS = ("point_id", "truth_label", "pc1", "pc2", "centroid_pc1", "centroid_pc2")
+
+
 def pca_plot_table(
     data: ObservedDataset, centroids: np.ndarray, truth: Partition | None
 ) -> list[tuple]:
-    """Rows (point_id, truth_label, pc1, pc2, centroid_pc1, centroid_pc2)
-    from a joint PCA of the filled points and their centroid estimates."""
+    """Rows of PCA_COLUMNS from a joint PCA of the filled points and their
+    centroid estimates; truth_label is -1 without a truth."""
     filled = fill_missing(data, centroids)
     n = data.point_count
     stacked = np.hstack([filled, centroids])

@@ -16,6 +16,7 @@ import sys
 
 from . import __version__
 from .analysis import (
+    PCA_COLUMNS,
     SuccessCurveSpec,
     _derive_seed,
     adjusted_rand_index,
@@ -41,60 +42,34 @@ from .theory import guarantee_curve
 # fig2's are the `theory` subcommand defaults, so its entry is a name only.
 THEORY_PRESETS = ("fig2",)
 
-SIMULATE_PRESETS = {
-    # Two-cluster uniform-noise success grids; sigma and the lambda sweep were
-    # calibrated once on the generator family and kept fixed.
-    "fig3a": dict(
-        kind="success-grid",
-        target_kappa=0.39,
-        K=2,
-        P=50,
-        m_grid="10,50",
-        p0_grid="0.2:1.0:0.1",
-        trials=20,
-        lambda_grid="2,8,32,128",
-        sigma=1.0,
-    ),
-    "fig3c": dict(
-        kind="success-grid",
-        target_kappa=1.15,
-        K=2,
-        P=50,
-        m_grid="10,50",
-        p0_grid="0.2:1.0:0.1",
-        trials=20,
-        lambda_grid="2,8,32,128",
-        sigma=1.0,
-    ),
-    # Three Gaussian clusters; dataset2 halves the center separation.
-    "fig4-dataset1": dict(
-        kind="single",
-        K=3,
-        M=200,
-        P=50,
-        variance=0.1,
-        scale=6.0,
-        lam=4.0,
-        sigma=2.0,
-    ),
-    "fig4-dataset2": dict(
-        kind="single",
-        K=3,
-        M=200,
-        P=50,
-        variance=0.1,
-        scale=3.0,
-        lam=4.0,
-        sigma=2.0,
-    ),
-}
-
-WINE_DEFAULTS = dict(
-    m_per_class=40,
-    p0_grid="1.0,0.9,0.8,0.7,0.6,0.5,0.4,0.3",
-    lambda_grid="3,10,30,100",
-    sigma=0.6,
+# Two-cluster uniform-noise success grids; sigma and the lambda sweep were
+# calibrated once on the generator family and kept fixed.
+_SUCCESS_GRID = dict(
+    kind="success-grid",
+    K=2,
+    P=50,
+    m_grid="10,50",
+    p0_grid="0.2:1.0:0.1",
+    trials=20,
+    lambda_grid="2,8,32,128",
+    sigma=1.0,
 )
+# Three Gaussian clusters; dataset2 halves the center separation.
+_FIG4 = dict(
+    kind="single",
+    K=3,
+    M=200,
+    P=50,
+    variance=0.1,
+    lam=4.0,
+    sigma=2.0,
+)
+SIMULATE_PRESETS = {
+    "fig3a": dict(_SUCCESS_GRID, target_kappa=0.39),
+    "fig3c": dict(_SUCCESS_GRID, target_kappa=1.15),
+    "fig4-dataset1": dict(_FIG4, scale=6.0),
+    "fig4-dataset2": dict(_FIG4, scale=3.0),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,12 +109,22 @@ def parse_int_grid(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+def _run_facts(argv, seed):
+    """What every output records first: the CSV comment header and the head
+    of oracle_check.json."""
+    return {"fusecluster-version": __version__, "argv": " ".join(argv), "seed": seed}
+
+
 def _header_lines(argv, seed):
-    return (
-        f"fusecluster-version: {__version__}",
-        f"argv: {' '.join(argv)}",
-        f"seed: {seed}",
-    )
+    return tuple(f"{key}: {value}" for key, value in _run_facts(argv, seed).items())
+
+
+def _reject_unread(flags, scope):
+    """A flag the run does not read is a usage error, not a silent no-op;
+    ``flags`` maps each flag to its parsed value (None when not given)."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise _UsageError(f"{flag} applies to {scope} only")
 
 
 def build_parser() -> _Parser:
@@ -167,7 +152,7 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run a synthetic-data experiment")
     common(p_sim)
     p_sim.add_argument("--preset", required=True, choices=sorted(SIMULATE_PRESETS))
-    p_sim.add_argument("--p0", type=float, default=1.0)
+    p_sim.add_argument("--p0", type=float, default=None)
     p_sim.add_argument("--lambda", dest="lam", type=float, default=None)
     p_sim.add_argument("--lambda-grid", default=None)
     p_sim.add_argument("--p0-grid", default=None)
@@ -187,7 +172,7 @@ def build_parser() -> _Parser:
     p_cluster.add_argument("--lambda", dest="lam", type=float, required=True)
     p_cluster.add_argument("--penalty", choices=("h1", "lp"), default="h1")
     p_cluster.add_argument("--sigma", type=float, default=None)
-    p_cluster.add_argument("--p", type=float, default=0.5)
+    p_cluster.add_argument("--p", type=float, default=None)
     p_cluster.add_argument("--tau", type=float, default=None)
     p_cluster.add_argument("--merge-tol", type=float, default=None)
     p_cluster.add_argument("--rho", type=float, default=1e-8)
@@ -200,10 +185,10 @@ def build_parser() -> _Parser:
     p_wine = sub.add_parser("wine", help="cluster the Wine table across p0")
     common(p_wine)
     p_wine.add_argument("--wine-csv", default=None)
-    p_wine.add_argument("--m-per-class", type=int, default=WINE_DEFAULTS["m_per_class"])
-    p_wine.add_argument("--p0-grid", default=WINE_DEFAULTS["p0_grid"])
-    p_wine.add_argument("--lambda-grid", default=WINE_DEFAULTS["lambda_grid"])
-    p_wine.add_argument("--sigma", type=float, default=WINE_DEFAULTS["sigma"])
+    p_wine.add_argument("--m-per-class", type=int, default=40)
+    p_wine.add_argument("--p0-grid", default="1.0,0.9,0.8,0.7,0.6,0.5,0.4,0.3")
+    p_wine.add_argument("--lambda-grid", default="3,10,30,100")
+    p_wine.add_argument("--sigma", type=float, default=0.6)
     p_wine.add_argument("--max-iters", type=int, default=200)
     p_wine.add_argument("--tol", type=float, default=1e-7)
 
@@ -291,32 +276,14 @@ def _run_theory(args, argv):
     reports = guarantee_curve(
         grid, P=args.P, kappa=args.kappa, mu0=args.mu0, K=args.K, M=args.M
     )
-    rows = [
-        (
-            p0,
-            rep.gamma0,
-            rep.delta0,
-            rep.beta0,
-            rep.eta0,
-            rep.eta0_approx,
-            rep.approx_valid,
-            rep.success_lower_bound,
-        )
-        for p0, rep in zip(grid, reports)
-    ]
+    fields = (
+        "gamma0", "delta0", "beta0", "eta0", "eta0_approx", "approx_valid", "success_lower_bound"
+    )
+    rows = [(p0, *(getattr(rep, f) for f in fields)) for p0, rep in zip(grid, reports)]
     name = f"{args.preset}_guarantees.csv" if args.preset else "theory_guarantees.csv"
     write_table_csv(
         os.path.join(args.out_dir, name),
-        (
-            "p0",
-            "gamma0",
-            "delta0",
-            "beta0",
-            "eta0",
-            "eta0_approx",
-            "approx_valid",
-            "success_lower_bound",
-        ),
+        ("p0", *fields),
         rows,
         header_lines=_header_lines(argv, args.seed),
     )
@@ -324,14 +291,24 @@ def _run_theory(args, argv):
 
 def _run_simulate(args, argv):
     preset = SIMULATE_PRESETS[args.preset]
+    grid_flags = {
+        "--trials": args.trials,
+        "--m-grid": args.m_grid,
+        "--p0-grid": args.p0_grid,
+        "--lambda-grid": args.lambda_grid,
+    }
+    single_flags = {"--p0": args.p0, "--lambda": args.lam, "--merge-tol": args.merge_tol}
+    sigma = args.sigma if args.sigma is not None else preset["sigma"]
+    header = _header_lines(argv, args.seed)
     if preset["kind"] == "success-grid":
+        _reject_unread(single_flags, "single-run presets")
         spec = SuccessCurveSpec(
             p0_grid=parse_grid(args.p0_grid or preset["p0_grid"]),
             M_grid=parse_int_grid(args.m_grid or preset["m_grid"]),
             lambda_grid=parse_grid(args.lambda_grid or preset["lambda_grid"]),
             trials=args.trials if args.trials is not None else preset["trials"],
             base_seed=args.seed,
-            sigma=args.sigma if args.sigma is not None else preset.get("sigma"),
+            sigma=sigma,
             max_outer_iters=args.max_iters,
             objective_rel_tol=args.tol,
         )
@@ -346,11 +323,12 @@ def _run_simulate(args, argv):
             os.path.join(args.out_dir, f"{args.preset}_success.csv"),
             ("p0", "M", "success_rate", "kappa", "mu0"),
             [(c.p0, c.M, c.success_rate, c.kappa, c.mu0) for c in cells],
-            header_lines=_header_lines(argv, args.seed),
+            header_lines=header,
         )
         return
 
     # Single clustering run with plot data (fig4-style).
+    _reject_unread(grid_flags, "success-grid presets")
     spec = SyntheticSpec(
         K=preset["K"],
         M=preset["M"],
@@ -360,76 +338,77 @@ def _run_simulate(args, argv):
         seed=_derive_seed(args.seed, 1),
     )
     data, truth = generate(spec)
-    masked = apply_mask(data, MaskSpec(p0=args.p0, seed=_derive_seed(args.seed, 2)))
-    lam = args.lam if args.lam is not None else preset["lam"]
+    p0 = 1.0 if args.p0 is None else args.p0  # fully observed by default
+    masked = apply_mask(data, MaskSpec(p0=p0, seed=_derive_seed(args.seed, 2)))
     run = cluster_once(
         masked,
-        lam=lam,
-        sigma=args.sigma if args.sigma is not None else preset.get("sigma"),
+        lam=args.lam if args.lam is not None else preset["lam"],
+        sigma=sigma,
         merge_tol=args.merge_tol,
         max_outer_iters=args.max_iters,
         objective_rel_tol=args.tol,
     )
-    header = _header_lines(argv, args.seed)
     prefix = os.path.join(args.out_dir, args.preset)
-    write_table_csv(
-        f"{prefix}_labels.csv",
-        ("point_id", "label", "truth_label"),
-        [(i, int(run.partition.labels[i]), int(truth.labels[i])) for i in range(data.point_count)],
-        header_lines=header,
-    )
-    write_points_csv(f"{prefix}_centroids.csv", ObservedDataset.full(run.centroids), header_lines=header)
-    write_table_csv(
-        f"{prefix}_trace.csv",
-        ("iteration", "objective"),
-        list(enumerate(run.trace.objectives.tolist())),
-        header_lines=header,
+    _write_solve(
+        (f"{prefix}_labels.csv", f"{prefix}_centroids.csv", f"{prefix}_trace.csv"),
+        run,
+        truth,
+        header,
     )
     write_table_csv(
         f"{prefix}_pca.csv",
-        ("point_id", "truth_label", "pc1", "pc2", "centroid_pc1", "centroid_pc2"),
+        PCA_COLUMNS,
         pca_plot_table(masked, run.centroids, truth),
         header_lines=header,
     )
 
 
+def _write_solve(paths, run, truth, header):
+    """Write one solve's labels (with ``truth_label`` when the truth is
+    known), centroids and objective trace to the three ``paths``."""
+    labels_path, centroids_path, trace_path = paths
+    columns = {
+        "point_id": range(run.partition.point_count),
+        "label": run.partition.labels.tolist(),
+    }
+    if truth is not None:
+        columns["truth_label"] = truth.labels.tolist()
+    write_table_csv(labels_path, tuple(columns), zip(*columns.values()), header_lines=header)
+    write_points_csv(centroids_path, ObservedDataset.full(run.centroids), header_lines=header)
+    write_table_csv(
+        trace_path,
+        ("iteration", "objective"),
+        enumerate(run.trace.objectives.tolist()),
+        header_lines=header,
+    )
+
+
 def _run_cluster(args, argv):
-    if args.tau is not None and args.penalty != "lp":
-        raise _UsageError("--tau applies to --penalty lp only")
+    penalty_flags = {"h1": {"--sigma": args.sigma}, "lp": {"--p": args.p, "--tau": args.tau}}
+    for kind, flags in penalty_flags.items():
+        if kind != args.penalty:
+            _reject_unread(flags, f"--penalty {kind}")
     data, truth = read_points_csv(args.input, labeled=args.labeled == "true")
+    given = {"sigma": args.sigma, "lp_p": args.p, "tau": args.tau}
     run = cluster_once(
         data,
         lam=args.lam,
         penalty_kind=args.penalty,
-        sigma=args.sigma,
-        lp_p=args.p,
-        **({} if args.tau is None else {"tau": args.tau}),
+        **{name: value for name, value in given.items() if value is not None},
         merge_tol=args.merge_tol,
         max_outer_iters=args.max_iters,
         objective_rel_tol=args.tol,
         rho=args.rho,
     )
-    header = _header_lines(argv, args.seed)
-    out_labels = args.out_labels or os.path.join(args.out_dir, "labels.csv")
-    out_centroids = args.out_centroids or os.path.join(args.out_dir, "centroids.csv")
-    out_trace = args.out_trace or os.path.join(args.out_dir, "trace.csv")
-    label_rows = [
-        [i, int(run.partition.labels[i])] for i in range(data.point_count)
-    ]
-    columns = ["point_id", "label"]
-    if truth is not None:
-        columns.append("truth_label")
-        for i, row in enumerate(label_rows):
-            row.append(int(truth.labels[i]))
-    write_table_csv(out_labels, columns, label_rows, header_lines=header)
-    write_points_csv(
-        out_centroids, ObservedDataset.full(run.centroids), header_lines=header
-    )
-    write_table_csv(
-        out_trace,
-        ("iteration", "objective"),
-        list(enumerate(run.trace.objectives.tolist())),
-        header_lines=header,
+    _write_solve(
+        (
+            args.out_labels or os.path.join(args.out_dir, "labels.csv"),
+            args.out_centroids or os.path.join(args.out_dir, "centroids.csv"),
+            args.out_trace or os.path.join(args.out_dir, "trace.csv"),
+        ),
+        run,
+        truth,
+        _header_lines(argv, args.seed),
     )
     if truth is not None:
         ari = adjusted_rand_index(run.partition, truth)
@@ -455,7 +434,7 @@ def _run_wine(args, argv):
     summary = []
     for p_idx, p0 in enumerate(p0_grid):
         masked = apply_mask(data, MaskSpec(p0=p0, seed=_derive_seed(args.seed, p_idx)))
-        best = None
+        scored = []
         for lam in lambda_grid:
             run = cluster_once(
                 masked,
@@ -464,14 +443,13 @@ def _run_wine(args, argv):
                 max_outer_iters=args.max_iters,
                 objective_rel_tol=args.tol,
             )
-            ari = adjusted_rand_index(run.partition, truth)
-            if best is None or ari > best[0]:
-                best = (ari, lam, run)
-        ari, lam, run = best
+            scored.append((adjusted_rand_index(run.partition, truth), lam, run))
+        # max keeps the first lambda among equal ARIs.
+        ari, lam, run = max(scored, key=lambda item: item[0])
         summary.append((p0, lam, ari, run.partition.cluster_count))
         write_table_csv(
             os.path.join(args.out_dir, f"wine_pca_p{p0:g}.csv"),
-            ("point_id", "truth_label", "pc1", "pc2", "centroid_pc1", "centroid_pc2"),
+            PCA_COLUMNS,
             pca_plot_table(masked, run.centroids, truth),
             header_lines=header,
         )
@@ -495,11 +473,7 @@ def _run_oracle_check(args, argv):
         seed=args.seed,
         epsilon=geometry.epsilon * args.epsilon_scale,
     )
-    payload = {
-        "fusecluster-version": __version__,
-        "argv": " ".join(argv),
-        "seed": args.seed,
-    }
+    payload = _run_facts(argv, args.seed)
     payload.update(dataclasses.asdict(report))
     payload["all_ok"] = report.all_ok
     out = os.path.join(args.out_dir, "oracle_check.json")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import parse_label
 from .model import ClusterGeometry, ObservedDataset, Partition, SyntheticSpec, estimate_geometry
 
 
@@ -163,7 +164,7 @@ def load_wine_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(
                     f"wine row has {len(line)} fields, expected {WINE_FEATURES + 1}"
                 )
-            labels.append(int(float(line[0])))
+            labels.append(parse_label(line[0]))
             rows.append([float(v) for v in line[1:]])
     if len(rows) != WINE_ROWS:
         raise ValueError(f"wine table has {len(rows)} rows, expected {WINE_ROWS}")

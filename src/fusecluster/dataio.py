@@ -28,7 +28,7 @@ def read_points_csv(path, labeled: bool = False):
                 continue
             fields = [f.strip() for f in line]
             if labeled:
-                labels.append(int(float(fields[-1])))
+                labels.append(parse_label(fields[-1]))
                 fields = fields[:-1]
             rows.append([_parse_entry(f) for f in fields])
     if not rows:
@@ -41,6 +41,14 @@ def read_points_csv(path, labeled: bool = False):
     data = ObservedDataset(np.where(mask, values, 0.0), mask)
     truth = Partition(np.unique(labels, return_inverse=True)[1]) if labeled else None
     return data, truth
+
+
+def parse_label(field: str) -> int:
+    """A class label: ``2`` and ``2.0`` read as 2; ``1.7`` raises ValueError."""
+    value = float(field)
+    if not value.is_integer():
+        raise ValueError(f"label {field!r} is not an integer")
+    return int(value)
 
 
 def _parse_entry(field: str) -> float:

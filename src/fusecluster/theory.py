@@ -169,30 +169,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class GuaranteeInputs:
-    """Problem parameters the guarantee formulas take."""
-
-    p0: float
-    P: int
-    kappa: float
-    mu0: float
-    K: int
-    M: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.p0 <= 1.0:
-            raise ValueError("p0 must lie in [0, 1]")
-        if self.P < 1:
-            raise ValueError("P must be positive")
-        if not 0.0 <= self.kappa < 1.0:
-            raise ValueError("guarantee undefined for kappa >= 1")
-        if self.mu0 < 1.0:
-            raise ValueError("mu0 must be at least 1")
-        if self.K < 2 or self.M < 2:
-            raise ValueError("need K >= 2 and M >= 2")
-
-
-@dataclass(frozen=True)
 class GuaranteeReport:
     """Evaluated bounds at one parameter point.
 
@@ -222,12 +198,16 @@ class GuaranteeReport:
         return math.exp(self.log_beta0)
 
 
-def evaluate_guarantees(inputs: GuaranteeInputs) -> GuaranteeReport:
-    lg = log_gamma0(inputs.p0, inputs.P)
-    ld = log_delta0(inputs.p0, inputs.P, inputs.kappa, inputs.mu0)
+def evaluate_guarantees(
+    p0: float, P: int, kappa: float, mu0: float, K: int, M: int
+) -> GuaranteeReport:
+    """Evaluate every bound at one parameter point.  Each formula checks its
+    own inputs and raises ValueError on one outside its domain."""
+    lg = log_gamma0(p0, P)
+    ld = log_delta0(p0, P, kappa, mu0)
     lb = log_beta0(lg, ld)
-    eta = eta0(inputs.K, inputs.M, math.exp(lb))
-    approx, valid = eta0_approx(inputs.M, math.exp(lb))
+    eta = eta0(K, M, math.exp(lb))
+    approx, valid = eta0_approx(M, math.exp(lb))
     lower = min(1.0, max(0.0, 1.0 - eta))
     return GuaranteeReport(
         log_gamma0=lg,
@@ -247,7 +227,4 @@ def guarantee_curve(
     grid = list(p0_grid)
     if not grid:
         raise ValueError("p0 grid must be non-empty")
-    return [
-        evaluate_guarantees(GuaranteeInputs(p0=p0, P=P, kappa=kappa, mu0=mu0, K=K, M=M))
-        for p0 in grid
-    ]
+    return [evaluate_guarantees(p0, P, kappa, mu0, K, M) for p0 in grid]

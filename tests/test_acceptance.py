@@ -18,7 +18,6 @@ from fusecluster.analysis import (
     SuccessCurveSpec,
     adjusted_rand_index,
     cluster_once,
-    exact_success,
     success_curve,
 )
 from fusecluster.cli import main as cli_main
@@ -282,7 +281,7 @@ def _fig4_trial_succeeds(center_scale, p0, trial):
             masked, lam=lam, sigma=2.0, max_outer_iters=100,
             objective_rel_tol=1e-8,
         )
-        if exact_success(run.partition, truth):
+        if run.partition.same_clustering(truth):
             return True
     return False
 

@@ -9,7 +9,6 @@ from fusecluster.analysis import (
     SuccessCurveSpec,
     adjusted_rand_index,
     cluster_once,
-    exact_success,
     fill_missing,
     pca_plot_table,
     pca_project,
@@ -40,26 +39,6 @@ labels_strategy = st.lists(st.integers(0, 3), min_size=2, max_size=12)
 def as_partition(raw):
     mapping = {}
     return Partition(np.array([mapping.setdefault(v, len(mapping)) for v in raw]))
-
-
-class TestExactSuccess:
-    def test_identical(self):
-        p = Partition(np.array([0, 1, 0]))
-        assert exact_success(p, p)
-
-    def test_swapped_labels(self):
-        assert exact_success(
-            Partition(np.array([0, 0, 1, 1])), Partition(np.array([1, 1, 0, 0]))
-        )
-
-    def test_one_point_moved(self):
-        assert not exact_success(
-            Partition(np.array([0, 0, 1, 1])), Partition(np.array([0, 1, 1, 1]))
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            exact_success(Partition(np.array([0])), Partition(np.array([0, 0])))
 
 
 class TestAdjustedRandIndex:

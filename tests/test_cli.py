@@ -89,6 +89,46 @@ class TestExitCodes:
         code = run_in(tmp_path, ["cluster", "--input", "nope.csv", "--lambda", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cluster", "--penalty", "lp", "--sigma", "-1"], "--sigma applies to --penalty h1"),
+            (["cluster", "--penalty", "h1", "--p", "7"], "--p applies to --penalty lp"),
+            (["cluster", "--p", "0.5"], "--p applies to --penalty lp"),
+            (["simulate", "--preset", "fig3a", "--p0", "0.5"], "--p0 applies to single-run"),
+            (["simulate", "--preset", "fig3a", "--lambda", "8"], "--lambda applies to single-run"),
+            (
+                ["simulate", "--preset", "fig3c", "--merge-tol", "0.1"],
+                "--merge-tol applies to single-run",
+            ),
+            (
+                ["simulate", "--preset", "fig4-dataset1", "--trials", "1"],
+                "--trials applies to success-grid",
+            ),
+            (
+                ["simulate", "--preset", "fig4-dataset1", "--m-grid", "4"],
+                "--m-grid applies to success-grid",
+            ),
+            (
+                ["simulate", "--preset", "fig4-dataset2", "--p0-grid", "1.0"],
+                "--p0-grid applies to success-grid",
+            ),
+            (
+                ["simulate", "--preset", "fig4-dataset2", "--lambda-grid", "8"],
+                "--lambda-grid applies to success-grid",
+            ),
+        ],
+    )
+    def test_flag_the_run_does_not_read_is_usage_error(self, tmp_path, capsys, argv, message):
+        # Each flag is read only by the other penalty or the other kind of
+        # preset; accepting it would run as if it had not been given.
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n0.1,0.0\n9.0,9.0\n9.1,9.0\n")
+        if argv[0] == "cluster":
+            argv = argv + ["--input", "toy.csv", "--lambda", "2.0"]
+        assert run_in(tmp_path, argv + ["--out-dir", "."]) == 1
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["toy.csv"]
+
 
 class TestTheoryCommand:
     def test_writes_expected_columns(self, tmp_path):
@@ -217,12 +257,10 @@ class TestConfigFile:
         assert len(lines) == 4 + 3  # grid came from the config file
         # eta0 column reflects M=6 from the flag, not M=4 from the file:
         # at p0=1 with the default parameters eta0(M=6) != eta0(M=4).
-        from fusecluster.theory import eta0, evaluate_guarantees, GuaranteeInputs
+        from fusecluster.theory import evaluate_guarantees
 
         row = dict(zip(lines[3].split(","), lines[-1].split(",")))
-        rep = evaluate_guarantees(
-            GuaranteeInputs(p0=1.0, P=50, kappa=0.5, mu0=1.5, K=2, M=6)
-        )
+        rep = evaluate_guarantees(p0=1.0, P=50, kappa=0.5, mu0=1.5, K=2, M=6)
         assert float(row["eta0"]) == pytest.approx(rep.eta0, rel=1e-12)
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
@@ -289,11 +327,9 @@ class TestConfigFile:
         (tmp_path / "cfg.ini").write_text("lambda=2.0\n")
         argv = ["cluster", "--config", "cfg.ini", "--input", "toy.csv"]
         assert run_in(tmp_path, argv) == 0
-        (tmp_path / "sim.ini").write_text("preset=fig3a\nlambda=8\n")
-        argv = [
-            "simulate", "--config", "sim.ini", "--trials", "1", "--p0-grid", "1.0",
-            "--m-grid", "4", "--lambda-grid", "8", "--out-dir", ".",
-        ]
+        # lambda is read by the single-run presets only.
+        (tmp_path / "sim.ini").write_text("preset=fig4-dataset1\nlambda=8\n")
+        argv = ["simulate", "--config", "sim.ini", "--max-iters", "5", "--out-dir", "."]
         assert run_in(tmp_path, argv) == 0
 
     def test_dest_spelling_is_not_a_key(self, tmp_path):
@@ -320,6 +356,7 @@ class TestOracleCheckCommand:
         )
         assert code == 0
         payload = json.loads((tmp_path / "oracle_check.json").read_text())
+        assert list(payload)[:3] == ["fusecluster-version", "argv", "seed"]
         assert payload["trials"] == 40
         assert set(
             [

@@ -252,6 +252,15 @@ class TestWineSynthetic:
             with pytest.raises(ValueError, match=message):
                 load_wine_csv(path)
 
+    def test_fractional_label_rejected(self, synthetic_wine):
+        path, _, _ = synthetic_wine()
+        lines = open(path).read().splitlines()
+        lines[1] = "1.7," + lines[1].partition(",")[2]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="label '1.7' is not an integer"):
+            load_wine_csv(path)
+
     def test_m_per_class_above_smallest_class_rejected(self, synthetic_wine):
         path, _, _ = synthetic_wine()
         wine_prepare(path, m_per_class=48)

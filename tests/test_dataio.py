@@ -64,6 +64,13 @@ class TestReadFormats:
         with pytest.raises(ValueError, match="inconsistent"):
             read_points_csv(path)
 
+    def test_fractional_label_rejected(self, tmp_path):
+        # int() would truncate 1.7 and 1.2 to one class.
+        path = tmp_path / "labeled.csv"
+        path.write_text("0.0,1.7\n0.1,1.2\n9.0,2\n9.1,2.0\n")
+        with pytest.raises(ValueError, match="label '1.7' is not an integer"):
+            read_points_csv(path, labeled=True)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# only a comment\n")

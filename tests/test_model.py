@@ -98,6 +98,24 @@ class TestPartition:
     def test_group_sizes(self):
         assert Partition(np.array([0, 1, 1])).group_sizes().tolist() == [1, 2]
 
+    def test_same_clustering_identical(self):
+        p = Partition(np.array([0, 1, 0]))
+        assert p.same_clustering(p)
+
+    def test_same_clustering_swapped_labels(self):
+        assert Partition(np.array([0, 0, 1, 1])).same_clustering(
+            Partition(np.array([1, 1, 0, 0]))
+        )
+
+    def test_same_clustering_one_point_moved(self):
+        assert not Partition(np.array([0, 0, 1, 1])).same_clustering(
+            Partition(np.array([0, 1, 1, 1]))
+        )
+
+    def test_same_clustering_length_mismatch(self):
+        with pytest.raises(ValueError, match="same number of points"):
+            Partition(np.array([0])).same_clustering(Partition(np.array([0, 0])))
+
 
 class TestClusterGeometry:
     def test_kappa_consistency_enforced(self):

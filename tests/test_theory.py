@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fusecluster.theory import (
-    GuaranteeInputs,
     eta0,
     eta0_approx,
     eta0_enumerate,
@@ -220,13 +219,30 @@ class TestGuaranteeCurve:
         with pytest.raises(ValueError, match="kappa >= 1"):
             guarantee_curve([0.5], P=10, kappa=1.2, mu0=1.5, K=2, M=5)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(p0=1.5),
+            dict(P=0),
+            dict(kappa=-0.1),
+            dict(mu0=0.5),
+            dict(K=1),
+            dict(M=1),
+        ],
+        ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+    )
+    def test_every_out_of_domain_input_propagates(self, bad):
+        # The formulas check their own inputs, so each one outside its
+        # domain surfaces from the curve as ValueError.
+        point = dict(p0=0.5, P=10, kappa=0.5, mu0=1.5, K=2, M=5) | bad
+        with pytest.raises(ValueError):
+            guarantee_curve([point.pop("p0")], **point)
+
 
 class TestReportInvariants:
     @pytest.mark.parametrize("p0", (0.1, 0.5, 0.9))
     def test_beta_recomposes_from_parts(self, p0):
-        rep = evaluate_guarantees(
-            GuaranteeInputs(p0=p0, P=40, kappa=0.4, mu0=2.0, K=2, M=8)
-        )
+        rep = evaluate_guarantees(p0=p0, P=40, kappa=0.4, mu0=2.0, K=2, M=8)
         recomposed = 1.0 - (1.0 - rep.delta0) * (1.0 - rep.gamma0)
         assert rep.beta0 == pytest.approx(recomposed, rel=1e-12)
 
