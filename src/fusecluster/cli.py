@@ -127,6 +127,30 @@ def _reject_unread(flags, scope):
             raise _UsageError(f"{flag} applies to {scope} only")
 
 
+def _check_flags(args):
+    """Raise the usage errors that the parsed flags alone decide, before
+    anything (``--out-dir`` included) is created."""
+    if args.command == "cluster":
+        penalty_flags = {"h1": {"--sigma": args.sigma}, "lp": {"--p": args.p, "--tau": args.tau}}
+        for kind, flags in penalty_flags.items():
+            if kind != args.penalty:
+                _reject_unread(flags, f"--penalty {kind}")
+    elif args.command == "simulate":
+        if SIMULATE_PRESETS[args.preset]["kind"] == "success-grid":
+            flags = {"--p0": args.p0, "--lambda": args.lam, "--merge-tol": args.merge_tol}
+            _reject_unread(flags, "single-run presets")
+        else:
+            flags = {
+                "--trials": args.trials,
+                "--m-grid": args.m_grid,
+                "--p0-grid": args.p0_grid,
+                "--lambda-grid": args.lambda_grid,
+            }
+            _reject_unread(flags, "success-grid presets")
+    elif args.command == "wine" and not (args.wine_csv or os.environ.get("FUSECLUSTER_DATA_DIR")):
+        raise _UsageError("provide --wine-csv or set FUSECLUSTER_DATA_DIR")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fusecluster", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -239,6 +263,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
+        _check_flags(args)
     except (_UsageError, OSError) as exc:
         print(f"fusecluster: error: {exc}", file=sys.stderr)
         return 1
@@ -257,7 +282,7 @@ def main(argv=None) -> int:
         }[args.command]
         handler(args, argv)
         return 0
-    except (_UsageError, BrokenPipeError) as exc:
+    except BrokenPipeError as exc:
         print(f"fusecluster: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
@@ -291,17 +316,9 @@ def _run_theory(args, argv):
 
 def _run_simulate(args, argv):
     preset = SIMULATE_PRESETS[args.preset]
-    grid_flags = {
-        "--trials": args.trials,
-        "--m-grid": args.m_grid,
-        "--p0-grid": args.p0_grid,
-        "--lambda-grid": args.lambda_grid,
-    }
-    single_flags = {"--p0": args.p0, "--lambda": args.lam, "--merge-tol": args.merge_tol}
     sigma = args.sigma if args.sigma is not None else preset["sigma"]
     header = _header_lines(argv, args.seed)
     if preset["kind"] == "success-grid":
-        _reject_unread(single_flags, "single-run presets")
         spec = SuccessCurveSpec(
             p0_grid=parse_grid(args.p0_grid or preset["p0_grid"]),
             M_grid=parse_int_grid(args.m_grid or preset["m_grid"]),
@@ -328,7 +345,6 @@ def _run_simulate(args, argv):
         return
 
     # Single clustering run with plot data (fig4-style).
-    _reject_unread(grid_flags, "success-grid presets")
     spec = SyntheticSpec(
         K=preset["K"],
         M=preset["M"],
@@ -384,10 +400,6 @@ def _write_solve(paths, run, truth, header):
 
 
 def _run_cluster(args, argv):
-    penalty_flags = {"h1": {"--sigma": args.sigma}, "lp": {"--p": args.p, "--tau": args.tau}}
-    for kind, flags in penalty_flags.items():
-        if kind != args.penalty:
-            _reject_unread(flags, f"--penalty {kind}")
     data, truth = read_points_csv(args.input, labeled=args.labeled == "true")
     given = {"sigma": args.sigma, "lp_p": args.p, "tau": args.tau}
     run = cluster_once(
@@ -417,17 +429,10 @@ def _run_cluster(args, argv):
         print(f"clusters: {run.partition.cluster_count}")
 
 
-def _resolve_wine_path(args):
-    if args.wine_csv:
-        return args.wine_csv
-    data_dir = os.environ.get("FUSECLUSTER_DATA_DIR")
-    if data_dir:
-        return os.path.join(data_dir, "wine.data")
-    raise _UsageError("provide --wine-csv or set FUSECLUSTER_DATA_DIR")
-
-
 def _run_wine(args, argv):
-    data, truth = wine_prepare(_resolve_wine_path(args), m_per_class=args.m_per_class)
+    # _check_flags has made sure one of the two is given.
+    path = args.wine_csv or os.path.join(os.environ["FUSECLUSTER_DATA_DIR"], "wine.data")
+    data, truth = wine_prepare(path, m_per_class=args.m_per_class)
     p0_grid = parse_grid(args.p0_grid)
     lambda_grid = parse_grid(args.lambda_grid)
     header = _header_lines(argv, args.seed)

@@ -3,7 +3,9 @@
 On a tiny instance this enumerates every set partition of the points, keeps
 those whose groups can share a common centroid within the per-coordinate
 tolerance, and returns the partitions minimizing the number of ordered
-cross-group pairs (``N^2 - sum_g n_g^2``).  It is ground truth for the
+cross-group pairs (``N^2 - sum_g n_g^2``).  The search prunes a branch as
+soon as a point is not pairwise compatible with every member of the block it
+would join, using one bitmask per open block.  It is ground truth for the
 iterative solver and for Monte-Carlo checks of the recovery bounds.
 """
 
@@ -55,11 +57,31 @@ def partition_cost(labels: np.ndarray) -> int:
     return int(n * n - np.sum(sizes * sizes))
 
 
+def _compatibility_masks(data: ObservedDataset, epsilon: float) -> list[int]:
+    """Bit j of entry i is set when points i and j are within epsilon on
+    every feature both of them observe."""
+    x = data.observed_values()
+    both = data.mask[:, :, None] & data.mask[:, None, :]
+    close = np.abs(x[:, :, None] - x[:, None, :]) <= epsilon
+    compatible = np.all(close | ~both, axis=0)
+    return (compatible.astype(np.int64) @ (1 << np.arange(data.point_count))).tolist()
+
+
 def l0_solve(data: ObservedDataset, epsilon: float) -> OracleResult:
     """Enumerate all partitions of the points (depth-first over restricted
-    growth strings), prune blocks that become infeasible (feasibility is
-    monotone under taking subsets), and collect every minimum-cost feasible
-    partition."""
+    growth strings), prune blocks that become infeasible, and collect every
+    minimum-cost feasible partition, in enumeration order.
+
+    A block is feasible exactly when each pair of its members is: on every
+    feature, the observed values span at most epsilon, and the span is the
+    difference of one pair.  This holds in floating point too, because
+    rounding is monotone: ``fl(x_a - x_b) <= fl(max - min)`` for any two
+    members a and b.  So the search builds one pair-compatibility matrix per
+    call, and each open block carries the AND of its members' rows as a
+    plain Python int bitmask (N <= ENUMERATION_MAX_POINTS bits); point i may
+    join a block when bit i of that mask is set.  Restricted growth strings
+    label blocks in order of first occurrence, so every minimizer is
+    already canonical."""
     n = data.point_count
     if n > ENUMERATION_MAX_POINTS:
         raise ValueError(
@@ -68,63 +90,50 @@ def l0_solve(data: ObservedDataset, epsilon: float) -> OracleResult:
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
 
-    values = data.values
-    mask = data.mask
-    p_dim = data.feature_count
+    compatible = _compatibility_masks(data, epsilon)
+    labels = [0] * n
+    blocks: list[int] = []  # AND of the members' compatibility masks
+    sizes: list[int] = []
+    best_cost = n * n + 1
+    minimizers: list[list[int]] = []
+    feasible_count = 0
 
-    labels = np.zeros(n, dtype=np.int64)
-    block_mins: list[np.ndarray] = []
-    block_maxs: list[np.ndarray] = []
-    block_sizes: list[int] = []
-
-    state = {
-        "best_cost": n * n + 1,
-        "minimizers": [],
-        "feasible_count": 0,
-    }
-
-    def visit_leaf():
-        state["feasible_count"] += 1
-        cost = n * n - sum(s * s for s in block_sizes)
-        if cost < state["best_cost"]:
-            state["best_cost"] = cost
-            state["minimizers"] = [labels.copy()]
-        elif cost == state["best_cost"]:
-            state["minimizers"].append(labels.copy())
-
-    def dfs(i: int):
+    def dfs(i: int, square_sum: int):
+        nonlocal best_cost, minimizers, feasible_count
         if i == n:
-            visit_leaf()
+            feasible_count += 1
+            cost = n * n - square_sum
+            if cost < best_cost:
+                best_cost = cost
+                minimizers = [labels.copy()]
+            elif cost == best_cost:
+                minimizers.append(labels.copy())
             return
-        x = values[:, i]
-        m = mask[:, i]
-        for b in range(len(block_mins)):
-            new_min = np.where(m, np.minimum(block_mins[b], x), block_mins[b])
-            new_max = np.where(m, np.maximum(block_maxs[b], x), block_maxs[b])
-            if np.all(new_max - new_min <= epsilon):
-                old_min, old_max = block_mins[b], block_maxs[b]
-                block_mins[b], block_maxs[b] = new_min, new_max
-                block_sizes[b] += 1
+        bit = 1 << i
+        row = compatible[i]
+        for b in range(len(blocks)):
+            joint = blocks[b]
+            if joint & bit:
+                size = sizes[b]
+                blocks[b] = joint & row
+                sizes[b] = size + 1
                 labels[i] = b
-                dfs(i + 1)
-                block_mins[b], block_maxs[b] = old_min, old_max
-                block_sizes[b] -= 1
+                dfs(i + 1, square_sum + 2 * size + 1)
+                blocks[b] = joint
+                sizes[b] = size
         # Open a fresh block for point i (always feasible on its own).
-        block_mins.append(np.where(m, x, np.inf))
-        block_maxs.append(np.where(m, x, -np.inf))
-        block_sizes.append(1)
-        labels[i] = len(block_mins) - 1
-        dfs(i + 1)
-        block_mins.pop()
-        block_maxs.pop()
-        block_sizes.pop()
+        labels[i] = len(blocks)
+        blocks.append(row)
+        sizes.append(1)
+        dfs(i + 1, square_sum + 1)
+        blocks.pop()
+        sizes.pop()
 
-    dfs(0)
-    minimizers = tuple(Partition(lab).canonical() for lab in state["minimizers"])
+    dfs(0, 0)
     return OracleResult(
-        minimizers=minimizers,
-        min_cost=state["best_cost"],
-        feasible_partition_count=state["feasible_count"],
+        minimizers=tuple(Partition(np.array(lab)) for lab in minimizers),
+        min_cost=best_cost,
+        feasible_partition_count=feasible_count,
     )
 
 
@@ -213,6 +222,7 @@ def monte_carlo_bound_check(
         if truth.labels[i] != truth.labels[j]
     ]
     deficit_threshold = p0 * p0 * p_dim / 2.0
+    truth_labels = truth.canonical().labels
 
     deficit_hits = 0
     feasible_hits = 0
@@ -221,19 +231,18 @@ def monte_carlo_bound_check(
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         mask = rng.random((p_dim, n)) < p0
         masked = ObservedDataset(data.values, mask)
+        observed = mask.astype(np.int64)
+        common = observed.T @ observed
         for i, j in inter_pairs:
-            common = int(np.sum(mask[:, i] & mask[:, j]))
             # At p0 = 0 the requirement degenerates to 0 and no pair can
             # meet it, matching the trivial bound gamma0 = 1.
-            if common < deficit_threshold or deficit_threshold == 0.0:
+            if common[i, j] < deficit_threshold or deficit_threshold == 0.0:
                 deficit_hits += 1
             if group_feasible(masked, (i, j), eps):
                 feasible_hits += 1
-        result = l0_solve(masked, eps)
-        unique_truth = len(result.minimizers) == 1 and result.minimizers[
-            0
-        ].same_clustering(truth)
-        if not unique_truth:
+        # l0_solve's minimizers are canonical already.
+        minimizers = l0_solve(masked, eps).minimizers
+        if len(minimizers) != 1 or not np.array_equal(minimizers[0].labels, truth_labels):
             defeat_hits += 1
 
     pair_total = trials * len(inter_pairs)

@@ -1,9 +1,10 @@
 """The benchmark under bench/ reaches into the package by name: its tracer
 replaces module attributes and expects every solve to call the solver names
-it traces, and its child process parses each workload's argv with the CLI
-parser to read ``--threads``.  bench/selftest.py checks this but
-is not part of this suite, so these tests keep a package change from breaking
-the benchmark unnoticed.  The bench modules are loaded read-only."""
+it traces and every bound check the oracle names, and its child process
+parses each workload's argv with the CLI parser to read ``--threads``.
+bench/selftest.py checks this but is not part of this suite, so these tests
+keep a package change from breaking the benchmark unnoticed.  The bench
+modules are loaded read-only."""
 
 import importlib
 import importlib.util
@@ -13,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusecluster import cli, solver
+from fusecluster import cli, oracle, solver
+from fusecluster.datagen import gen_uniform_kappa
 from fusecluster.model import ObservedDataset
 from fusecluster.penalty import PenaltySpec
 
@@ -51,6 +53,19 @@ def test_every_traced_solver_name_is_called(penalty, monkeypatch):
     config = solver.SolverConfig(lam=0.5, penalty=penalty, max_outer_iters=5)
     with tracer.installed(tracer.Tracer(), patches) as recorder:
         solver.mm_cluster(ObservedDataset.full(x), config)
+    called = {span.name for span in recorder.spans}
+    assert [p.span for p in patches if p.span not in called] == []
+
+
+def test_every_traced_oracle_name_is_called(monkeypatch):
+    # oracle-check must record a call to each fusecluster.oracle name, the
+    # search and the per-pair feasibility check among them.
+    tracer = load_bench_module("tracer", monkeypatch)
+    patches = [p for p in tracer.PATCHES if p.namespace == "fusecluster.oracle"]
+    assert patches
+    data, truth, _ = gen_uniform_kappa(2, 3, 6, 0.5, seed=0)
+    with tracer.installed(tracer.Tracer(), patches) as recorder:
+        oracle.monte_carlo_bound_check(data, truth, p0=0.8, trials=3, seed=0)
     called = {span.name for span in recorder.spans}
     assert [p.span for p in patches if p.span not in called] == []
 

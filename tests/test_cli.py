@@ -129,6 +129,22 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["toy.csv"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--input", "toy.csv", "--lambda", "2", "--penalty", "lp", "--sigma", "1"],
+            ["simulate", "--preset", "fig3a", "--p0", "0.5"],
+            ["wine", "--p0-grid", "1.0"],
+        ],
+        ids=["cluster", "simulate", "wine"],
+    )
+    def test_usage_error_creates_no_out_dir(self, tmp_path, monkeypatch, argv):
+        # The flags are checked before --out-dir is created.
+        monkeypatch.delenv("FUSECLUSTER_DATA_DIR", raising=False)
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        assert run_in(tmp_path, argv + ["--out-dir", "o"]) == 1
+        assert not (tmp_path / "o").exists()
+
 
 class TestTheoryCommand:
     def test_writes_expected_columns(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusecluster.datagen import MaskSpec, apply_mask, gen_uniform_kappa
 from fusecluster.model import ObservedDataset, Partition, estimate_geometry
@@ -14,6 +16,73 @@ from fusecluster.oracle import (
 def far_pairs_instance():
     values = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
     return ObservedDataset.full(values)
+
+
+def reference_l0_solve(data, epsilon):
+    """The earlier per-node search: each open block keeps its per-feature
+    minimum and maximum, and a point joins when the span stays within
+    epsilon.  Returns (min_cost, feasible count, minimizer label lists)."""
+    n = data.point_count
+    values, mask = data.values, data.mask
+    labels = np.zeros(n, dtype=np.int64)
+    block_mins, block_maxs, block_sizes = [], [], []
+    state = {"best_cost": n * n + 1, "minimizers": [], "feasible_count": 0}
+
+    def visit_leaf():
+        state["feasible_count"] += 1
+        cost = n * n - sum(s * s for s in block_sizes)
+        if cost < state["best_cost"]:
+            state["best_cost"] = cost
+            state["minimizers"] = [labels.copy()]
+        elif cost == state["best_cost"]:
+            state["minimizers"].append(labels.copy())
+
+    def dfs(i):
+        if i == n:
+            visit_leaf()
+            return
+        x = values[:, i]
+        m = mask[:, i]
+        for b in range(len(block_mins)):
+            new_min = np.where(m, np.minimum(block_mins[b], x), block_mins[b])
+            new_max = np.where(m, np.maximum(block_maxs[b], x), block_maxs[b])
+            if np.all(new_max - new_min <= epsilon):
+                old_min, old_max = block_mins[b], block_maxs[b]
+                block_mins[b], block_maxs[b] = new_min, new_max
+                block_sizes[b] += 1
+                labels[i] = b
+                dfs(i + 1)
+                block_mins[b], block_maxs[b] = old_min, old_max
+                block_sizes[b] -= 1
+        block_mins.append(np.where(m, x, np.inf))
+        block_maxs.append(np.where(m, x, -np.inf))
+        block_sizes.append(1)
+        labels[i] = len(block_mins) - 1
+        dfs(i + 1)
+        block_mins.pop()
+        block_maxs.pop()
+        block_sizes.pop()
+
+    dfs(0)
+    minimizers = [Partition(lab).canonical().labels.tolist() for lab in state["minimizers"]]
+    return state["best_cost"], state["feasible_count"], minimizers
+
+
+@st.composite
+def masked_grid_instances(draw):
+    """Up to 8 points and 5 features on a 0.25 grid, so that pairs often sit
+    exactly epsilon apart; unobserved entries hold NaN, and a feature may go
+    unobserved by every point."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.integers(1, 5))
+    steps = draw(st.lists(st.integers(-6, 6), min_size=p * n, max_size=p * n))
+    observed = draw(st.lists(st.booleans(), min_size=p * n, max_size=p * n))
+    mask = np.array(observed).reshape(p, n)
+    blank = draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    mask[np.array(blank)] = False
+    values = np.where(mask, 0.25 * np.array(steps, dtype=float).reshape(p, n), np.nan)
+    epsilon = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.3]))
+    return ObservedDataset(values, mask), epsilon
 
 
 class TestGroupFeasible:
@@ -90,6 +159,18 @@ class TestL0Solve:
         r2 = l0_solve(ObservedDataset.full(values[:, perm]), epsilon=1.0)
         assert r1.min_cost == r2.min_cost
         assert r1.feasible_partition_count == r2.feasible_partition_count
+
+    @settings(max_examples=80, deadline=None)
+    @given(masked_grid_instances())
+    def test_matches_reference_search(self, instance):
+        data, epsilon = instance
+        result = l0_solve(data, epsilon)
+        best_cost, feasible_count, minimizers = reference_l0_solve(data, epsilon)
+        assert result.min_cost == best_cost
+        assert result.feasible_partition_count == feasible_count
+        assert [m.labels.tolist() for m in result.minimizers] == minimizers
+        for m in result.minimizers:
+            assert m.labels.tolist() == m.canonical().labels.tolist()
 
     def test_feasible_count_is_bell_number_when_everything_merges(self):
         data = ObservedDataset.full(np.zeros((1, 5)))
