@@ -16,7 +16,6 @@ from .solver import (
     default_merge_tol,
     extract_clusters,
     mm_cluster,
-    pairwise_distances,
 )
 
 
@@ -90,9 +89,8 @@ def cluster_once(
         rho=rho,
     )
     centroids, trace = mm_cluster(data, config)
-    dists = pairwise_distances(centroids.U)
-    tol = default_merge_tol(centroids.U, dists) if merge_tol is None else merge_tol
-    partition = extract_clusters(centroids.U, tol, dists)
+    tol = default_merge_tol(centroids.U) if merge_tol is None else merge_tol
+    partition = extract_clusters(centroids.U, tol)
     return ClusterRun(
         centroids=centroids.U, partition=partition, trace=trace, merge_tol=tol, sigma=sigma
     )

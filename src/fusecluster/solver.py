@@ -19,7 +19,9 @@ triangle (Gram for h1, exact for the power penalty), evaluates ``phi`` and
 objective, writes the next weights into one N x N buffer that the solve
 reuses and records the pairs close enough to fuse.  One solve state,
 :class:`_Groups`, merges those pairs into quotient columns; h1 never fuses,
-so its solve stays on the points themselves.
+so its solve stays on the points themselves.  Cluster extraction
+(:func:`default_merge_tol`, :func:`extract_clusters`) walks the same row
+blocks (:func:`_row_blocks`), so no N x N distance matrix is ever held.
 
 The solver is deterministic: no randomness enters anywhere.
 """
@@ -164,8 +166,9 @@ def pairwise_distances(
 
     ``rows=(s, e)`` asks either path for one upper row block only: the
     distances from columns ``[s, e)`` to columns ``[s, N)``, whose leading
-    square is exactly symmetric with a zero diagonal.  The majorization pass
-    :func:`_majorize` takes the distances of both penalties this way.
+    square is exactly symmetric with a zero diagonal.  :func:`_row_blocks`
+    asks for every block this way, for the majorization pass and for
+    cluster extraction.
     """
     U = np.asarray(U, dtype=float)
     if accurate:
@@ -175,9 +178,20 @@ def pairwise_distances(
     return np.sqrt(d, out=d)
 
 
-# Byte budget of one B x N row block of _majorize: small enough that the
+# Byte budget of one B x N row block of _row_blocks: small enough that the
 # block's elementwise passes run in cache.
 _PASS_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(U, accurate=False):
+    """Yield ``((s, e), d)``: U's column distances from rows ``[s, e)`` to
+    columns ``[s, N)``, B rows at a time (B from ``_PASS_BLOCK_BYTES``)."""
+    U = np.ascontiguousarray(U, dtype=float)  # one BLAS path for every layout
+    n = U.shape[1]
+    step = max(1, _PASS_BLOCK_BYTES // max(8 * n, 1))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        yield (s, e), pairwise_distances(U, accurate, (s, e))
 
 
 def _majorize(U, penalty, W, counts=None, fuse_tol=0.0):
@@ -193,34 +207,24 @@ def _majorize(U, penalty, W, counts=None, fuse_tol=0.0):
     every column is one point.  The power penalty takes the exact distances,
     the Gaussian-saturating one the Gram distances.
 
-    Works on the upper triangle, B rows at a time (B from the fixed byte
-    budget ``_PASS_BLOCK_BYTES``): rows ``[s, e)`` take their distances to
-    columns ``[s, G)`` and evaluate ``phi`` and ``weight`` on them while the
-    block is in cache.  The block's own B x B square counts once in the
-    fusion sum and the part right of it twice; that part is mirrored,
-    transposed, into the lower triangle, so ``W`` is exactly symmetric.
-    When one block covers every row the pass is the whole-matrix chain,
-    with nothing mirrored.  Extra memory is O(P*G + budget).
+    One block of :func:`_row_blocks` at a time, ``phi`` and ``weight`` run
+    on the block's distances while they are in cache.  The block's own
+    square counts once in the fusion sum and the part right of it twice;
+    that part is mirrored, transposed, into the lower triangle, so ``W`` is
+    exactly symmetric.  Extra memory is O(P*G + budget).
     """
-    accurate = penalty.kind == LP
-    U = np.ascontiguousarray(U, dtype=float)  # one BLAS path for every layout
-    n = U.shape[1]
-    step = max(1, _PASS_BLOCK_BYTES // max(8 * n, 1))
     fusion = 0.0
     close = []
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        part, hits = _majorize_block(U, penalty, accurate, s, e, W, counts, fuse_tol)
+    for (s, e), d in _row_blocks(U, penalty.kind == LP):
+        part, hits = _majorize_block(d, penalty, s, e, W, counts, fuse_tol)
         fusion += part
         close.append(((s, e), hits))
     return fusion, close
 
 
-def _majorize_block(U, penalty, accurate, s, e, W, counts, fuse_tol):
-    """Rows ``[s, e)`` of :func:`_majorize`: returns their share of the
-    fusion sum and their close hits.  Its block-sized temporaries die when
-    it returns."""
-    d = pairwise_distances(U, accurate=accurate, rows=(s, e))
+def _majorize_block(d, penalty, s, e, W, counts, fuse_tol):
+    """Rows ``[s, e)`` of :func:`_majorize` at distances ``d``: their share of
+    the fusion sum and their close hits.  Block temporaries die on return."""
     mult = None if counts is None else np.outer(counts[s:e], counts[s:])
     pen = phi(d, penalty)
     if mult is not None:
@@ -328,6 +332,10 @@ def update_centroids(
     n = data.point_count
     if W.shape != (n, n):
         raise ValueError("W must be N x N")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("W must be finite")
+    if np.any(W < 0):
+        raise ValueError("W must be non-negative")
     if np.any(np.diag(W) != 0) or not np.allclose(W, W.T, rtol=0, atol=0):
         raise ValueError("W must be symmetric with zero diagonal")
 
@@ -469,10 +477,7 @@ class _Groups:
         """Union the groups of the close pairs; returns True when merged."""
         if not any(hits.size for _, hits in self.close):
             return False
-        close = np.zeros(self.W.shape, dtype=bool)
-        for (s, e), hits in self.close:
-            close[s:e, s:].flat[hits] = True
-        new_of_old = _components(close | close.T)
+        new_of_old = _close_labels(len(self.W), self.close)
         shape = (self.diag.shape[0], int(new_of_old.max()) + 1)
         cols = (slice(None), new_of_old)
         diag, rhs, v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
@@ -485,6 +490,7 @@ class _Groups:
         self.V = v / counts[None, :]
         self.counts = counts
         self.rep = new_of_old if self.rep is None else new_of_old[self.rep]
+        self.W = None  # release the old buffer before allocating the new one
         self.W = np.empty((shape[1], shape[1]))
         self.fusion()  # the merged columns' weights for the next solve
         return True
@@ -549,31 +555,38 @@ def mm_cluster(
     return CentroidSet(U=system.expanded()), trace
 
 
-def default_merge_tol(U: np.ndarray, dists: np.ndarray | None = None) -> float:
+def default_merge_tol(U: np.ndarray) -> float:
     """1e-3 times the largest pairwise centroid distance (1.0 if all
-    surrogates coincide).  ``dists`` may pass ``pairwise_distances(U)`` when
-    the caller already holds it."""
-    dmax = float((pairwise_distances(U) if dists is None else dists).max())
+    surrogates coincide)."""
+    dmax = max((float(d.max()) for _, d in _row_blocks(_finite(U))), default=0.0)
     return 1e-3 * dmax if dmax > 0 else 1.0
 
 
-def extract_clusters(
-    U: np.ndarray, merge_tol: float, dists: np.ndarray | None = None
-) -> Partition:
+def extract_clusters(U: np.ndarray, merge_tol: float) -> Partition:
     """Connected components of the graph linking surrogates within merge_tol.
 
     Chains merge transitively; labels follow first-occurrence order.
-    ``dists`` may pass ``pairwise_distances(U)`` when the caller already
-    holds it.
     """
     if not merge_tol > 0:
         raise ValueError("merge_tol must be positive")
+    U = _finite(U)
+    close = [(rows, np.flatnonzero(d <= merge_tol)) for rows, d in _row_blocks(U)]
+    return Partition(_close_labels(U.shape[1], close))
+
+
+def _finite(U):
     U = np.asarray(U, dtype=float)
     if not np.all(np.isfinite(U)):
         raise ValueError("U must be finite")
-    if dists is None:
-        dists = pairwise_distances(U)
-    return Partition(_components(dists <= merge_tol))
+    return U
+
+
+def _close_labels(n, close):
+    """Component labels of n columns joined by ``((s, e), hits)`` block records."""
+    adj = np.zeros((n, n), dtype=bool)
+    for (s, e), hits in close:
+        adj[s:e, s:].flat[hits] = True
+    return _components(adj | adj.T)
 
 
 def _components(adj: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """The benchmark under bench/ reaches into the package by name: its tracer
-replaces module attributes and expects every solve to call the solver names
-it traces and every bound check the oracle names, and its child process
-parses each workload's argv with the CLI parser to read ``--threads``.
-bench/selftest.py checks this but is not part of this suite, so these tests
-keep a package change from breaking the benchmark unnoticed.  The bench
-modules are loaded read-only."""
+replaces module attributes and expects every solve to call the solver and
+analysis names it traces and every bound check the oracle names, and its
+child process parses each workload's argv with the CLI parser to read
+``--threads``.  bench/selftest.py checks this but is not part of this suite,
+so these tests keep a package change from breaking the benchmark unnoticed.
+The bench modules are loaded read-only."""
 
 import importlib
 import importlib.util
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusecluster import cli, oracle, solver
+from fusecluster import analysis, cli, oracle, solver
 from fusecluster.datagen import gen_uniform_kappa
 from fusecluster.model import ObservedDataset
 from fusecluster.penalty import PenaltySpec
@@ -55,6 +55,43 @@ def test_every_traced_solver_name_is_called(penalty, monkeypatch):
         solver.mm_cluster(ObservedDataset.full(x), config)
     called = {span.name for span in recorder.spans}
     assert [p.span for p in patches if p.span not in called] == []
+
+
+def small_cluster_once(penalty_kind):
+    x = np.random.default_rng(0).normal(size=(3, 12))
+    x[:, :6] += 5.0
+    analysis.cluster_once(
+        ObservedDataset.full(x), lam=0.5, penalty_kind=penalty_kind, max_outer_iters=5
+    )
+
+
+def small_success_curve():
+    spec = analysis.SuccessCurveSpec(
+        p0_grid=(0.8,), M_grid=(3,), lambda_grid=(0.5,), trials=1, max_outer_iters=5
+    )
+    analysis.success_curve(lambda m, seed: gen_uniform_kappa(2, m, 6, 0.5, seed), spec)
+
+
+@pytest.mark.parametrize(
+    "workload, run",
+    [
+        ("cluster-h1", lambda: small_cluster_once("h1")),
+        ("cluster-lp", lambda: small_cluster_once("lp")),
+        ("grid-fig3a", small_success_curve),
+    ],
+    ids=["cluster-h1", "cluster-lp", "grid-fig3a"],
+)
+def test_every_traced_analysis_name_is_called(workload, run, monkeypatch):
+    # cluster_once and success_curve must call each fusecluster.analysis name
+    # the workload's layers are read from.
+    tracer = load_bench_module("tracer", monkeypatch)
+    patches = [p for p in tracer.PATCHES if p.namespace == "fusecluster.analysis"]
+    wanted = [p.span for p in patches if workload in p.workloads]
+    assert wanted
+    with tracer.installed(tracer.Tracer(), patches) as recorder:
+        run()
+    called = {span.name for span in recorder.spans}
+    assert [name for name in wanted if name not in called] == []
 
 
 def test_every_traced_oracle_name_is_called(monkeypatch):

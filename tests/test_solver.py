@@ -193,6 +193,9 @@ class TestUpdateCentroids:
         data = ObservedDataset.full(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="symmetric"):
             update_centroids(data, np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0, 0.0)
+        for w, problem in ((math.inf, "finite"), (math.nan, "finite"), (-1.0, "negative")):
+            with pytest.raises(ValueError, match=problem):
+                update_centroids(data, np.array([[0.0, w], [w, 0.0]]), 1.0, 0.0)
 
     def test_stationarity_residual(self):
         data, _ = random_instance(seed=3, K=2, M=5, P=6, p0=0.7)
@@ -375,6 +378,50 @@ class TestExtractClusters:
         u = np.array([[0.0, 2.0]])
         assert default_merge_tol(u) == pytest.approx(2e-3)
         assert default_merge_tol(np.zeros((2, 3))) == 1.0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                default_merge_tol(np.array([[0.0, bad, 1.0]]))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_row_blocks_match_the_whole_matrix(self, rows, rng, monkeypatch):
+        n = 23
+        u = 100.0 * rng.normal(size=(3, n))
+        cluster, chain = [0, 8, 15, 22], [5, 20, 3, 17, 10]
+        u[:, cluster] = u[:, :1] + 0.01 * rng.normal(size=(3, len(cluster)))
+        for step, i in enumerate(chain):  # links 0.5 apart, ends 2.0 apart
+            u[:, i] = u[:, 5] + [0.5 * step, 0.0, 0.0]
+        tol = 0.6
+        d = pairwise_distances(u)
+        monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(n, rows))
+        labels = extract_clusters(u, tol).labels
+        assert np.array_equal(labels, solver._components(d <= tol))
+        assert default_merge_tol(u) == pytest.approx(1e-3 * d.max(), rel=1e-12, abs=0)
+        # Both groups span several blocks and are the only ones.
+        assert all(len({i // rows for i in g}) > 1 for g in (cluster, chain))
+        assert len(set(labels[cluster])) == len(set(labels[chain])) == 1
+        assert labels.max() + 1 == n - (len(cluster) - 1) - (len(chain) - 1)
+
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [("h1", {"sigma": 2.0, "lam": 4.0}), ("lp", {"lam": 0.05})],
+        ids=["h1", "lp"],
+    )
+    def test_cluster_once_holds_one_n_by_n_array(self, kind, kwargs):
+        # Extraction walks the pass's row blocks, and a merge releases the
+        # point-level weights before it allocates the quotient's, so the
+        # solve's one weight buffer is the only N x N float array.
+        n = 1200
+        data, _ = random_instance(seed=5, K=3, M=n // 3, P=5, p0=0.6, scale=6.0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run = cluster_once(data, penalty_kind=kind, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if kind == "lp":
+            assert np.unique(run.centroids, axis=1).shape[1] < n  # it merged
+        assert peak < 1.6 * 8 * n * n
 
 
 class TestPairwiseDistances:
