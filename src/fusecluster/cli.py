@@ -130,6 +130,8 @@ def _reject_unread(flags, scope):
 def _check_flags(args):
     """Raise the usage errors that the parsed flags alone decide, before
     anything (``--out-dir`` included) is created."""
+    if args.seed < 0:  # numpy's seeding takes non-negative integers only
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.command == "cluster":
         penalty_flags = {"h1": {"--sigma": args.sigma}, "lp": {"--p": args.p, "--tau": args.tau}}
         for kind, flags in penalty_flags.items():

@@ -72,6 +72,10 @@ def gen_uniform_kappa(
     is over a deterministic one-parameter family; the returned geometry is
     measured, never the target.
     """
+    # One cluster has no gap, one point per cluster no spread (kappa = 0).
+    for name, value in (("K", K), ("M", M)):
+        if value < 2:
+            raise ValueError(f"{name} must be at least 2, got {value}")
     if not target_kappa > 0:
         raise ValueError("target_kappa must be positive")
     centers = block_centers(K, P, 1.0)

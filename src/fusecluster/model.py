@@ -102,11 +102,10 @@ class Partition:
 
     def canonical(self) -> "Partition":
         """Relabel clusters in order of first occurrence."""
-        mapping: dict[int, int] = {}
-        out = np.empty_like(self.labels)
-        for i, lab in enumerate(self.labels):
-            out[i] = mapping.setdefault(int(lab), len(mapping))
-        return Partition(out)
+        # Labels are 0..K-1, so label k's new value is the rank of its
+        # first index among the K first indices.
+        _, first = np.unique(self.labels, return_index=True)
+        return Partition(np.argsort(np.argsort(first))[self.labels])
 
     def same_clustering(self, other: "Partition") -> bool:
         """Equality as equivalence relations (up to label permutation)."""

@@ -17,11 +17,11 @@ row-blocked pass per iteration does all the N x N work for either
 triangle (Gram for h1, exact for the power penalty), evaluates ``phi`` and
 ``weight`` on them while they are in cache, adds the fusion sum of the
 objective, writes the next weights into one N x N buffer that the solve
-reuses and records the pairs close enough to fuse.  One solve state,
-:class:`_Groups`, merges those pairs into quotient columns; h1 never fuses,
-so its solve stays on the points themselves.  Cluster extraction
-(:func:`default_merge_tol`, :func:`extract_clusters`) walks the same row
-blocks (:func:`_row_blocks`), so no N x N distance matrix is ever held.
+reuses and keeps the row blocks of pairs close enough to fuse.  One solve
+state, :class:`_Groups`, merges those pairs into quotient columns; h1 never
+fuses.  Extraction (:func:`extract_clusters`) walks the same row blocks
+(:func:`_row_blocks`); both label ``(s, c)`` boolean blocks in vectorized
+hooking rounds (:func:`_components`), which hold no N x N array of any kind.
 
 The solver is deterministic: no randomness enters anywhere.
 """
@@ -184,14 +184,13 @@ _PASS_BLOCK_BYTES = 1 << 20
 
 
 def _row_blocks(U, accurate=False):
-    """Yield ``((s, e), d)``: U's column distances from rows ``[s, e)`` to
-    columns ``[s, N)``, B rows at a time (B from ``_PASS_BLOCK_BYTES``)."""
+    """Yield ``(s, d)``: U's column distances from rows ``[s, s + len(d))``
+    to columns ``[s, N)``, B rows at a time (B from ``_PASS_BLOCK_BYTES``)."""
     U = np.ascontiguousarray(U, dtype=float)  # one BLAS path for every layout
     n = U.shape[1]
     step = max(1, _PASS_BLOCK_BYTES // max(8 * n, 1))
     for s in range(0, n, step):
-        e = min(s + step, n)
-        yield (s, e), pairwise_distances(U, accurate, (s, e))
+        yield s, pairwise_distances(U, accurate, (s, min(s + step, n)))
 
 
 def _majorize(U, penalty, W, counts=None, fuse_tol=0.0):
@@ -199,10 +198,10 @@ def _majorize(U, penalty, W, counts=None, fuse_tol=0.0):
 
     Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)`` and the close
     pairs, and writes the weights ``c_i c_j w(d_ij)`` (zero diagonal) into
-    the G x G buffer ``W``.  The close pairs come as one ``((s, e), hits)``
-    per row block: ``hits`` are the flat indices, into the block's distances
-    from rows ``[s, e)`` to columns ``[s, G)``, of those below ``fuse_tol``,
-    the diagonal left out.
+    the G x G buffer ``W``.  The close pairs come as the ``(s, c)`` record
+    of :func:`_components`: ``c`` is a row block's ``d < fuse_tol`` with the
+    diagonal cleared, so ``c[r, k]`` links columns ``s + r`` and ``s + k``;
+    only blocks that hold a pair are kept, so an h1 pass keeps none.
     ``counts`` are the group sizes ``c`` of fused columns; ``None`` means
     every column is one point.  The power penalty takes the exact distances,
     the Gaussian-saturating one the Gram distances.
@@ -215,16 +214,18 @@ def _majorize(U, penalty, W, counts=None, fuse_tol=0.0):
     """
     fusion = 0.0
     close = []
-    for (s, e), d in _row_blocks(U, penalty.kind == LP):
-        part, hits = _majorize_block(d, penalty, s, e, W, counts, fuse_tol)
+    for s, d in _row_blocks(U, penalty.kind == LP):
+        part, c = _majorize_block(d, penalty, s, W, counts, fuse_tol)
         fusion += part
-        close.append(((s, e), hits))
+        if c.any():
+            close.append((s, c))
     return fusion, close
 
 
-def _majorize_block(d, penalty, s, e, W, counts, fuse_tol):
-    """Rows ``[s, e)`` of :func:`_majorize` at distances ``d``: their share of
-    the fusion sum and their close hits.  Block temporaries die on return."""
+def _majorize_block(d, penalty, s, W, counts, fuse_tol):
+    """Rows ``[s, s + len(d))`` of :func:`_majorize` at distances ``d``: their
+    share of the fusion sum and their close block; temporaries die here."""
+    e = s + len(d)
     mult = None if counts is None else np.outer(counts[s:e], counts[s:])
     pen = phi(d, penalty)
     if mult is not None:
@@ -240,7 +241,7 @@ def _majorize_block(d, penalty, s, e, W, counts, fuse_tol):
         W[e:, s:e] = w[:, e - s :].T
     close = d < fuse_tol
     np.fill_diagonal(close, False)  # a column is not its own close pair
-    return fusion, np.flatnonzero(close)
+    return fusion, close
 
 
 def _fuse_threshold(penalty: PenaltySpec, u0: np.ndarray) -> float:
@@ -475,9 +476,9 @@ class _Groups:
 
     def merge(self) -> bool:
         """Union the groups of the close pairs; returns True when merged."""
-        if not any(hits.size for _, hits in self.close):
+        if not self.close:
             return False
-        new_of_old = _close_labels(len(self.W), self.close)
+        new_of_old = _components(len(self.W), self.close)
         shape = (self.diag.shape[0], int(new_of_old.max()) + 1)
         cols = (slice(None), new_of_old)
         diag, rhs, v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
@@ -570,8 +571,8 @@ def extract_clusters(U: np.ndarray, merge_tol: float) -> Partition:
     if not merge_tol > 0:
         raise ValueError("merge_tol must be positive")
     U = _finite(U)
-    close = [(rows, np.flatnonzero(d <= merge_tol)) for rows, d in _row_blocks(U)]
-    return Partition(_close_labels(U.shape[1], close))
+    close = [(s, d <= merge_tol) for s, d in _row_blocks(U)]
+    return Partition(_components(U.shape[1], close))
 
 
 def _finite(U):
@@ -581,29 +582,22 @@ def _finite(U):
     return U
 
 
-def _close_labels(n, close):
-    """Component labels of n columns joined by ``((s, e), hits)`` block records."""
-    adj = np.zeros((n, n), dtype=bool)
-    for (s, e), hits in close:
-        adj[s:e, s:].flat[hits] = True
-    return _components(adj | adj.T)
-
-
-def _components(adj: np.ndarray) -> np.ndarray:
-    """Connected-component labels of a symmetric boolean adjacency matrix,
-    numbered in order of each component's first (lowest-index) member."""
-    n = adj.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = next_label
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(adj[i] & (labels < 0))[0]:
-                labels[j] = next_label
-                stack.append(j)
-        next_label += 1
-    return labels
+def _components(n, close):
+    """Component labels of n columns, numbered by each one's lowest member.
+    ``close`` holds ``(s, c)`` boolean row blocks; ``c[r, k]`` links columns
+    ``s + r`` and ``s + k``.  Each round hooks every root to the smallest
+    label next to its members and shortcuts every column to its root; roots
+    hook only to smaller roots, so once a round changes nothing each
+    component's label is its lowest member (Shiloach & Vishkin, 1982)."""
+    labels = np.arange(n)
+    while True:
+        parent = labels.copy()
+        for s, c in close:
+            rows, cols = labels[s : s + len(c)], labels[s:]
+            np.minimum.at(parent, rows, np.where(c, cols, n).min(axis=1))
+            np.minimum.at(parent, cols, np.where(c, rows[:, None], n).min(axis=0))
+        if np.array_equal(parent, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+        labels = parent

@@ -132,6 +132,38 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["theory"],
+            ["simulate", "--preset", "fig4-dataset1"],
+            ["cluster", "--input", "toy.csv", "--lambda", "2"],
+            ["wine", "--wine-csv", "wine.data"],
+            ["oracle-check"],
+            ["version"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        # numpy rejects negative seeds; the parser does so before any
+        # directory is created or any run starts.
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        assert run_in(tmp_path, argv + ["--seed", "-1", "--out-dir", "o"]) == 1
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle-check", "--K", "1"], "K must be at least 2, got 1"),
+            (["oracle-check", "--M", "1"], "M must be at least 2, got 1"),
+            (["simulate", "--preset", "fig3a", "--m-grid", "1"], "M must be at least 2, got 1"),
+        ],
+    )
+    def test_single_cluster_or_point_exits_two_naming_it(self, tmp_path, capsys, argv, message):
+        assert run_in(tmp_path, argv + ["--out-dir", "."]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["cluster", "--input", "toy.csv", "--lambda", "2", "--penalty", "lp", "--sigma", "1"],
             ["simulate", "--preset", "fig3a", "--p0", "0.5"],
             ["wine", "--p0-grid", "1.0"],

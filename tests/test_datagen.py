@@ -88,6 +88,13 @@ class TestGenUniformKappa:
         with pytest.raises(ValueError):
             gen_uniform_kappa(2, 4, 6, 0.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "K, M, name", [(1, 4, "K"), (0, 4, "K"), (2, 1, "M"), (3, 0, "M")]
+    )
+    def test_rejects_fewer_than_two_clusters_or_points(self, K, M, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 2"):
+            gen_uniform_kappa(K, M, 6, 0.5, seed=0)
+
     def test_unreachable_target_fails_to_bracket(self):
         # kappa saturates as the noise dominates the centers, so absurd
         # targets cannot be bracketed.

@@ -88,6 +88,14 @@ class TestPartition:
         p = Partition(np.array([2, 2, 0, 1])).canonical()
         assert p.labels.tolist() == [0, 0, 1, 2]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=30))
+    def test_canonical_matches_first_occurrence_loop(self, raw):
+        labels = np.unique(raw, return_inverse=True)[1]  # onto 0..K-1
+        mapping = {}  # reference: number labels as they first occur
+        want = [mapping.setdefault(lab, len(mapping)) for lab in labels.tolist()]
+        assert Partition(labels).canonical().labels.tolist() == want
+
     def test_same_clustering_up_to_permutation(self):
         a = Partition(np.array([0, 0, 1, 1]))
         b = Partition(np.array([1, 1, 0, 0]))

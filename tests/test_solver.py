@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import time
 import tracemalloc
 from unittest import mock
 
@@ -79,11 +80,20 @@ def pass_block_budget(n, rows):
 
 
 def majorize(u, penalty, fuse_tol=0.0):
-    """Row-blocked majorization pass on ``u``: (fusion sum, weights, close
-    hits per row block)."""
+    """Row-blocked majorization pass on ``u``: (fusion sum, weights, the
+    ``(s, c)`` blocks that hold a close pair)."""
     w = np.empty((u.shape[1],) * 2)
     fusion, close = solver._majorize(u, penalty, w, fuse_tol=fuse_tol)
     return fusion, w, close
+
+
+def upper_blocks(adj, rows):
+    """``adj``'s upper triangle as ``(s, c)`` row blocks of ``rows`` rows
+    (None: one block), the record that _components takes."""
+    n = adj.shape[0]
+    step = rows or n
+    upper = np.triu(adj)
+    return [(s, upper[s : s + step, s:]) for s in range(0, n, step)]
 
 
 def h1_and_lp(values):
@@ -394,7 +404,9 @@ class TestExtractClusters:
         d = pairwise_distances(u)
         monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(n, rows))
         labels = extract_clusters(u, tol).labels
-        assert np.array_equal(labels, solver._components(d <= tol))
+        adj = d <= tol
+        np.fill_diagonal(adj, False)
+        assert np.array_equal(labels, union_find_labels(adj))
         assert default_merge_tol(u) == pytest.approx(1e-3 * d.max(), rel=1e-12, abs=0)
         # Both groups span several blocks and are the only ones.
         assert all(len({i // rows for i in g}) > 1 for g in (cluster, chain))
@@ -553,7 +565,10 @@ class TestH1Pass:
         u[:, 5] = u[:, 4]
         penalty = self.PENALTIES[kind]
         exact = pairwise_distances(u, accurate=True)
-        fuse_tol = float(np.median(exact))
+        if kind == "lp":
+            fuse_tol = float(np.median(exact))
+        else:  # the run's threshold: 0, as h1 never fuses
+            fuse_tol = solver._fuse_threshold(penalty, u)
         blocks = []
 
         def recorded(U, accurate, rows):
@@ -570,13 +585,15 @@ class TestH1Pass:
         assert [r for r, _ in blocks] == [
             (s, min(s + (rows or n), n)) for s in range(0, n, rows or n)
         ]
-        if kind == "lp":
+        if kind == "h1":
+            assert close == []  # no pair is closer than 0
+        else:
             for (s, e), d in blocks:
                 assert np.array_equal(d, exact[s:e, s:])
             got = np.zeros((n, n), dtype=bool)
-            for (s, e), hits in close:
-                i, j = np.unravel_index(hits, (e - s, n - s))
-                got[i + s, j + s] = True
+            for s, c in close:
+                assert c.any()  # only blocks that hold a pair are kept
+                got[s : s + len(c), s:] = c
             want = exact < fuse_tol
             assert np.array_equal(np.triu(got, 1), np.triu(want, 1))
             assert not got.diagonal().any()
@@ -708,9 +725,10 @@ class TestComponents:
         n=st.integers(1, 40),
         density=st.sampled_from([0.0, 0.02, 0.1, 0.5]),
         chain=st.booleans(),
+        rows=st.sampled_from([1, 2, 3, 7, None]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_union_find(self, n, density, chain, seed):
+    def test_matches_union_find(self, n, density, chain, rows, seed):
         rng = np.random.default_rng(seed)
         adj = rng.random((n, n)) < density
         if chain:  # link a random ordering of the points end to end
@@ -718,7 +736,24 @@ class TestComponents:
             adj[order[:-1], order[1:]] = True
         adj |= adj.T
         np.fill_diagonal(adj, False)
-        assert np.array_equal(solver._components(adj), union_find_labels(adj))
+        labels = solver._components(n, upper_blocks(adj, rows))
+        assert np.array_equal(labels, union_find_labels(adj))
+
+    def test_long_chain_in_random_order_within_budget(self, rng):
+        # Plain min-label propagation can need one round per link of a
+        # chain; hooking roots needs a few rounds however it is numbered.
+        n = 1500
+        order = rng.permutation(n)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[order[:-1], order[1:]] = True
+        adj |= adj.T
+        close = upper_blocks(adj, solver._PASS_BLOCK_BYTES // (8 * n))
+        start = time.perf_counter()
+        labels = solver._components(n, close)
+        elapsed = time.perf_counter() - start
+        assert labels.max() == 0
+        assert np.array_equal(labels, union_find_labels(adj))
+        assert elapsed < 1.0
 
 
 class TestBitIdentity:
