@@ -63,7 +63,6 @@ def cluster_once(
     penalty_kind: str = H1,
     sigma: float | None = None,
     lp_p: float = 0.5,
-    tau: float = 1e-9,
     merge_tol: float | None = None,
     max_outer_iters: int = 200,
     objective_rel_tol: float = 1e-8,
@@ -71,14 +70,14 @@ def cluster_once(
 ) -> ClusterRun:
     """Convenience wrapper: build the penalty (defaulting sigma from the
     observed data), run the solver, and extract a partition.  ``sigma``
-    applies to h1 only, ``lp_p`` and ``tau`` to lp only.  An unknown
+    applies to h1 only, ``lp_p`` to lp only.  An unknown
     ``penalty_kind`` raises ValueError."""
     if penalty_kind == H1:
         sigma = default_h1_sigma(data) if sigma is None else sigma
         penalty = PenaltySpec.h1(sigma)
     elif penalty_kind == LP:
         sigma = None
-        penalty = PenaltySpec.lp(lp_p, tau)
+        penalty = PenaltySpec.lp(lp_p)
     else:
         raise ValueError(f"unknown penalty kind: {penalty_kind!r}")
     config = SolverConfig(

@@ -133,7 +133,7 @@ def _check_flags(args):
     if args.seed < 0:  # numpy's seeding takes non-negative integers only
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.command == "cluster":
-        penalty_flags = {"h1": {"--sigma": args.sigma}, "lp": {"--p": args.p, "--tau": args.tau}}
+        penalty_flags = {"h1": {"--sigma": args.sigma}, "lp": {"--p": args.p}}
         for kind, flags in penalty_flags.items():
             if kind != args.penalty:
                 _reject_unread(flags, f"--penalty {kind}")
@@ -199,7 +199,6 @@ def build_parser() -> _Parser:
     p_cluster.add_argument("--penalty", choices=("h1", "lp"), default="h1")
     p_cluster.add_argument("--sigma", type=float, default=None)
     p_cluster.add_argument("--p", type=float, default=None)
-    p_cluster.add_argument("--tau", type=float, default=None)
     p_cluster.add_argument("--merge-tol", type=float, default=None)
     p_cluster.add_argument("--rho", type=float, default=1e-8)
     p_cluster.add_argument("--max-iters", type=int, default=200)
@@ -403,7 +402,7 @@ def _write_solve(paths, run, truth, header):
 
 def _run_cluster(args, argv):
     data, truth = read_points_csv(args.input, labeled=args.labeled == "true")
-    given = {"sigma": args.sigma, "lp_p": args.p, "tau": args.tau}
+    given = {"sigma": args.sigma, "lp_p": args.p}
     run = cluster_once(
         data,
         lam=args.lam,

@@ -194,6 +194,8 @@ def wine_prepare(raw_csv_path, m_per_class: int = 40) -> tuple[ObservedDataset, 
     Features are z-scored over all 178 points before trimming; distances are
     taken in the standardized space, ties broken by original row order.
     """
+    if m_per_class < 1:
+        raise ValueError(f"m_per_class must be at least 1, got {m_per_class}")
     labels, features = load_wine_csv(raw_csv_path)
     counts = np.bincount(labels)
     if m_per_class > counts.min():

@@ -275,11 +275,9 @@ def estimate_geometry(data: ObservedDataset, truth: Partition) -> ClusterGeometr
     p_dim = data.feature_count
     labels = truth.labels
     same = labels[:, None] == labels[None, :]
-    off_diag = ~np.eye(data.point_count, dtype=bool)
 
     linf = _pairwise_reduce(values, np.abs, np.maximum)
-    intra = same & off_diag
-    epsilon = float(linf[intra].max()) if intra.any() else 0.0
+    epsilon = float(linf[same].max())  # the zero diagonal: 0 for singletons
 
     inter = ~same
     if not inter.any():
@@ -293,9 +291,9 @@ def estimate_geometry(data: ObservedDataset, truth: Partition) -> ClusterGeometr
         raise ValueError("coincident points in different clusters (delta = 0)")
 
     # mu = P * linf^2 / l2^2 per inter-cluster difference; delta > 0 rules
-    # out the zero-difference case.  Clamp rounding spill back into [1, P].
-    ii, jj = np.nonzero(np.triu(inter))
-    mu0 = float(np.max(p_dim * linf[ii, jj] ** 2 / sq[ii, jj]))
+    # out the zero-difference case (both kernels are exactly symmetric).
+    # Clamp rounding spill back into [1, P].
+    mu0 = float(np.max(p_dim * linf[inter] ** 2 / sq[inter]))
     mu0 = min(max(mu0, 1.0), float(p_dim))
     kappa = epsilon * math.sqrt(p_dim) / delta
     return ClusterGeometry(delta=delta, epsilon=epsilon, mu0=mu0, kappa=kappa, P=p_dim)

@@ -20,35 +20,32 @@ LP = "lp"
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty family plus its parameters.
+    """Penalty family plus its one parameter.
 
-    ``kind`` is ``"h1"`` (requires ``sigma > 0``) or ``"lp"`` (requires
-    ``0 < p <= 1``).  ``tau`` is the smoothing floor applied to the weight of
-    the power penalty only; ``phi`` itself is never modified.
+    ``kind`` is ``"h1"`` (requires ``sigma > 0``, rejects ``p``) or ``"lp"``
+    (requires ``0 < p <= 1``, rejects ``sigma``).  The power weight's one
+    floor is the solver's run-level fuse threshold, not a penalty parameter.
     """
 
     kind: str
-    sigma: float = 1.0
-    p: float = 0.5
-    tau: float = 1e-9
+    sigma: float | None = None
+    p: float | None = None
 
     def __post_init__(self):
         if self.kind not in (H1, LP):
             raise ValueError(f"unknown penalty kind: {self.kind!r}")
-        if self.kind == H1 and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if self.kind == LP and not (0.0 < self.p <= 1.0):
-            raise ValueError("p must lie in (0, 1]")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if self.kind == H1 and not (self.p is None and (self.sigma or 0.0) > 0):
+            raise ValueError(f"h1 takes sigma > 0 and no p (sigma={self.sigma}, p={self.p})")
+        if self.kind == LP and not (self.sigma is None and 0.0 < (self.p or 0.0) <= 1.0):
+            raise ValueError(f"lp takes 0 < p <= 1 and no sigma (p={self.p}, sigma={self.sigma})")
 
     @staticmethod
     def h1(sigma: float) -> "PenaltySpec":
         return PenaltySpec(kind=H1, sigma=sigma)
 
     @staticmethod
-    def lp(p: float, tau: float = 1e-9) -> "PenaltySpec":
-        return PenaltySpec(kind=LP, p=p, tau=tau)
+    def lp(p: float) -> "PenaltySpec":
+        return PenaltySpec(kind=LP, p=p)
 
 
 def phi(x, spec: PenaltySpec):
@@ -65,14 +62,14 @@ def weight(x, spec: PenaltySpec):
     """Majorizer curvature w(x) = phi'(x) / (2x) at distance(s) x.
 
     The Gaussian-saturating weight extends continuously to x = 0; the power
-    weight diverges there and is floored at tau.
+    weight diverges there, and the solver floors x at its fuse threshold.
     """
     x = np.asarray(x, dtype=float)
     if spec.kind == H1:
         s2 = spec.sigma**2
         out = np.exp(-(x * x) / (2.0 * s2)) / (2.0 * s2)
     else:
-        out = spec.p / (2.0 * np.maximum(x, spec.tau) ** (2.0 - spec.p))
+        out = spec.p / (2.0 * x ** (2.0 - spec.p))
     return out if out.ndim else float(out)
 
 

@@ -193,7 +193,7 @@ def _row_blocks(U, accurate=False):
         yield s, pairwise_distances(U, accurate, (s, min(s + step, n)))
 
 
-def _majorize(U, penalty, W, counts=None, fuse_tol=0.0):
+def _majorize(U, penalty, W, fuse_tol, counts=None):
     """Majorization at U in one row-blocked pass.
 
     Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)`` and the close
@@ -204,7 +204,8 @@ def _majorize(U, penalty, W, counts=None, fuse_tol=0.0):
     only blocks that hold a pair are kept, so an h1 pass keeps none.
     ``counts`` are the group sizes ``c`` of fused columns; ``None`` means
     every column is one point.  The power penalty takes the exact distances,
-    the Gaussian-saturating one the Gram distances.
+    the Gaussian-saturating one the Gram distances.  A power weight is taken
+    at ``max(d_ij, fuse_tol)``, read after ``phi`` and the close pairs.
 
     One block of :func:`_row_blocks` at a time, ``phi`` and ``weight`` run
     on the block's distances while they are in cache.  The block's own
@@ -215,14 +216,14 @@ def _majorize(U, penalty, W, counts=None, fuse_tol=0.0):
     fusion = 0.0
     close = []
     for s, d in _row_blocks(U, penalty.kind == LP):
-        part, c = _majorize_block(d, penalty, s, W, counts, fuse_tol)
+        part, c = _majorize_block(d, penalty, s, W, fuse_tol, counts)
         fusion += part
         if c.any():
             close.append((s, c))
     return fusion, close
 
 
-def _majorize_block(d, penalty, s, W, counts, fuse_tol):
+def _majorize_block(d, penalty, s, W, fuse_tol, counts):
     """Rows ``[s, s + len(d))`` of :func:`_majorize` at distances ``d``: their
     share of the fusion sum and their close block; temporaries die here."""
     e = s + len(d)
@@ -232,6 +233,10 @@ def _majorize_block(d, penalty, s, W, counts, fuse_tol):
         pen *= mult
     fusion = float(pen[:, : e - s].sum()) + 2.0 * float(pen[:, e - s :].sum())
     del pen
+    close = d < fuse_tol
+    np.fill_diagonal(close, False)  # a column is not its own close pair
+    if fuse_tol > 0:  # lp only (h1's is 0): the power weight's one floor
+        np.maximum(d, fuse_tol, out=d)
     w = weight(d, penalty)
     if mult is not None:
         w *= mult
@@ -239,25 +244,23 @@ def _majorize_block(d, penalty, s, W, counts, fuse_tol):
     W[s:e, s:] = w
     if e < len(W):
         W[e:, s:e] = w[:, e - s :].T
-    close = d < fuse_tol
-    np.fill_diagonal(close, False)  # a column is not its own close pair
     return fusion, close
 
 
 def _fuse_threshold(penalty: PenaltySpec, u0: np.ndarray) -> float:
-    """Run-level coalescence threshold: 0 (never fuse) for h1, whose weights
-    stay bounded.
+    """Run-level coalescence threshold ``32 sqrt(eps) max_i ||u0_i||``, the
+    power penalty's one closeness scale (1.0 if every column is zero); 0
+    (never fuse) for h1, whose weights stay bounded.
 
-    Power-penalty pairs that dip below it are treated as permanently fused
-    by the iteration: the floored weight is so stiff that they cannot
-    separate again, while near the threshold the penalty slope would amplify
-    solve-level jitter into non-monotone objective noise.  The threshold is
-    fixed up front (from the initial scale) so the bookkeeping is sticky.
+    Pairs that dip below it are fused at the next merge, and until then get
+    the threshold's weight, the power weight's one floor: near it the
+    penalty slope would amplify solve-level jitter into non-monotone
+    objective noise.  Fixed from the initial scale, it scales with the data.
     """
     if penalty.kind != LP:
         return 0.0
     col_scale = float(np.max(np.linalg.norm(u0, axis=0), initial=0.0))
-    return max(penalty.tau, 32.0 * math.sqrt(np.finfo(float).eps) * col_scale)
+    return 32.0 * math.sqrt(np.finfo(float).eps) * col_scale if col_scale > 0 else 1.0
 
 
 def observed_feature_means(data: ObservedDataset) -> np.ndarray:
@@ -277,7 +280,7 @@ def objective(
 ) -> float:
     """True (non-surrogate) objective value at U."""
     U = np.asarray(U, dtype=float)
-    fusion, _ = _majorize(U, penalty, np.empty((U.shape[1],) * 2))
+    fusion, _ = _majorize(U, penalty, np.empty((U.shape[1],) * 2), _fuse_threshold(penalty, U))
     resid = np.where(data.mask, U - data.values, 0.0)
     return float(np.sum(resid * resid)) + lam * fusion
 
@@ -301,11 +304,12 @@ def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
     """Majorizer weights w_ij = w(||u_i - u_j||) with a zero diagonal.
 
     They come from the row-blocked pass :func:`_majorize`, the one the solve
-    and :func:`objective` use, so they match a solve's weights bitwise.
+    and :func:`objective` use, floored at U's own fuse threshold, so they
+    stay finite on coincident columns.
     """
     U = np.asarray(U, dtype=float)
     W = np.empty((U.shape[1],) * 2)
-    _majorize(U, penalty, W)
+    _majorize(U, penalty, W, _fuse_threshold(penalty, U))
     return W
 
 
@@ -470,7 +474,7 @@ class _Groups:
     def fusion(self) -> float:
         counts = None if self.rep is None else self.counts
         fusion, self.close = _majorize(
-            self.V, self.penalty, self.W, counts, self.fuse_tol
+            self.V, self.penalty, self.W, self.fuse_tol, counts
         )
         return fusion
 
@@ -542,7 +546,7 @@ def mm_cluster(
         objectives.append(f_new)
         if f_new > f + 1e-10 * max(abs(f), 1.0):
             raise MajorizationError(iterations, f, f_new)
-        stop = abs(f_new - f) <= config.objective_rel_tol * max(abs(f), 1e-12)
+        stop = abs(f_new - f) <= config.objective_rel_tol * abs(f)
         f = f_new
         if system.merge():
             stop = False  # topology changed; give the quotient a pass

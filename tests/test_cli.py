@@ -255,7 +255,7 @@ class TestClusterCommand:
             tmp_path,
             [
                 "cluster", "--input", "toy.csv", "--lambda", "0.2",
-                "--penalty", "lp", "--p", "0.5", "--tau", "1e-9",
+                "--penalty", "lp", "--p", "0.5",
             ],
         )
         assert code == 0
@@ -268,29 +268,15 @@ class TestClusterCommand:
         assert labels[0] == labels[1] and labels[2] == labels[3]
         assert labels[0] != labels[2]
 
-    @pytest.mark.parametrize("tau", ["0", "5"])
-    def test_tau_with_h1_is_usage_error(self, tmp_path, capsys, tau):
+    def test_tau_flag_is_gone(self, tmp_path, capsys):
         (tmp_path / "toy.csv").write_text("0.0,0.0\n0.1,0.0\n9.0,9.0\n9.1,9.0\n")
         argv = [
-            "cluster", "--input", "toy.csv", "--lambda", "2.0",
-            "--penalty", "h1", "--sigma", "0.3", "--tau", tau,
+            "cluster", "--input", "toy.csv", "--lambda", "0.2",
+            "--penalty", "lp", "--tau", "1e-9",
         ]
         assert run_in(tmp_path, argv) == 1
-        assert "--tau applies to --penalty lp only" in capsys.readouterr().err
+        assert "unrecognized arguments: --tau" in capsys.readouterr().err
         assert not (tmp_path / "labels.csv").exists()
-
-    def test_lp_tau_defaults_to_the_penalty_floor(self, tmp_path):
-        (tmp_path / "toy.csv").write_text("0.0,0.0\n0.1,0.0\n9.0,9.0\n9.1,9.0\n")
-        argv = ["cluster", "--input", "toy.csv", "--lambda", "0.2", "--penalty", "lp"]
-        bodies = []
-        for extra, out in (([], "default"), (["--tau", "1e-9"], "given")):
-            assert run_in(tmp_path, argv + extra + ["--out-dir", out]) == 0
-            bodies.append([
-                [line for line in (tmp_path / out / name).read_text().splitlines()
-                 if not line.startswith("#")]
-                for name in ("labels.csv", "centroids.csv", "trace.csv")
-            ])
-        assert bodies[0] == bodies[1]
 
 
 class TestConfigFile:
@@ -444,6 +430,12 @@ class TestWineCommand:
         lines = (tmp_path / "wine_summary.csv").read_text().splitlines()
         assert lines[3] == "p0,best_lambda,ari,clusters"
         assert len(lines) == 4 + 1
+
+    def test_m_per_class_below_one_exits_two_naming_it(self, tmp_path, capsys, synthetic_wine):
+        path, _, _ = synthetic_wine()
+        argv = ["wine", "--wine-csv", path, "--m-per-class", "-5", "--out-dir", "."]
+        assert run_in(tmp_path, argv) == 2
+        assert "m_per_class must be at least 1, got -5" in capsys.readouterr().err
 
     def test_missing_wine_path_is_usage_error(self, tmp_path):
         env_backup = os.environ.pop("FUSECLUSTER_DATA_DIR", None)

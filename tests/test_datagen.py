@@ -243,6 +243,12 @@ class TestWineSynthetic:
         tied = np.nonzero(labels == 3)[0]
         np.testing.assert_array_equal(data.values[:, 80:], features[tied[:40]].T)
 
+    @pytest.mark.parametrize("m", [-5, 0])
+    def test_m_per_class_below_one_rejected(self, synthetic_wine, m):
+        path, _, _ = synthetic_wine()
+        with pytest.raises(ValueError, match=f"m_per_class must be at least 1, got {m}$"):
+            wine_prepare(path, m_per_class=m)
+
     def test_checksum_warning(self, synthetic_wine):
         path, _, _ = synthetic_wine()
         with pytest.warns(UserWarning, match="checksum"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fusecluster.model import ObservedDataset
 from fusecluster.penalty import PenaltySpec, default_h1_sigma, phi, surrogate, weight
+from fusecluster.solver import _fuse_threshold, update_weights
 
 H1_UNIT = PenaltySpec.h1(1.0)
 LP_HALF = PenaltySpec.lp(0.5)
@@ -39,8 +40,15 @@ class TestWeight:
         assert weight(5.0, PenaltySpec.lp(1.0)) == pytest.approx(0.1, rel=1e-15)
 
     def test_lp_floor_bounds_weight(self):
-        spec = PenaltySpec.lp(0.5, tau=1e-6)
-        assert weight(0.0, spec) == weight(1e-9, spec) == weight(1e-6, spec)
+        # The one floor is the fuse threshold: coincident columns get its
+        # weight, finite and the same for every coincident pair.
+        col = np.array([[0.3], [-0.7]])
+        u = np.hstack([col, col, col + 1.0])
+        w = update_weights(u, LP_HALF)
+        floor = weight(_fuse_threshold(LP_HALF, u), LP_HALF)
+        assert np.isfinite(floor) and floor > 0
+        assert w[0, 1] == w[1, 0] == floor
+        assert w[0, 2] == weight(np.sqrt(2.0), LP_HALF) < floor
 
     @given(st.floats(min_value=0, max_value=50), st.floats(min_value=0, max_value=50))
     def test_non_increasing_in_distance(self, a, b):
@@ -104,9 +112,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PenaltySpec.lp(0.0)
 
-    def test_tau_positive(self):
-        with pytest.raises(ValueError):
-            PenaltySpec.lp(0.5, tau=0.0)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kind": "lp", "p": 0.5, "sigma": -5.0}, "lp takes 0 < p <= 1 and no sigma"),
+            ({"kind": "lp", "p": 0.5, "sigma": 1.0}, "lp takes 0 < p <= 1 and no sigma"),
+            ({"kind": "h1", "sigma": 1.0, "p": 7.0}, "h1 takes sigma > 0 and no p"),
+            ({"kind": "h1", "sigma": 1.0, "p": 0.5}, "h1 takes sigma > 0 and no p"),
+            ({"kind": "h1"}, "h1 takes sigma > 0"),
+            ({"kind": "lp"}, "lp takes 0 < p <= 1"),
+        ],
+        ids=["lp-bad-sigma", "lp-sigma", "h1-bad-p", "h1-p", "h1-no-sigma", "lp-no-p"],
+    )
+    def test_one_parameter_of_its_own_kind(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PenaltySpec(**kwargs)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -79,9 +79,12 @@ def pass_block_budget(n, rows):
     return 8 * n * rows
 
 
-def majorize(u, penalty, fuse_tol=0.0):
-    """Row-blocked majorization pass on ``u``: (fusion sum, weights, the
-    ``(s, c)`` blocks that hold a close pair)."""
+def majorize(u, penalty, fuse_tol=None):
+    """Row-blocked majorization pass on ``u`` at ``fuse_tol`` (default: u's
+    own run threshold): (fusion sum, weights, the ``(s, c)`` blocks that
+    hold a close pair)."""
+    if fuse_tol is None:
+        fuse_tol = solver._fuse_threshold(penalty, u)
     w = np.empty((u.shape[1],) * 2)
     fusion, close = solver._majorize(u, penalty, w, fuse_tol=fuse_tol)
     return fusion, w, close
@@ -543,11 +546,12 @@ class TestH1Pass:
 
     PENALTIES = {"h1": PenaltySpec.h1(1.5), "lp": PenaltySpec.lp(0.5)}
 
-    def check_against_reference(self, u, penalty, fusion, w):
+    def check_against_reference(self, u, penalty, fusion, w, fuse_tol):
         assert np.array_equal(w, w.T)
         assert not np.diagonal(w).any()
         d = pairwise_distances(u, accurate=penalty.kind == "lp")
-        want_w = weight(d, penalty)
+        # the power weight's one floor is the pass's fuse threshold
+        want_w = weight(np.maximum(d, fuse_tol), penalty)
         np.fill_diagonal(want_w, 0.0)
         pen = phi(d, penalty)
         np.fill_diagonal(pen, 0.0)
@@ -571,9 +575,10 @@ class TestH1Pass:
             fuse_tol = solver._fuse_threshold(penalty, u)
         blocks = []
 
-        def recorded(U, accurate, rows):
-            blocks.append((rows, pairwise_distances(U, accurate, rows)))
-            return blocks[-1][1]
+        def recorded(U, accurate, rows):  # a copy: the lp pass floors d in place
+            d = pairwise_distances(U, accurate, rows)
+            blocks.append((rows, d.copy()))
+            return d
 
         budget = solver._PASS_BLOCK_BYTES if rows is None else pass_block_budget(n, rows)
         assert rows is not None or budget >= 8 * n * n  # one block covers all
@@ -581,7 +586,7 @@ class TestH1Pass:
             solver, "pairwise_distances", recorded
         ):
             fusion, w, close = majorize(u, penalty, fuse_tol)
-        self.check_against_reference(u, penalty, fusion, w)
+        self.check_against_reference(u, penalty, fusion, w, fuse_tol)
         assert [r for r, _ in blocks] == [
             (s, min(s + (rows or n), n)) for s in range(0, n, rows or n)
         ]
@@ -604,7 +609,7 @@ class TestH1Pass:
             fusion, w, _ = majorize(u, penalty)
             d = pairwise_distances(u, accurate=penalty.kind == "lp")
             pen = phi(d, penalty)
-            want_w = weight(d, penalty)
+            want_w = weight(np.maximum(d, solver._fuse_threshold(penalty, u)), penalty)
             np.fill_diagonal(want_w, 0.0)
             assert fusion == pen.sum()
             assert np.array_equal(w, want_w)
@@ -623,7 +628,9 @@ class TestH1Pass:
             dense_fusion, dense_w, _ = majorize(np.ascontiguousarray(u), penalty)
         assert fusion == dense_fusion
         assert np.array_equal(w, dense_w)
-        self.check_against_reference(u, penalty, fusion, w)
+        self.check_against_reference(
+            u, penalty, fusion, w, solver._fuse_threshold(penalty, u)
+        )
 
     def test_multi_block_solve_matches_single_block(self, monkeypatch):
         data, truth = random_instance(seed=3, K=3, M=20, P=50, p0=0.6, scale=6.0)
@@ -686,6 +693,30 @@ class TestMajorizationError:
         assert (copy.iteration, copy.previous, copy.current, str(copy)) == (
             e.iteration, e.previous, e.current, str(e)
         )
+
+
+class TestScaleEquivariance:
+    """Scaling the data by c, sigma by c and lambda by c^(2-p) (h1: c^2)
+    scales the minimizers by c, so a run must give the partition and the
+    iteration count of c = 1.  The input: three clusters of 20 standard
+    Gaussians in P = 5, centred 6 apart on every coordinate."""
+
+    @staticmethod
+    def run(kind, c):
+        centers = np.repeat(6.0 * np.arange(3)[:, None], 5, axis=1)
+        spec = SyntheticSpec(K=3, M=20, P=5, centers=centers, variance=1.0, seed=0)
+        data = ObservedDataset.full(generate(spec)[0].values * c)
+        if kind == "h1":
+            return cluster_once(data, lam=64.0 * c**2, sigma=2.0 * c)
+        return cluster_once(data, lam=c**1.5, penalty_kind="lp", lp_p=0.5)
+
+    @pytest.mark.parametrize("c", [1e-100, 1e-20, 1.0, 1e20])
+    @pytest.mark.parametrize("kind", ["h1", "lp"])
+    def test_partition_and_iterations_match_unit_scale(self, kind, c):
+        unit, scaled = self.run(kind, 1.0), self.run(kind, c)
+        assert unit.partition.cluster_count == 3
+        assert np.array_equal(scaled.partition.labels, unit.partition.labels)
+        assert scaled.trace.iterations == unit.trace.iterations
 
 
 class TestSolverConfig:
