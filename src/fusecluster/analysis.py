@@ -9,7 +9,7 @@ import numpy as np
 
 from .datagen import MaskSpec, apply_mask
 from .model import ClusterGeometry, ObservedDataset, Partition
-from .penalty import H1, LP, PenaltySpec, default_h1_sigma
+from .penalty import PenaltySpec, default_h1_sigma
 from .solver import (
     SolverConfig,
     SolveTrace,
@@ -48,50 +48,32 @@ def adjusted_rand_index(a: Partition, b: Partition) -> float:
 class ClusterRun:
     """One solve + extraction, with everything needed to score or plot it:
     ``centroids`` is the converged P x N surrogate matrix U, ``trace`` the
-    solver's SolveTrace, ``sigma`` the h1 bandwidth (None for lp)."""
+    solver's SolveTrace, ``penalty`` the :class:`PenaltySpec` it ran with."""
 
     centroids: np.ndarray
     partition: Partition
     trace: SolveTrace
     merge_tol: float
-    sigma: float | None
+    penalty: PenaltySpec
 
 
 def cluster_once(
     data: ObservedDataset,
     lam: float,
-    penalty_kind: str = H1,
-    sigma: float | None = None,
-    lp_p: float = 0.5,
+    penalty: PenaltySpec | None = None,
     merge_tol: float | None = None,
-    max_outer_iters: int = 200,
-    objective_rel_tol: float = 1e-8,
-    rho: float = 1e-8,
+    **settings,
 ) -> ClusterRun:
-    """Convenience wrapper: build the penalty (defaulting sigma from the
-    observed data), run the solver, and extract a partition.  ``sigma``
-    applies to h1 only, ``lp_p`` to lp only.  An unknown
-    ``penalty_kind`` raises ValueError."""
-    if penalty_kind == H1:
-        sigma = default_h1_sigma(data) if sigma is None else sigma
-        penalty = PenaltySpec.h1(sigma)
-    elif penalty_kind == LP:
-        sigma = None
-        penalty = PenaltySpec.lp(lp_p)
-    else:
-        raise ValueError(f"unknown penalty kind: {penalty_kind!r}")
-    config = SolverConfig(
-        lam=lam,
-        penalty=penalty,
-        max_outer_iters=max_outer_iters,
-        objective_rel_tol=objective_rel_tol,
-        rho=rho,
-    )
-    centroids, trace = mm_cluster(data, config)
+    """Solve with the :class:`PenaltySpec` ``penalty`` and extract a
+    partition.  ``None`` means h1 at ``default_h1_sigma(data)``;
+    ``settings`` are the remaining :class:`SolverConfig` fields."""
+    if penalty is None:
+        penalty = PenaltySpec.h1(default_h1_sigma(data))
+    centroids, trace = mm_cluster(data, SolverConfig(lam=lam, penalty=penalty, **settings))
     tol = default_merge_tol(centroids.U) if merge_tol is None else merge_tol
     partition = extract_clusters(centroids.U, tol)
     return ClusterRun(
-        centroids=centroids.U, partition=partition, trace=trace, merge_tol=tol, sigma=sigma
+        centroids=centroids.U, partition=partition, trace=trace, merge_tol=tol, penalty=penalty
     )
 
 
@@ -101,7 +83,9 @@ class SuccessCurveSpec:
 
     ``generator(M, seed)`` must return a fully observed instance as
     ``(data, truth, geometry)``.  Per trial, success at a given p0 means some
-    lambda on the grid recovers the truth exactly.
+    lambda on the grid recovers the truth exactly.  ``penalty`` is the
+    :class:`PenaltySpec` of every solve (``None``: h1 at each masked
+    instance's ``default_h1_sigma``).
     """
 
     p0_grid: tuple[float, ...]
@@ -109,7 +93,7 @@ class SuccessCurveSpec:
     lambda_grid: tuple[float, ...]
     trials: int = 20
     base_seed: int = 0
-    sigma: float | None = None
+    penalty: PenaltySpec | None = None
     max_outer_iters: int = 150
     objective_rel_tol: float = 1e-10
 
@@ -152,7 +136,7 @@ def success_curve(
                 run = cluster_once(
                     masked,
                     lam=lam,
-                    sigma=spec.sigma,
+                    penalty=spec.penalty,
                     max_outer_iters=spec.max_outer_iters,
                     objective_rel_tol=spec.objective_rel_tol,
                 )

@@ -36,6 +36,7 @@ from .datagen import (
 from .dataio import read_points_csv, write_points_csv, write_table_csv
 from .model import ObservedDataset
 from .oracle import monte_carlo_bound_check
+from .penalty import PenaltySpec
 from .theory import guarantee_curve
 
 # Experiment presets: each encodes the parameters of one reproducible study.
@@ -317,7 +318,7 @@ def _run_theory(args, argv):
 
 def _run_simulate(args, argv):
     preset = SIMULATE_PRESETS[args.preset]
-    sigma = args.sigma if args.sigma is not None else preset["sigma"]
+    penalty = PenaltySpec.h1(args.sigma if args.sigma is not None else preset["sigma"])
     header = _header_lines(argv, args.seed)
     if preset["kind"] == "success-grid":
         spec = SuccessCurveSpec(
@@ -326,7 +327,7 @@ def _run_simulate(args, argv):
             lambda_grid=parse_grid(args.lambda_grid or preset["lambda_grid"]),
             trials=args.trials if args.trials is not None else preset["trials"],
             base_seed=args.seed,
-            sigma=sigma,
+            penalty=penalty,
             max_outer_iters=args.max_iters,
             objective_rel_tol=args.tol,
         )
@@ -360,7 +361,7 @@ def _run_simulate(args, argv):
     run = cluster_once(
         masked,
         lam=args.lam if args.lam is not None else preset["lam"],
-        sigma=sigma,
+        penalty=penalty,
         merge_tol=args.merge_tol,
         max_outer_iters=args.max_iters,
         objective_rel_tol=args.tol,
@@ -402,12 +403,14 @@ def _write_solve(paths, run, truth, header):
 
 def _run_cluster(args, argv):
     data, truth = read_points_csv(args.input, labeled=args.labeled == "true")
-    given = {"sigma": args.sigma, "lp_p": args.p}
+    if args.penalty == "lp":
+        penalty = PenaltySpec.lp(0.5 if args.p is None else args.p)
+    else:  # None: h1 at the data's default sigma
+        penalty = None if args.sigma is None else PenaltySpec.h1(args.sigma)
     run = cluster_once(
         data,
         lam=args.lam,
-        penalty_kind=args.penalty,
-        **{name: value for name, value in given.items() if value is not None},
+        penalty=penalty,
         merge_tol=args.merge_tol,
         max_outer_iters=args.max_iters,
         objective_rel_tol=args.tol,
@@ -434,6 +437,7 @@ def _run_wine(args, argv):
     # _check_flags has made sure one of the two is given.
     path = args.wine_csv or os.path.join(os.environ["FUSECLUSTER_DATA_DIR"], "wine.data")
     data, truth = wine_prepare(path, m_per_class=args.m_per_class)
+    penalty = PenaltySpec.h1(args.sigma)
     p0_grid = parse_grid(args.p0_grid)
     lambda_grid = parse_grid(args.lambda_grid)
     header = _header_lines(argv, args.seed)
@@ -445,7 +449,7 @@ def _run_wine(args, argv):
             run = cluster_once(
                 masked,
                 lam=lam,
-                sigma=args.sigma,
+                penalty=penalty,
                 max_outer_iters=args.max_iters,
                 objective_rel_tol=args.tol,
             )

@@ -123,31 +123,28 @@ class ClusterGeometry:
     ``kappa = epsilon * sqrt(P) / delta`` ties the within-cluster spread
     (sup-norm diameter ``epsilon``) to the between-cluster gap (``delta``);
     small values mean an easier clustering problem.  A single-cluster dataset
-    takes ``delta = inf`` and ``kappa = 0`` so downstream formulas degenerate
+    takes ``delta = inf``, so ``kappa = 0`` and downstream formulas degenerate
     gracefully.
     """
 
     delta: float
     epsilon: float
     mu0: float
-    kappa: float
     P: int
 
     def __post_init__(self):
         if self.P < 1:
             raise ValueError("P must be positive")
-        if self.epsilon < 0 or self.kappa < 0:
-            raise ValueError("epsilon and kappa must be non-negative")
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be non-negative")
         if not (1.0 <= self.mu0 <= self.P):
             raise ValueError("mu0 must lie in [1, P]")
         if self.delta <= 0:
             raise ValueError("delta must be positive (inf for one cluster)")
-        if math.isfinite(self.delta):
-            expected = self.epsilon * math.sqrt(self.P) / self.delta
-            if not math.isclose(self.kappa, expected, rel_tol=1e-9, abs_tol=1e-12):
-                raise ValueError("kappa must equal epsilon*sqrt(P)/delta")
-        elif self.kappa != 0.0:
-            raise ValueError("kappa must be 0 when delta is infinite")
+
+    @property
+    def kappa(self) -> float:
+        return self.epsilon * math.sqrt(self.P) / self.delta
 
 
 @dataclass(frozen=True)
@@ -281,9 +278,7 @@ def estimate_geometry(data: ObservedDataset, truth: Partition) -> ClusterGeometr
 
     inter = ~same
     if not inter.any():
-        return ClusterGeometry(
-            delta=math.inf, epsilon=epsilon, mu0=1.0, kappa=0.0, P=p_dim
-        )
+        return ClusterGeometry(delta=math.inf, epsilon=epsilon, mu0=1.0, P=p_dim)
 
     sq = _pairwise_sq_dists(values)
     delta = math.sqrt(float(sq[inter].min()))
@@ -295,5 +290,4 @@ def estimate_geometry(data: ObservedDataset, truth: Partition) -> ClusterGeometr
     # Clamp rounding spill back into [1, P].
     mu0 = float(np.max(p_dim * linf[inter] ** 2 / sq[inter]))
     mu0 = min(max(mu0, 1.0), float(p_dim))
-    kappa = epsilon * math.sqrt(p_dim) / delta
-    return ClusterGeometry(delta=delta, epsilon=epsilon, mu0=mu0, kappa=kappa, P=p_dim)
+    return ClusterGeometry(delta=delta, epsilon=epsilon, mu0=mu0, P=p_dim)

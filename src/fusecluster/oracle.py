@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ObservedDataset, Partition, estimate_geometry
+from .model import ObservedDataset, Partition, _pairwise_reduce, estimate_geometry
 from .theory import eta0, log_beta0, log_delta0, log_gamma0
 
 ENUMERATION_MAX_POINTS = 12  # Bell(12) ~ 4.2M partitions
@@ -59,11 +59,11 @@ def partition_cost(labels: np.ndarray) -> int:
 
 def _compatibility_masks(data: ObservedDataset, epsilon: float) -> list[int]:
     """Bit j of entry i is set when points i and j are within epsilon on
-    every feature both of them observe."""
-    x = data.observed_values()
-    both = data.mask[:, :, None] & data.mask[:, None, :]
-    close = np.abs(x[:, :, None] - x[:, None, :]) <= epsilon
-    compatible = np.all(close | ~both, axis=0)
+    every feature both of them observe.  Unobserved entries are NaN, which
+    ``fmax`` skips; a pair sharing no feature reduces to NaN, and
+    ``NaN > epsilon`` is False, so it stays compatible."""
+    x = np.where(data.mask, data.values, np.nan)
+    compatible = ~(_pairwise_reduce(x, np.abs, np.fmax) > epsilon)
     return (compatible.astype(np.int64) @ (1 << np.arange(data.point_count))).tolist()
 
 

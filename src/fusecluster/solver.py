@@ -61,11 +61,13 @@ class MajorizationError(RuntimeError):
 
     ``iteration`` is the outer iteration whose objective ``current`` rose
     above its predecessor ``previous``.  Measured triggers: lambda held
-    fixed while the data is scaled by c >= 1e20, where the rise is about
-    1.8e-13 * c**2, the rounding floor of the solve (its CG error is
-    relative to ||b|| ~ c, and the data term pays it squared); and stiff
+    fixed while the data is scaled by c >= 1e20, where the rise is the
+    ridge ``rho * ||u - m||^2`` (toward the observed feature means m): the
+    solve minimizes it but the traced objective leaves it out, so a solve
+    that barely moves U still pays ``(rho / (1 + rho))**2 * ||X - m||^2``
+    in the data term (with ``rho = 0`` the rise is gone); and stiff
     systems, h1 with sigma = 1 and lambda >= 1e10 on 5 x 20 standard
-    Gaussians for some seeds.
+    Gaussians for some seeds, one of which still rises with ``rho = 0``.
     """
 
     def __init__(self, iteration: int, previous: float, current: float):

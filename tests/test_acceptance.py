@@ -240,7 +240,7 @@ def test_08_fig3a_success_grid_shape():
             lambda_grid=(2.0, 8.0, 32.0, 128.0),
             trials=20,
             base_seed=0,
-            sigma=1.0,
+            penalty=PenaltySpec.h1(1.0),
         )
 
         def generator(m, seed):
@@ -278,7 +278,7 @@ def _fig4_trial_succeeds(center_scale, p0, trial):
     masked = apply_mask(data, MaskSpec(p0=p0, seed=31 * trial + 5))
     for lam in (4.0, 1.0, 16.0):
         run = cluster_once(
-            masked, lam=lam, sigma=2.0, max_outer_iters=100,
+            masked, lam=lam, penalty=PenaltySpec.h1(2.0), max_outer_iters=100,
             objective_rel_tol=1e-8,
         )
         if run.partition.same_clustering(truth):
@@ -304,7 +304,7 @@ def test_10_wine_ari(wine_csv):
             best = -2.0
             for lam in (3.0, 10.0, 30.0, 100.0):
                 run = cluster_once(
-                    masked, lam=lam, sigma=0.6, max_outer_iters=300,
+                    masked, lam=lam, penalty=PenaltySpec.h1(0.6), max_outer_iters=300,
                     objective_rel_tol=1e-8,
                 )
                 best = max(best, adjusted_rand_index(run.partition, truth))

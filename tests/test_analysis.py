@@ -16,6 +16,7 @@ from fusecluster.analysis import (
 )
 from fusecluster.datagen import gen_uniform_kappa
 from fusecluster.model import ObservedDataset, Partition
+from fusecluster.penalty import PenaltySpec, default_h1_sigma
 
 
 def ari_brute_force(a, b):
@@ -174,7 +175,7 @@ class TestSuccessCurve:
             lambda_grid=(8.0,),
             trials=2,
             base_seed=7,
-            sigma=1.0,
+            penalty=PenaltySpec.h1(1.0),
             max_outer_iters=60,
         )
 
@@ -196,7 +197,7 @@ class TestSuccessCurve:
             lambda_grid=(2.0, 8.0, 32.0),
             trials=3,
             base_seed=1,
-            sigma=1.0,
+            penalty=PenaltySpec.h1(1.0),
             max_outer_iters=80,
         )
 
@@ -210,19 +211,19 @@ class TestSuccessCurve:
 class TestClusterOnce:
     def test_reports_run_metadata(self):
         data, truth, _ = gen_uniform_kappa(2, 5, 10, 0.4, seed=3)
-        run = cluster_once(data, lam=8.0, sigma=1.0)
+        run = cluster_once(data, lam=8.0, penalty=PenaltySpec.h1(1.0))
         assert run.partition.point_count == 10
         assert run.trace.objectives.ndim == 1
         assert run.merge_tol > 0
-        assert run.sigma == 1.0
+        assert run.penalty == PenaltySpec.h1(1.0)
 
-    @pytest.mark.parametrize("kind", ["H1", "l1", ""])
-    def test_unknown_penalty_kind_raises(self, kind):
+    def test_stray_keyword_is_a_type_error(self):
+        # sigma belongs to the PenaltySpec; it is no cluster_once keyword.
         data, _, _ = gen_uniform_kappa(2, 5, 10, 0.4, seed=3)
-        with pytest.raises(ValueError, match="unknown penalty kind"):
-            cluster_once(data, lam=1.0, penalty_kind=kind)
+        with pytest.raises(TypeError, match="sigma"):
+            cluster_once(data, 1.0, PenaltySpec.lp(0.5), sigma=1.0)
 
     def test_auto_sigma_recorded(self):
         data, truth, _ = gen_uniform_kappa(2, 5, 10, 0.4, seed=3)
         run = cluster_once(data, lam=1.0)
-        assert run.sigma is not None and run.sigma > 0
+        assert run.penalty == PenaltySpec.h1(default_h1_sigma(data))

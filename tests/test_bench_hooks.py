@@ -57,12 +57,10 @@ def test_every_traced_solver_name_is_called(penalty, monkeypatch):
     assert [p.span for p in patches if p.span not in called] == []
 
 
-def small_cluster_once(penalty_kind):
+def small_cluster_once(penalty):
     x = np.random.default_rng(0).normal(size=(3, 12))
     x[:, :6] += 5.0
-    analysis.cluster_once(
-        ObservedDataset.full(x), lam=0.5, penalty_kind=penalty_kind, max_outer_iters=5
-    )
+    analysis.cluster_once(ObservedDataset.full(x), 0.5, penalty, max_outer_iters=5)
 
 
 def small_success_curve():
@@ -75,8 +73,8 @@ def small_success_curve():
 @pytest.mark.parametrize(
     "workload, run",
     [
-        ("cluster-h1", lambda: small_cluster_once("h1")),
-        ("cluster-lp", lambda: small_cluster_once("lp")),
+        ("cluster-h1", lambda: small_cluster_once(None)),
+        ("cluster-lp", lambda: small_cluster_once(PenaltySpec.lp(0.5))),
         ("grid-fig3a", small_success_curve),
     ],
     ids=["cluster-h1", "cluster-lp", "grid-fig3a"],

@@ -268,6 +268,18 @@ class TestClusterCommand:
         assert labels[0] == labels[1] and labels[2] == labels[3]
         assert labels[0] != labels[2]
 
+    def test_power_penalty_defaults_to_p_one_half(self, tmp_path):
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n0.1,0.0\n9.0,9.0\n9.1,9.0\n")
+        argv = ["cluster", "--input", "toy.csv", "--lambda", "0.2", "--penalty", "lp"]
+        outputs = []
+        for extra in ([], ["--p", "0.5"]):
+            assert run_in(tmp_path, argv + extra) == 0
+            outputs.append([
+                [line for line in (tmp_path / name).read_text().splitlines() if line[:1] != "#"]
+                for name in ("labels.csv", "centroids.csv", "trace.csv")
+            ])
+        assert outputs[0] == outputs[1]
+
     def test_tau_flag_is_gone(self, tmp_path, capsys):
         (tmp_path / "toy.csv").write_text("0.0,0.0\n0.1,0.0\n9.0,9.0\n9.1,9.0\n")
         argv = [

@@ -126,12 +126,8 @@ class TestPartition:
 
 
 class TestClusterGeometry:
-    def test_kappa_consistency_enforced(self):
-        with pytest.raises(ValueError, match="kappa"):
-            ClusterGeometry(delta=2.0, epsilon=1.0, mu0=1.5, kappa=0.1, P=4)
-
     def test_single_cluster_convention(self):
-        g = ClusterGeometry(delta=math.inf, epsilon=0.5, mu0=1.0, kappa=0.0, P=3)
+        g = ClusterGeometry(delta=math.inf, epsilon=0.5, mu0=1.0, P=3)
         assert g.kappa == 0.0
 
 

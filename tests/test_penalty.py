@@ -128,6 +128,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=message):
             PenaltySpec(**kwargs)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PenaltySpec(kind="scad")
+    @pytest.mark.parametrize("kind", ["scad", "H1", "l1", ""])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown penalty kind"):
+            PenaltySpec(kind=kind)

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import inspect
 import math
 import pickle
 import time
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusecluster import analysis, model, solver
+from fusecluster import model, solver
 
 from fusecluster.analysis import cluster_once
 from fusecluster.datagen import MaskSpec, apply_mask, block_centers, generate
@@ -417,11 +416,11 @@ class TestExtractClusters:
         assert labels.max() + 1 == n - (len(cluster) - 1) - (len(chain) - 1)
 
     @pytest.mark.parametrize(
-        "kind, kwargs",
-        [("h1", {"sigma": 2.0, "lam": 4.0}), ("lp", {"lam": 0.05})],
+        "lam, penalty",
+        [(4.0, PenaltySpec.h1(2.0)), (0.05, PenaltySpec.lp(0.5))],
         ids=["h1", "lp"],
     )
-    def test_cluster_once_holds_one_n_by_n_array(self, kind, kwargs):
+    def test_cluster_once_holds_one_n_by_n_array(self, lam, penalty):
         # Extraction walks the pass's row blocks, and a merge releases the
         # point-level weights before it allocates the quotient's, so the
         # solve's one weight buffer is the only N x N float array.
@@ -430,11 +429,11 @@ class TestExtractClusters:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            run = cluster_once(data, penalty_kind=kind, **kwargs)
+            run = cluster_once(data, lam, penalty)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        if kind == "lp":
+        if penalty.kind == "lp":
             assert np.unique(run.centroids, axis=1).shape[1] < n  # it merged
         assert peak < 1.6 * 8 * n * n
 
@@ -674,14 +673,26 @@ class TestH1Pass:
 
 
 class TestMajorizationError:
-    def test_carries_the_rise(self):
-        # At this scale the CG error, relative to ||b|| ~ 1e20, costs far
-        # more in the data term than the fusion term can save.
+    @staticmethod
+    def large_scale(c):
         y = np.random.default_rng(0).normal(size=(5, 20))
         y[:, 0:5] += 4.0
         y[:, 5:10] -= 4.0
+        return ObservedDataset.full(y * c)
+
+    @pytest.mark.parametrize("c", [1e20, 1e100])
+    def test_large_scale_descends_without_the_ridge(self, c):
+        run = cluster_once(self.large_scale(c), 1.0, PenaltySpec.h1(c), rho=0.0)
+        assert run.trace.converged and run.trace.iterations == 1
+        assert np.all(np.diff(run.trace.objectives) <= 0.0)
+
+    def test_carries_the_rise(self):
+        # The solve minimizes the ridge rho * ||u - m||^2 toward the feature
+        # means m, but the traced objective leaves it out: at this scale the
+        # (rho / (1 + rho))**2 * ||X - m||^2 it costs the data term dwarfs
+        # the fusion term.
         with pytest.raises(MajorizationError) as err:
-            cluster_once(ObservedDataset.full(y * 1e20), lam=1.0, sigma=1e20)
+            cluster_once(self.large_scale(1e20), 1.0, PenaltySpec.h1(1e20))
         e = err.value
         assert e.iteration == 1
         assert e.previous == pytest.approx(369.7118497, rel=1e-9)
@@ -707,8 +718,8 @@ class TestScaleEquivariance:
         spec = SyntheticSpec(K=3, M=20, P=5, centers=centers, variance=1.0, seed=0)
         data = ObservedDataset.full(generate(spec)[0].values * c)
         if kind == "h1":
-            return cluster_once(data, lam=64.0 * c**2, sigma=2.0 * c)
-        return cluster_once(data, lam=c**1.5, penalty_kind="lp", lp_p=0.5)
+            return cluster_once(data, 64.0 * c**2, PenaltySpec.h1(2.0 * c))
+        return cluster_once(data, c**1.5, PenaltySpec.lp(0.5))
 
     @pytest.mark.parametrize("c", [1e-100, 1e-20, 1.0, 1e20])
     @pytest.mark.parametrize("kind", ["h1", "lp"])
@@ -743,11 +754,16 @@ class TestSolverConfig:
         SolverConfig(lam=1.0, penalty=H1_UNIT, rho=0.0, objective_rel_tol=0.0)
 
     def test_every_setting_is_reachable_from_cluster_once(self):
-        # A setting that only tests can set belongs in a module constant.
+        # A setting that only tests can set belongs in a module constant;
+        # cluster_once passes every one besides lam and penalty through.
         fields = [f.name for f in dataclasses.fields(SolverConfig)]
         assert fields == ["lam", "penalty", "max_outer_iters", "objective_rel_tol", "rho"]
-        params = inspect.signature(analysis.cluster_once).parameters
-        assert [f for f in fields if f != "penalty" and f not in params] == []
+        data = ObservedDataset.full(np.random.default_rng(0).normal(size=(3, 8)))
+        run = cluster_once(data, 0.5, PenaltySpec.lp(0.5), max_outer_iters=1)
+        assert run.trace.iterations == 1 and run.penalty == PenaltySpec.lp(0.5)
+        for field in ("objective_rel_tol", "rho"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                cluster_once(data, 0.5, H1_UNIT, **{field: math.nan})
 
 
 class TestComponents:
