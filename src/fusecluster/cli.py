@@ -201,9 +201,9 @@ def build_parser() -> _Parser:
     p_cluster.add_argument("--sigma", type=float, default=None)
     p_cluster.add_argument("--p", type=float, default=None)
     p_cluster.add_argument("--merge-tol", type=float, default=None)
-    p_cluster.add_argument("--rho", type=float, default=1e-8)
-    p_cluster.add_argument("--max-iters", type=int, default=200)
-    p_cluster.add_argument("--tol", type=float, default=1e-8)
+    # None: SolverConfig's default.
+    p_cluster.add_argument("--max-iters", type=int, default=None)
+    p_cluster.add_argument("--tol", type=float, default=None)
     p_cluster.add_argument("--out-labels", default=None)
     p_cluster.add_argument("--out-centroids", default=None)
     p_cluster.add_argument("--out-trace", default=None)
@@ -226,7 +226,6 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--target-kappa", type=float, default=0.5)
     p_oracle.add_argument("--p0", type=float, default=0.8)
     p_oracle.add_argument("--trials", type=int, default=2000)
-    p_oracle.add_argument("--epsilon-scale", type=float, default=1.0)
 
     p_version = sub.add_parser("version", help="print the package version")
     common(p_version)
@@ -407,14 +406,10 @@ def _run_cluster(args, argv):
         penalty = PenaltySpec.lp(0.5 if args.p is None else args.p)
     else:  # None: h1 at the data's default sigma
         penalty = None if args.sigma is None else PenaltySpec.h1(args.sigma)
+    given = {"max_outer_iters": args.max_iters, "objective_rel_tol": args.tol}
+    settings = {name: value for name, value in given.items() if value is not None}
     run = cluster_once(
-        data,
-        lam=args.lam,
-        penalty=penalty,
-        merge_tol=args.merge_tol,
-        max_outer_iters=args.max_iters,
-        objective_rel_tol=args.tol,
-        rho=args.rho,
+        data, lam=args.lam, penalty=penalty, merge_tol=args.merge_tol, **settings
     )
     _write_solve(
         (
@@ -472,16 +467,11 @@ def _run_wine(args, argv):
 
 
 def _run_oracle_check(args, argv):
-    data, truth, geometry = gen_uniform_kappa(
+    data, truth, _ = gen_uniform_kappa(
         args.K, args.M, args.P, args.target_kappa, seed=_derive_seed(args.seed, 7)
     )
     report = monte_carlo_bound_check(
-        data,
-        truth,
-        p0=args.p0,
-        trials=args.trials,
-        seed=args.seed,
-        epsilon=geometry.epsilon * args.epsilon_scale,
+        data, truth, p0=args.p0, trials=args.trials, seed=args.seed
     )
     payload = _run_facts(argv, args.seed)
     payload.update(dataclasses.asdict(report))

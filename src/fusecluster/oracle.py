@@ -176,10 +176,10 @@ def monte_carlo_bound_check(
     p0: float,
     trials: int,
     seed: int,
-    epsilon: float | None = None,
 ) -> BoundCheckReport:
     """Mask a fully observed instance repeatedly and compare three empirical
-    rates against their bounds:
+    rates against their bounds, at the tolerance epsilon and the geometry
+    (kappa, mu0) that :func:`estimate_geometry` measures on the instance:
 
     (a) inter-cluster pairs sharing fewer than p0^2 P / 2 observed
         coordinates, against gamma0;
@@ -199,7 +199,7 @@ def monte_carlo_bound_check(
     geometry = estimate_geometry(data, truth)
     if not geometry.kappa < 1.0:
         raise ValueError("bound check requires measured kappa < 1")
-    eps = geometry.epsilon if epsilon is None else float(epsilon)
+    eps = geometry.epsilon
 
     sizes = truth.group_sizes()
     if len(set(sizes.tolist())) != 1:

@@ -62,12 +62,13 @@ class MajorizationError(RuntimeError):
     ``iteration`` is the outer iteration whose objective ``current`` rose
     above its predecessor ``previous``.  Measured triggers: lambda held
     fixed while the data is scaled by c >= 1e20, where the rise is the
-    ridge ``rho * ||u - m||^2`` (toward the observed feature means m): the
-    solve minimizes it but the traced objective leaves it out, so a solve
-    that barely moves U still pays ``(rho / (1 + rho))**2 * ||X - m||^2``
-    in the data term (with ``rho = 0`` the rise is gone); and stiff
-    systems, h1 with sigma = 1 and lambda >= 1e10 on 5 x 20 standard
-    Gaussians for some seeds, one of which still rises with ``rho = 0``.
+    ridge ``_RIDGE * ||u - m||^2`` (toward the observed feature means m):
+    the solve minimizes it but the traced objective leaves it out, so a
+    solve that barely moves U still pays
+    ``(_RIDGE / (1 + _RIDGE))**2 * ||X - m||^2`` in the data term (with
+    ``_RIDGE = 0`` the rise is gone); and stiff systems, h1 with sigma = 1
+    and lambda >= 1e10 on 5 x 20 standard Gaussians for some seeds, one of
+    which still rises with ``_RIDGE = 0``.
     """
 
     def __init__(self, iteration: int, previous: float, current: float):
@@ -105,17 +106,24 @@ class SolveTrace:
     """True-objective value per outer iteration (index 0 = initialization)."""
 
     objectives: np.ndarray
-    iterations: int
     converged: bool
 
     def __post_init__(self):
         object.__setattr__(self, "objectives", _frozen_array(self.objectives, float))
+
+    @property
+    def iterations(self) -> int:
+        """Outer iterations run: one per objective after the initial one."""
+        return len(self.objectives) - 1
 
 
 # Conjugate-gradient stopping rule: the residual target relative to ||b||
 # and the iteration cap as a multiple of the system size.
 _CG_TOL = 1e-10
 _CG_MAXITER_FACTOR = 10
+# Ridge weight rho of rho * ||u - mbar||^2, which anchors each coordinate
+# toward its observed feature mean mbar and keeps the systems nonsingular.
+_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -124,30 +132,26 @@ class SolverConfig:
 
     ``lam`` weighs the fusion penalty ``penalty``; the outer iteration stops
     after ``max_outer_iters`` steps or once the objective changes by at most
-    ``objective_rel_tol`` relative; ``rho`` is the ridge that anchors each
-    coordinate toward its observed feature mean.  The tolerance and the
-    iteration cap of the inner conjugate-gradient solve are fixed module
-    constants (``_CG_TOL``, ``_CG_MAXITER_FACTOR``), to be derived from the
-    data's scale rather than set per run.
+    ``objective_rel_tol`` relative.  The ridge weight (``_RIDGE``) and the
+    tolerance and iteration cap of the inner conjugate-gradient solve
+    (``_CG_TOL``, ``_CG_MAXITER_FACTOR``) are module constants, not settings.
     """
 
     lam: float
     penalty: PenaltySpec
     max_outer_iters: int = 200
     objective_rel_tol: float = 1e-8
-    rho: float = 1e-8
 
     def __post_init__(self):
         # A NaN setting fails every comparison: the outer stopping test
         # would never fire, or the solve would not be finite.
-        for name in ("lam", "rho", "objective_rel_tol"):
+        for name in ("lam", "objective_rel_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
-        for name in ("rho", "objective_rel_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if self.objective_rel_tol < 0:
+            raise ValueError("objective_rel_tol must be non-negative")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
 
@@ -315,12 +319,7 @@ def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
     return W
 
 
-def update_centroids(
-    data: ObservedDataset,
-    W: np.ndarray,
-    lam: float,
-    rho: float,
-) -> np.ndarray:
+def update_centroids(data: ObservedDataset, W: np.ndarray, lam: float) -> np.ndarray:
     """Exact minimizer of the weighted surrogate for fixed weights W.
 
     Per feature p the stationarity system is
@@ -328,12 +327,13 @@ def update_centroids(
         (D_p + 2 lambda L_W + rho I) u_p = D_p x_p + rho mbar_p 1,
 
     with D_p the observation-mask diagonal, L_W the Laplacian of W (the 2
-    comes from the ordered double sum) and mbar_p the observed feature mean
-    that the ridge anchors toward.  The solve is carried out on the
-    correction d = u - u0 from the mean-imputed data u0, so anchors that are
-    already stationary are preserved exactly.  Conjugate gradients run to
-    the fixed relative tolerance ``_CG_TOL`` and raise
-    :class:`ConvergenceError` after ``_CG_MAXITER_FACTOR * N`` iterations.
+    comes from the ordered double sum), rho the fixed ridge weight
+    ``_RIDGE`` and mbar_p the observed feature mean it anchors toward.  The
+    solve is carried out on the correction d = u - u0 from the mean-imputed
+    data u0, so anchors that are already stationary are preserved exactly.
+    Conjugate gradients run to the fixed relative tolerance ``_CG_TOL`` and
+    raise :class:`ConvergenceError` after ``_CG_MAXITER_FACTOR * N``
+    iterations.
     """
     W = np.asarray(W, dtype=float)
     n = data.point_count
@@ -349,7 +349,7 @@ def update_centroids(
     return _solve_weighted_system(
         diag_data=data.mask.astype(float),
         rhs_data=data.observed_values(),
-        rho_diag=np.full(n, rho),
+        rho_diag=np.full(n, _RIDGE),
         means=observed_feature_means(data),
         W=W,
         lam=lam,
@@ -410,9 +410,9 @@ def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature):
     d = np.zeros_like(r)
     res = r.copy()
     precond = diag_total + 2.0 * lam * deg[None, :]
-    # A coordinate with no data, no ridge and no pull (every weight of its
-    # point underflowed) has a zero row: its residual stays exactly 0, so
-    # any non-zero divisor keeps it there instead of making 0/0.
+    # With _RIDGE = 0, a coordinate with no data and no pull (every weight
+    # of its point underflowed) has a zero row: its residual stays exactly
+    # 0, so any non-zero divisor keeps it there instead of making 0/0.
     precond[precond == 0.0] = 1.0
     z = res / precond
     p = z.copy()
@@ -532,13 +532,12 @@ def mm_cluster(
     f = true_objective()
     objectives = [f]
     converged = False
-    iterations = 0
 
     for iterations in range(1, config.max_outer_iters + 1):
         system.V = _solve_weighted_system(
             diag_data=system.diag,
             rhs_data=system.rhs,
-            rho_diag=config.rho * system.counts,
+            rho_diag=_RIDGE * system.counts,
             means=means,
             W=system.W,
             lam=config.lam,
@@ -556,9 +555,7 @@ def mm_cluster(
             converged = True
             break
 
-    trace = SolveTrace(
-        objectives=np.array(objectives), iterations=iterations, converged=converged
-    )
+    trace = SolveTrace(objectives=np.array(objectives), converged=converged)
     return CentroidSet(U=system.expanded()), trace
 
 

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from fusecluster import solver
 from fusecluster.analysis import (
     SuccessCurveSpec,
     adjusted_rand_index,
@@ -147,11 +148,11 @@ def test_05_stationarity_and_gradient():
                 data = apply_mask(data, MaskSpec(p0=0.7, seed=i))
             penalty = PenaltySpec.h1(0.8) if i % 2 == 0 else PenaltySpec.lp(0.5)
             lam = float(rng.uniform(0.1, 2.0))
-            rho = 1e-8
+            rho = solver._RIDGE
 
             u0 = mean_imputed(data)
             w = update_weights(u0, penalty)
-            u = update_centroids(data, w, lam, rho)
+            u = update_centroids(data, w, lam)
             mask_f = data.mask.astype(float)
             obs = data.observed_values()
             cnt = data.mask.sum(axis=1)

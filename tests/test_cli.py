@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +64,35 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run_in(tmp_path, ["theory", "--nope"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--input", "toy.csv", "--lambda", "1", "--rho", "1e-8"],
+            ["oracle-check", "--trials", "1", "--epsilon-scale", "2"],
+        ],
+    )
+    def test_deleted_settings_are_unknown_flags(self, tmp_path, capsys, argv):
+        # The ridge is the solver constant _RIDGE, and the bound check runs
+        # at the epsilon it measures; neither is a flag.
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        assert run_in(tmp_path, argv) == 1
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["toy.csv"]
+
+    def test_module_runs_as_a_process(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def run(*args):
+            cmd = [sys.executable, "-m", "fusecluster.cli", *args]
+            return subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+        ok = run("version")
+        assert (ok.returncode, ok.stdout) == (0, "0.1.0\n")
+        bad = run("version", "--nope")
+        assert bad.returncode == 1
+        assert "unrecognized arguments: --nope" in bad.stderr
+
     def test_missing_subcommand_is_usage_error(self, tmp_path):
         assert run_in(tmp_path, []) == 1
 
@@ -74,9 +106,9 @@ class TestExitCodes:
 
     def test_nan_solver_setting_exits_nonzero(self, tmp_path, capsys):
         (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
-        argv = ["cluster", "--input", "toy.csv", "--lambda", "1", "--rho", "nan"]
+        argv = ["cluster", "--input", "toy.csv", "--lambda", "1", "--tol", "nan"]
         assert run_in(tmp_path, argv) == 2
-        assert "rho must be finite" in capsys.readouterr().err
+        assert "objective_rel_tol must be finite" in capsys.readouterr().err
         assert not (tmp_path / "labels.csv").exists()
 
     def test_fractional_m_grid_exits_two(self, tmp_path, capsys):

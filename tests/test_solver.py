@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import time
@@ -118,8 +119,9 @@ def random_instance(seed, K=2, M=4, P=5, p0=1.0, scale=4.0, variance=0.1):
     return data, truth
 
 
-def dense_systems(data, w, lam, rho):
+def dense_systems(data, w, lam):
     """Per-feature (A, b) of the centroid update, assembled as dense matrices."""
+    rho = solver._RIDGE
     mask_f = data.mask.astype(float)
     counts = data.mask.sum(axis=1)
     means = np.where(
@@ -181,21 +183,23 @@ class TestUpdateWeights:
 
 
 class TestUpdateCentroids:
-    def test_decoupled_full_mask_returns_data(self):
+    def test_decoupled_full_mask_returns_data(self, monkeypatch):
+        monkeypatch.setattr(solver, "_RIDGE", 0.0)
         data = ObservedDataset.full(np.array([[0.0, 5.0], [1.0, -2.0]]))
-        u = update_centroids(data, np.zeros((2, 2)), lam=0.5, rho=0.0)
+        u = update_centroids(data, np.zeros((2, 2)), lam=0.5)
         assert np.array_equal(u, data.values)
 
     def test_identical_points_stay_exact(self):
         col = np.array([[1 / 3], [0.1234567]])
         data = ObservedDataset.full(np.hstack([col, col]))
-        u = update_centroids(data, np.array([[0.0, 0.9], [0.9, 0.0]]), lam=2.0, rho=1e-8)
+        u = update_centroids(data, np.array([[0.0, 0.9], [0.9, 0.0]]), lam=2.0)
         assert np.array_equal(u, data.values)
 
-    def test_two_point_hand_solve(self):
+    def test_two_point_hand_solve(self, monkeypatch):
+        monkeypatch.setattr(solver, "_RIDGE", 0.0)
         lam, w = 0.7, 0.3
         data = ObservedDataset.full(np.array([[0.0, 1.0]]))
-        u = update_centroids(data, np.array([[0.0, w], [w, 0.0]]), lam, rho=0.0)
+        u = update_centroids(data, np.array([[0.0, w], [w, 0.0]]), lam)
         expected = np.array(
             [2 * lam * w / (1 + 4 * lam * w), (1 + 2 * lam * w) / (1 + 4 * lam * w)]
         )
@@ -204,17 +208,17 @@ class TestUpdateCentroids:
     def test_rejects_asymmetric_weights(self):
         data = ObservedDataset.full(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="symmetric"):
-            update_centroids(data, np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0, 0.0)
+            update_centroids(data, np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
         for w, problem in ((math.inf, "finite"), (math.nan, "finite"), (-1.0, "negative")):
             with pytest.raises(ValueError, match=problem):
-                update_centroids(data, np.array([[0.0, w], [w, 0.0]]), 1.0, 0.0)
+                update_centroids(data, np.array([[0.0, w], [w, 0.0]]), 1.0)
 
     def test_stationarity_residual(self):
         data, _ = random_instance(seed=3, K=2, M=5, P=6, p0=0.7)
         w = update_weights(mean_imputed(data), H1_UNIT)
-        lam, rho = 0.8, 1e-8
-        u = update_centroids(data, w, lam, rho)
-        for p, (a, b) in enumerate(dense_systems(data, w, lam, rho)):
+        lam = 0.8
+        u = update_centroids(data, w, lam)
+        for p, (a, b) in enumerate(dense_systems(data, w, lam)):
             resid = np.linalg.norm(a @ u[p] - b)
             assert resid < 1e-8 * max(np.linalg.norm(b), 1e-12)
 
@@ -225,7 +229,7 @@ class TestUpdateCentroids:
 
         monkeypatch.setattr(solver, "_CG_MAXITER_FACTOR", 0)
         with pytest.raises(ConvergenceError) as err:
-            update_centroids(data, w, 0.5, 1e-8)
+            update_centroids(data, w, 0.5)
         e = err.value
         assert e.residual_norm > 0
         assert e.iterations == 0
@@ -236,15 +240,15 @@ class TestUpdateCentroids:
             )
         monkeypatch.setattr(solver, "_CG_MAXITER_FACTOR", 1)
         with pytest.raises(ConvergenceError) as err:
-            update_centroids(data, w, 1e8, 1e-8)  # stiff: needs more than N steps
+            update_centroids(data, w, 1e8)  # stiff: needs more than N steps
         assert err.value.iterations == data.point_count
 
     def test_matches_dense_solve(self):
         data, _ = random_instance(seed=9, K=2, M=6, P=4, p0=0.6)
         w = update_weights(mean_imputed(data), H1_UNIT)
-        lam, rho = 0.5, 1e-8
-        u = update_centroids(data, w, lam, rho)
-        dense = np.array([np.linalg.solve(a, b) for a, b in dense_systems(data, w, lam, rho)])
+        lam = 0.5
+        u = update_centroids(data, w, lam)
+        dense = np.array([np.linalg.solve(a, b) for a, b in dense_systems(data, w, lam)])
         np.testing.assert_allclose(u, dense, atol=1e-8)
 
 
@@ -277,16 +281,17 @@ class TestMMCluster:
         assert np.array_equal(centroids.U, data.values)
         assert trace.objectives.tolist() == [0.0, 0.0]
 
-    def test_isolated_point_with_a_missing_entry_and_no_ridge(self):
+    def test_isolated_point_with_a_missing_entry_and_no_ridge(self, monkeypatch):
         # Point 7 sits 100 sigma from the rest, so every weight it has
-        # underflows to 0; with rho = 0 its unobserved coordinate has a zero
-        # row in the system, which must not turn the CG step into 0/0.
+        # underflows to 0; with _RIDGE = 0 its unobserved coordinate has a
+        # zero row in the system, which must not turn the CG step into 0/0.
+        monkeypatch.setattr(solver, "_RIDGE", 0.0)
         y = np.random.default_rng(0).normal(size=(3, 8))
         y[0, 7] = 100.0
         mask = np.ones_like(y, dtype=bool)
         mask[1, 7] = False
         data = ObservedDataset(y, mask)
-        cfg = SolverConfig(lam=1.0, penalty=H1_UNIT, rho=0.0)
+        cfg = SolverConfig(lam=1.0, penalty=H1_UNIT)
         centroids, _ = mm_cluster(data, cfg)
         u = centroids.U
         assert np.all(np.isfinite(u))
@@ -681,16 +686,33 @@ class TestMajorizationError:
         return ObservedDataset.full(y * c)
 
     @pytest.mark.parametrize("c", [1e20, 1e100])
-    def test_large_scale_descends_without_the_ridge(self, c):
-        run = cluster_once(self.large_scale(c), 1.0, PenaltySpec.h1(c), rho=0.0)
+    def test_large_scale_descends_without_the_ridge(self, c, monkeypatch):
+        monkeypatch.setattr(solver, "_RIDGE", 0.0)
+        run = cluster_once(self.large_scale(c), 1.0, PenaltySpec.h1(c))
         assert run.trace.converged and run.trace.iterations == 1
         assert np.all(np.diff(run.trace.objectives) <= 0.0)
 
+    def test_stiff_lambda_sweep_fails_only_at_the_known_cases(self):
+        # Known failures of the descent check, owned by ROADMAP item 3 (the
+        # CG residual floor on stiff h1 systems).  A fix, or a new failure,
+        # shows up as a change of this set; no run may stop on the CG cap.
+        penalties = {"h1": PenaltySpec.h1(1.0), "lp": PenaltySpec.lp(0.5)}
+        rises = set()
+        for (kind, penalty), e, seed in itertools.product(
+            penalties.items(), range(-12, 13, 2), range(5)
+        ):
+            x = np.random.default_rng(seed).normal(size=(5, 20))
+            try:
+                mm_cluster(ObservedDataset.full(x), SolverConfig(10.0**e, penalty))
+            except MajorizationError:
+                rises.add((kind, 10.0**e, seed))
+        assert rises == {("h1", 1e10, 0), ("h1", 1e10, 1), ("h1", 1e12, 1), ("h1", 1e12, 3)}
+
     def test_carries_the_rise(self):
-        # The solve minimizes the ridge rho * ||u - m||^2 toward the feature
-        # means m, but the traced objective leaves it out: at this scale the
-        # (rho / (1 + rho))**2 * ||X - m||^2 it costs the data term dwarfs
-        # the fusion term.
+        # The solve minimizes the ridge _RIDGE * ||u - m||^2 toward the
+        # feature means m, but the traced objective leaves it out: at this
+        # scale the (_RIDGE / (1 + _RIDGE))**2 * ||X - m||^2 it costs the
+        # data term dwarfs the fusion term.
         with pytest.raises(MajorizationError) as err:
             cluster_once(self.large_scale(1e20), 1.0, PenaltySpec.h1(1e20))
         e = err.value
@@ -741,7 +763,6 @@ class TestSolverConfig:
         "field, value",
         [
             ("lam", math.nan), ("lam", math.inf),
-            ("rho", math.nan), ("rho", math.inf), ("rho", -1e-8),
             ("objective_rel_tol", math.nan), ("objective_rel_tol", math.inf),
             ("objective_rel_tol", -1.0),
         ],
@@ -751,19 +772,18 @@ class TestSolverConfig:
             SolverConfig(**{"lam": 1.0, "penalty": H1_UNIT, field: value})
 
     def test_zero_settings_stay_legal(self):
-        SolverConfig(lam=1.0, penalty=H1_UNIT, rho=0.0, objective_rel_tol=0.0)
+        SolverConfig(lam=1.0, penalty=H1_UNIT, objective_rel_tol=0.0)
 
     def test_every_setting_is_reachable_from_cluster_once(self):
         # A setting that only tests can set belongs in a module constant;
         # cluster_once passes every one besides lam and penalty through.
         fields = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert fields == ["lam", "penalty", "max_outer_iters", "objective_rel_tol", "rho"]
+        assert fields == ["lam", "penalty", "max_outer_iters", "objective_rel_tol"]
         data = ObservedDataset.full(np.random.default_rng(0).normal(size=(3, 8)))
         run = cluster_once(data, 0.5, PenaltySpec.lp(0.5), max_outer_iters=1)
         assert run.trace.iterations == 1 and run.penalty == PenaltySpec.lp(0.5)
-        for field in ("objective_rel_tol", "rho"):
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
-                cluster_once(data, 0.5, H1_UNIT, **{field: math.nan})
+        with pytest.raises(ValueError, match="objective_rel_tol must be finite"):
+            cluster_once(data, 0.5, H1_UNIT, objective_rel_tol=math.nan)
 
 
 class TestComponents:
