@@ -60,15 +60,10 @@ class MajorizationError(RuntimeError):
     """Objective increased beyond the descent slack.
 
     ``iteration`` is the outer iteration whose objective ``current`` rose
-    above its predecessor ``previous``.  Measured triggers: lambda held
-    fixed while the data is scaled by c >= 1e20, where the rise is the
-    ridge ``_RIDGE * ||u - m||^2`` (toward the observed feature means m):
-    the solve minimizes it but the traced objective leaves it out, so a
-    solve that barely moves U still pays
-    ``(_RIDGE / (1 + _RIDGE))**2 * ||X - m||^2`` in the data term (with
-    ``_RIDGE = 0`` the rise is gone); and stiff systems, h1 with sigma = 1
-    and lambda >= 1e10 on 5 x 20 standard Gaussians for some seeds, one of
-    which still rises with ``_RIDGE = 0``.
+    above its predecessor ``previous``.  The solve minimizes the very
+    objective it checks, so its one measured trigger is the residual floor
+    of the conjugate-gradient solve on stiff systems: h1 with sigma = 1 and
+    lambda >= 1e10 on 5 x 20 standard Gaussians, for some seeds.
     """
 
     def __init__(self, iteration: int, previous: float, current: float):
@@ -121,9 +116,6 @@ class SolveTrace:
 # and the iteration cap as a multiple of the system size.
 _CG_TOL = 1e-10
 _CG_MAXITER_FACTOR = 10
-# Ridge weight rho of rho * ||u - mbar||^2, which anchors each coordinate
-# toward its observed feature mean mbar and keeps the systems nonsingular.
-_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,9 +124,9 @@ class SolverConfig:
 
     ``lam`` weighs the fusion penalty ``penalty``; the outer iteration stops
     after ``max_outer_iters`` steps or once the objective changes by at most
-    ``objective_rel_tol`` relative.  The ridge weight (``_RIDGE``) and the
-    tolerance and iteration cap of the inner conjugate-gradient solve
-    (``_CG_TOL``, ``_CG_MAXITER_FACTOR``) are module constants, not settings.
+    ``objective_rel_tol`` relative.  The tolerance and iteration cap of the
+    inner conjugate-gradient solve (``_CG_TOL``, ``_CG_MAXITER_FACTOR``) are
+    module constants, not settings.
     """
 
     lam: float
@@ -269,16 +261,12 @@ def _fuse_threshold(penalty: PenaltySpec, u0: np.ndarray) -> float:
     return 32.0 * math.sqrt(np.finfo(float).eps) * col_scale if col_scale > 0 else 1.0
 
 
-def observed_feature_means(data: ObservedDataset) -> np.ndarray:
-    """Per-feature mean over observed entries; 0 for never-observed features."""
-    obs = data.observed_values()
-    cnt = data.mask.sum(axis=1)
-    return np.where(cnt > 0, obs.sum(axis=1) / np.maximum(cnt, 1), 0.0)
-
-
 def mean_imputed(data: ObservedDataset) -> np.ndarray:
-    """Data matrix with each unobserved entry replaced by its feature mean."""
-    return np.where(data.mask, data.values, observed_feature_means(data)[:, None])
+    """Data matrix with each unobserved entry replaced by its feature's mean
+    over observed entries (0 for a never-observed feature)."""
+    cnt = data.mask.sum(axis=1)
+    means = np.where(cnt > 0, data.observed_values().sum(axis=1) / np.maximum(cnt, 1), 0.0)
+    return np.where(data.mask, data.values, means[:, None])
 
 
 def objective(
@@ -320,17 +308,18 @@ def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
 
 
 def update_centroids(data: ObservedDataset, W: np.ndarray, lam: float) -> np.ndarray:
-    """Exact minimizer of the weighted surrogate for fixed weights W.
+    """A minimizer of the weighted surrogate for fixed weights W.
 
     Per feature p the stationarity system is
 
-        (D_p + 2 lambda L_W + rho I) u_p = D_p x_p + rho mbar_p 1,
+        (D_p + 2 lambda L_W) u_p = D_p x_p,
 
-    with D_p the observation-mask diagonal, L_W the Laplacian of W (the 2
-    comes from the ordered double sum), rho the fixed ridge weight
-    ``_RIDGE`` and mbar_p the observed feature mean it anchors toward.  The
-    solve is carried out on the correction d = u - u0 from the mean-imputed
-    data u0, so anchors that are already stationary are preserved exactly.
+    with D_p the observation-mask diagonal and L_W the Laplacian of W (the 2
+    comes from the ordered double sum).  The solve is carried out on the
+    correction d = u - u0 from the mean-imputed data u0, so anchors that are
+    already stationary are preserved exactly.  Where the system is singular
+    this returns one of its solutions: a coordinate that no point observes
+    and no nonzero weight pulls keeps its mean-imputed value.
     Conjugate gradients run to the fixed relative tolerance ``_CG_TOL`` and
     raise :class:`ConvergenceError` after ``_CG_MAXITER_FACTOR * N``
     iterations.
@@ -349,48 +338,41 @@ def update_centroids(data: ObservedDataset, W: np.ndarray, lam: float) -> np.nda
     return _solve_weighted_system(
         diag_data=data.mask.astype(float),
         rhs_data=data.observed_values(),
-        rho_diag=np.full(n, _RIDGE),
-        means=observed_feature_means(data),
         W=W,
         lam=lam,
         anchor=mean_imputed(data),
     )
 
 
-def _solve_weighted_system(diag_data, rhs_data, rho_diag, means, W, lam, anchor):
-    """Solve (diag(diag_data_p + rho_diag) + 2 lam L_W) v_p = rhs_p per feature.
+def _solve_weighted_system(diag_data, rhs_data, W, lam, anchor):
+    """Solve (diag(diag_data_p) + 2 lam L_W) v_p = rhs_p per feature.
 
-    ``diag_data``/``rhs_data`` are P x G (per-feature diagonal and data rhs),
-    ``rho_diag`` is the ridge diagonal (per column), and the rhs includes the
-    ridge pull ``rho_diag * means``.  ``W`` holds the weights of the one
-    majorization pass, for either penalty; the system is the point-level
-    one (diagonal = observation mask) until something fuses and the
-    fused-group quotient (diagonal = per-group observation counts) after.
+    ``diag_data``/``rhs_data`` are P x G (per-feature diagonal and data rhs).
+    ``W`` holds the weights of the one majorization pass, for either
+    penalty; the system is the point-level one (diagonal = observation mask)
+    until something fuses and the fused-group quotient (diagonal = per-group
+    observation counts) after.
 
     The solve computes the correction d = v - anchor by batched
     Jacobi-preconditioned conjugate gradients; the residual r = b - A @ anchor
-    keeps the data and ridge terms as differences, so an anchor that already
-    satisfies them contributes exact zeros there.
+    keeps the data term as a difference, so an anchor that already
+    satisfies it contributes exact zeros there.
     """
     deg = W.sum(axis=1)
-    r = (rhs_data - diag_data * anchor) + rho_diag[None, :] * (
-        means[:, None] - anchor
-    )
+    r = rhs_data - diag_data * anchor
     r -= 2.0 * lam * _laplacian(W, deg, anchor)
 
-    b = rhs_data + rho_diag[None, :] * means[:, None]
-    b_norm = np.linalg.norm(b, axis=1)
-    diag_total = diag_data + rho_diag[None, :]
+    b_norm = np.linalg.norm(rhs_data, axis=1)
     # Residual target per feature: _CG_TOL relative to ||b||, floored at the
     # backward-stable limit ~eps * ||A|| * ||u|| that saturated-weight
     # (stiff) systems impose on any finite-precision solve.
-    a_scale = np.max(diag_total, axis=1) + 2.0 * lam * float(deg.max(initial=0.0))
+    a_scale = np.max(diag_data, axis=1) + 2.0 * lam * float(deg.max(initial=0.0))
     anchor_norm = np.linalg.norm(anchor, axis=1)
     eps_floor = 64.0 * np.finfo(float).eps * a_scale * np.maximum(anchor_norm, b_norm)
     tol_per_feature = np.maximum.reduce(
         [_CG_TOL * b_norm, eps_floor, np.full_like(b_norm, 1e-300)]
     )
-    d = _solve_cg(diag_total, W, deg, lam, r, tol_per_feature)
+    d = _solve_cg(diag_data, W, deg, lam, r, tol_per_feature)
     return anchor + d
 
 
@@ -399,20 +381,20 @@ def _laplacian(W, deg, V):
     return V * deg[None, :] - V @ W
 
 
-def _apply_system(diag_total, W, deg, lam, V):
+def _apply_system(diag, W, deg, lam, V):
     """Batched A @ V for all per-feature systems; V has one row per feature."""
-    return diag_total * V + 2.0 * lam * _laplacian(W, deg, V)
+    return diag * V + 2.0 * lam * _laplacian(W, deg, V)
 
 
-def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature):
+def _solve_cg(diag, W, deg, lam, r, tol_per_feature):
     """Jacobi-preconditioned conjugate gradients, batched over features."""
     n = W.shape[1]
     d = np.zeros_like(r)
     res = r.copy()
-    precond = diag_total + 2.0 * lam * deg[None, :]
-    # With _RIDGE = 0, a coordinate with no data and no pull (every weight
-    # of its point underflowed) has a zero row: its residual stays exactly
-    # 0, so any non-zero divisor keeps it there instead of making 0/0.
+    precond = diag + 2.0 * lam * deg[None, :]
+    # A coordinate that no point observes and no nonzero weight pulls has a
+    # zero row: its residual stays exactly 0, so any non-zero divisor keeps
+    # it there (at its anchor) instead of making 0/0.
     precond[precond == 0.0] = 1.0
     z = res / precond
     p = z.copy()
@@ -423,7 +405,7 @@ def _solve_cg(diag_total, W, deg, lam, r, tol_per_feature):
         active = res_norm > tol_per_feature
         if not active.any():
             return d
-        ap = _apply_system(diag_total, W, deg, lam, p)
+        ap = _apply_system(diag, W, deg, lam, p)
         pap = np.einsum("pi,pi->p", p, ap)
         alpha = np.where(active & (pap > 0), rz / np.where(pap > 0, pap, 1.0), 0.0)
         d += alpha[:, None] * p
@@ -521,9 +503,7 @@ def mm_cluster(
     majorize-minimize construction guarantees; an increase beyond slack
     raises :class:`MajorizationError`.
     """
-    u0 = mean_imputed(data)
-    means = observed_feature_means(data)
-    system = _Groups(data, u0, config.penalty)
+    system = _Groups(data, mean_imputed(data), config.penalty)
 
     def true_objective():
         resid = np.where(data.mask, system.expanded() - data.values, 0.0)
@@ -535,13 +515,7 @@ def mm_cluster(
 
     for iterations in range(1, config.max_outer_iters + 1):
         system.V = _solve_weighted_system(
-            diag_data=system.diag,
-            rhs_data=system.rhs,
-            rho_diag=_RIDGE * system.counts,
-            means=means,
-            W=system.W,
-            lam=config.lam,
-            anchor=system.V,
+            system.diag, system.rhs, system.W, config.lam, system.V
         )
         f_new = true_objective()
         objectives.append(f_new)

@@ -72,8 +72,8 @@ class TestExitCodes:
         ],
     )
     def test_deleted_settings_are_unknown_flags(self, tmp_path, capsys, argv):
-        # The ridge is the solver constant _RIDGE, and the bound check runs
-        # at the epsilon it measures; neither is a flag.
+        # --rho weighed a term the solved objective no longer has, and the
+        # bound check runs at the epsilon it measures; neither is a flag.
         (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
         assert run_in(tmp_path, argv) == 1
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
