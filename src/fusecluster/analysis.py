@@ -53,7 +53,6 @@ class ClusterRun:
     centroids: np.ndarray
     partition: Partition
     trace: SolveTrace
-    merge_tol: float
     penalty: PenaltySpec
 
 
@@ -72,9 +71,7 @@ def cluster_once(
     centroids, trace = mm_cluster(data, SolverConfig(lam=lam, penalty=penalty, **settings))
     tol = default_merge_tol(centroids.U) if merge_tol is None else merge_tol
     partition = extract_clusters(centroids.U, tol)
-    return ClusterRun(
-        centroids=centroids.U, partition=partition, trace=trace, merge_tol=tol, penalty=penalty
-    )
+    return ClusterRun(centroids=centroids.U, partition=partition, trace=trace, penalty=penalty)
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,8 @@ def pca_project(points: np.ndarray) -> np.ndarray:
     sign-fixed so each direction's largest-magnitude entry is positive.
     Rank-deficient inputs simply produce (near-)zero trailing components.
     """
-    points = np.asarray(points, dtype=float)
+    # The row mean and the SVD round by layout; a raw matrix may have any.
+    points = np.ascontiguousarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] < 2:
         raise ValueError("need a P x Q matrix with Q >= 2")
     dims = min(2, points.shape[0])

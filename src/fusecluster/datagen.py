@@ -120,17 +120,9 @@ def gen_uniform_kappa(
 
 
 def apply_mask(data: ObservedDataset, mask_spec: MaskSpec) -> ObservedDataset:
-    """Hide each entry independently with probability 1 - p0.
-
-    At p0 = 1 nothing is hidden and ``data`` itself comes back.  A drawn
-    all-True mask would be C-ordered, where ``data``'s follows the layout of
-    its values; a solve's centroids inherit that layout, and their PCA
-    rounds differently in the other one.
-    """
+    """Hide each entry independently with probability 1 - p0."""
     if not data.fully_observed:
         raise ValueError("apply_mask expects a fully observed dataset")
-    if mask_spec.p0 == 1.0:
-        return data
     rng = np.random.default_rng(mask_spec.seed)
     mask = rng.random(data.values.shape) < mask_spec.p0
     return ObservedDataset(data.values, mask)

@@ -2,9 +2,10 @@
 
 Matrix orientation is fixed across the package: features are rows, points are
 columns, so a dataset with P features and N points is a P x N array.  All
-types are immutable value objects; the arrays they hold are copied on
-construction and marked read-only, so instances are safe to share across
-threads.
+types are immutable value objects; every array they hold is a C-ordered copy
+made on construction and marked read-only, so instances are safe to share
+across threads and their results do not depend on how the caller's arrays
+sit in memory.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 
 def _frozen_array(a, dtype) -> np.ndarray:
-    out = np.array(a, dtype=dtype, copy=True)
+    out = np.array(a, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
     return out
 

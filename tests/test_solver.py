@@ -377,6 +377,23 @@ class TestMMCluster:
             assert d[same].max() == 0.0  # fused groups share one column
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u: objective(ObservedDataset.full(np.zeros(u.shape)), u, 1.0, H1_UNIT),
+        lambda u: objective_gradient(ObservedDataset.full(np.zeros(u.shape)), u, 1.0, H1_UNIT),
+        lambda u: update_weights(u, H1_UNIT),
+        default_merge_tol,
+        lambda u: extract_clusters(u, 1.0),
+    ],
+    ids=["objective", "objective_gradient", "update_weights", "default_merge_tol", "extract_clusters"],
+)
+def test_verification_api_rejects_non_finite_u(call, bad):
+    with pytest.raises(ValueError, match="U must be finite"):
+        call(np.array([[0.0, bad, 1.0]]))
+
+
 class TestExtractClusters:
     def test_all_identical_single_cluster(self):
         u = np.ones((2, 5))
@@ -399,9 +416,6 @@ class TestExtractClusters:
         u = np.array([[0.0, 2.0]])
         assert default_merge_tol(u) == pytest.approx(2e-3)
         assert default_merge_tol(np.zeros((2, 3))) == 1.0
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                default_merge_tol(np.array([[0.0, bad, 1.0]]))
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7])
     def test_row_blocks_match_the_whole_matrix(self, rows, rng, monkeypatch):
