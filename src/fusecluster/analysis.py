@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,9 +81,11 @@ class SuccessCurveSpec:
 
     ``generator(M, seed)`` must return a fully observed instance as
     ``(data, truth, geometry)``.  Per trial, success at a given p0 means some
-    lambda on the grid recovers the truth exactly.  ``penalty`` is the
-    :class:`PenaltySpec` of every solve (``None``: h1 at each masked
-    instance's ``default_h1_sigma``).
+    lambda on the grid recovers the truth exactly, so the grid is a set:
+    every lambda must be finite and positive, and neither the order nor
+    repeats can change a cell.  ``penalty`` is the :class:`PenaltySpec` of
+    every solve (``None``: h1 at each masked instance's
+    ``default_h1_sigma``).
     """
 
     p0_grid: tuple[float, ...]
@@ -99,6 +102,15 @@ class SuccessCurveSpec:
             raise ValueError("p0, M and lambda grids must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        _check_lambda_grid(self.lambda_grid)
+
+
+def _check_lambda_grid(grid) -> None:
+    """Raise ValueError naming the first lambda that is not finite and
+    positive: a NaN would also leave the largest-first order undefined."""
+    for lam in grid:
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"lambda must be finite and positive, got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +131,12 @@ def success_curve(
     Each trial draws a fresh dataset; the same dataset is re-masked at every
     p0 so curves are comparable along the sampling axis.  Measured kappa and
     mu0 are averaged over trials for reporting.
+
+    Each distinct lambda is tried once, largest first, up to the first that
+    recovers the truth.  A cell counts whether any lambda succeeds, so the
+    order cannot change a cell, only how many solves run.
     """
+    lambdas = sorted(set(spec.lambda_grid), reverse=True)
 
     def run_trial(m: int, trial: int) -> tuple[list[bool], ClusterGeometry]:
         instance_seed = _derive_seed(spec.base_seed, m, trial)
@@ -129,7 +146,7 @@ def success_curve(
             mask_seed = _derive_seed(spec.base_seed, m, trial, p_idx + 1)
             masked = apply_mask(data, MaskSpec(p0=p0, seed=mask_seed))
             ok = False
-            for lam in spec.lambda_grid:
+            for lam in lambdas:
                 run = cluster_once(
                     masked,
                     lam=lam,

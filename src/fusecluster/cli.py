@@ -18,6 +18,7 @@ from . import __version__
 from .analysis import (
     PCA_COLUMNS,
     SuccessCurveSpec,
+    _check_lambda_grid,
     _derive_seed,
     adjusted_rand_index,
     cluster_once,
@@ -142,6 +143,11 @@ def _check_flags(args):
         if SIMULATE_PRESETS[args.preset]["kind"] == "success-grid":
             flags = {"--p0": args.p0, "--lambda": args.lam, "--merge-tol": args.merge_tol}
             _reject_unread(flags, "single-run presets")
+            if args.lambda_grid is not None:
+                try:
+                    _check_lambda_grid(parse_grid(args.lambda_grid))
+                except ValueError as exc:
+                    raise _UsageError(f"--lambda-grid: {exc}") from None
         else:
             flags = {
                 "--trials": args.trials,

@@ -201,11 +201,20 @@ def _pairwise_sq_dists(
     clipped at 0, from columns ``[start, stop)`` to columns ``[start, N)``:
     all of them by default.  The leading square of the result is made
     exactly symmetric as 0.5 * (d + d.T) with a zero diagonal; computed in
-    place in two arrays of the result's shape."""
+    place in two arrays of the result's shape.
+
+    A call over the whole matrix copies the left operand: numpy sends
+    ``A.T @ A`` on one buffer to BLAS ``syrk``, which OpenBLAS threads and
+    whose idle workers spin between the many small calls of a grid solve;
+    on a copy it calls ``gemm``.  The row blocks of a large matrix keep
+    their product, and with it their rounding."""
     stop = values.shape[1] if stop is None else stop
     b = stop - start
     cols = values[:, start:]
-    g = values[:, start:stop].T @ cols
+    left = values[:, start:stop]
+    if start == 0 and stop == values.shape[1]:
+        left = left.copy()
+    g = left.T @ cols
     sq = np.einsum("pi,pi->i", cols, cols)
     d2 = np.add.outer(sq[:b], sq)
     g *= 2.0

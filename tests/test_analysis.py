@@ -1,4 +1,6 @@
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from fusecluster.analysis import (
     success_curve,
 )
 from fusecluster.datagen import MaskSpec, apply_mask, block_centers, gen_uniform_kappa, generate
-from fusecluster.model import ObservedDataset, Partition, SyntheticSpec
+from fusecluster.model import ClusterGeometry, ObservedDataset, Partition, SyntheticSpec
 from fusecluster.penalty import PenaltySpec, default_h1_sigma
 from fusecluster.solver import SolverConfig, default_merge_tol, extract_clusters, mm_cluster
 
@@ -241,6 +243,71 @@ class TestSuccessCurve:
 
         (cell,) = success_curve(generator, spec)
         assert cell.success_rate == 1.0
+
+
+def one_cluster(m, seed):
+    """A generator for the lambda-order tests: the truth is one cluster."""
+    data = ObservedDataset.full(np.zeros((2, m)))
+    return data, Partition(np.zeros(m, dtype=int)), ClusterGeometry(1.0, 0.5, 1.0, 2)
+
+
+def record_lambdas(monkeypatch, succeeds):
+    """Replace the grid's solve by a stub that records each lambda and
+    recovers the truth exactly when ``succeeds(lam)``."""
+    calls = []
+
+    def fake_cluster_once(data, lam, **settings):
+        calls.append(lam)
+        n = data.point_count
+        labels = np.zeros(n, dtype=int) if succeeds(lam) else np.arange(n)
+        return SimpleNamespace(partition=Partition(labels))
+
+    monkeypatch.setattr("fusecluster.analysis.cluster_once", fake_cluster_once)
+    return calls
+
+
+class TestLambdaOrder:
+    GRID = dict(p0_grid=(1.0, 0.5), M_grid=(3,), trials=2)
+
+    def test_distinct_lambdas_descend_once_per_cell(self, monkeypatch):
+        calls = record_lambdas(monkeypatch, lambda lam: False)
+        spec = SuccessCurveSpec(lambda_grid=(2.0, 128.0, 8.0, 32.0, 8.0), **self.GRID)
+        cells = success_curve(one_cluster, spec)
+        assert [c.success_rate for c in cells] == [0.0, 0.0]
+        assert calls == [128.0, 32.0, 8.0, 2.0] * 4  # 2 trials x 2 p0
+
+    def test_stops_at_the_first_success(self, monkeypatch):
+        calls = record_lambdas(monkeypatch, lambda lam: lam <= 32.0)
+        spec = SuccessCurveSpec(lambda_grid=(2.0, 8.0, 32.0, 128.0), **self.GRID)
+        cells = success_curve(one_cluster, spec)
+        assert [c.success_rate for c in cells] == [1.0, 1.0]
+        assert calls == [128.0, 32.0] * 4
+
+    @pytest.mark.parametrize(
+        "grid", [(32.0, 2.0, 8.0), (8.0, 8.0, 2.0, 32.0, 2.0), (2, 8, 32)]
+    )
+    def test_permuted_or_repeated_grid_gives_the_same_cells(self, grid):
+        def generator(m, seed):
+            return gen_uniform_kappa(2, m, 12, 0.4, seed=seed)
+
+        def cells(lambda_grid):
+            spec = SuccessCurveSpec(
+                p0_grid=(1.0, 0.5),
+                M_grid=(4,),
+                lambda_grid=lambda_grid,
+                trials=2,
+                base_seed=7,
+                penalty=PenaltySpec.h1(1.0),
+                max_outer_iters=60,
+            )
+            return success_curve(generator, spec)
+
+        assert cells(grid) == cells((2.0, 8.0, 32.0))
+
+    @pytest.mark.parametrize("lam", (math.nan, 0.0, -8.0, math.inf, -math.inf))
+    def test_spec_rejects_a_lambda_that_is_not_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match=f"got {lam!r}"):
+            SuccessCurveSpec(p0_grid=(1.0,), M_grid=(4,), lambda_grid=(8.0, lam))
 
 
 class TestClusterOnce:

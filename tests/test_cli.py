@@ -526,6 +526,19 @@ class TestSimulateCommand:
         assert "p0 must lie in [0, 1]" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("grid", ("8,nan", "8,0", "8,-2", "8,inf"))
+    def test_bad_lambda_grid_is_a_usage_error_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, grid
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr("fusecluster.analysis.cluster_once", no_solve)
+        argv = ["simulate", "--preset", "fig3a", "--lambda-grid", grid, "--out-dir", "o"]
+        assert run_in(tmp_path, argv) == 1
+        assert "lambda must be finite and positive" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_zero_trials_is_an_error(self, tmp_path, capsys):
         argv = ["simulate", "--preset", "fig3a", "--trials", "0", "--out-dir", "."]
         assert run_in(tmp_path, argv) == 2

@@ -220,8 +220,9 @@ class TestPairwiseSqDists:
     def test_in_place_kernel_is_bitwise_the_expression(self, p, n, scale, seed):
         values = np.random.default_rng(seed).normal(size=(p, n)) * scale
         values[:, n // 2] = values[:, 0]  # a coincident pair
-        # Reference: the out-of-place form the in-place kernel replaced.
-        g = values.T @ values
+        # Reference: the out-of-place form the in-place kernel replaced, on
+        # the copied left operand the kernel takes (gemm, not syrk).
+        g = values.copy().T @ values
         sq = np.einsum("pi,pi->i", values, values)
         d2 = sq[:, None] + sq[None, :] - 2.0 * g
         d2 = 0.5 * (d2 + d2.T)

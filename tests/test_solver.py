@@ -750,7 +750,9 @@ class TestMajorizationError:
                 mm_cluster(ObservedDataset.full(x), SolverConfig(10.0**e, penalty))
             except MajorizationError:
                 rises.add((kind, 10.0**e, seed))
-        assert rises == {("h1", 1e10, 1), ("h1", 1e12, 2)}
+        assert rises == {
+            ("h1", 1e10, 0), ("h1", 1e10, 1), ("h1", 1e12, 0), ("h1", 1e12, 3), ("h1", 1e12, 4)
+        }
 
     def test_carries_the_rise(self):
         # A stiff h1 system, one of the known cases of the sweep above.
@@ -759,8 +761,8 @@ class TestMajorizationError:
             mm_cluster(ObservedDataset.full(x), SolverConfig(1e10, PenaltySpec.h1(1.0)))
         e = err.value
         assert e.iteration == 2
-        assert e.previous == pytest.approx(72.02098256802496, rel=1e-9)
-        assert e.current == pytest.approx(72.02098564819187, rel=1e-9)
+        assert e.previous == pytest.approx(72.020980486348, rel=1e-9)
+        assert e.current == pytest.approx(72.02098342773812, rel=1e-9)
         assert str(e) == (
             f"majorization violated: objective rose {e.previous:.12g} -> {e.current:.12g}"
         )
