@@ -144,10 +144,7 @@ def _check_flags(args):
             flags = {"--p0": args.p0, "--lambda": args.lam, "--merge-tol": args.merge_tol}
             _reject_unread(flags, "single-run presets")
             if args.lambda_grid is not None:
-                try:
-                    _check_lambda_grid(parse_grid(args.lambda_grid))
-                except ValueError as exc:
-                    raise _UsageError(f"--lambda-grid: {exc}") from None
+                _check_lambda_flag(args.lambda_grid)
         else:
             flags = {
                 "--trials": args.trials,
@@ -156,8 +153,19 @@ def _check_flags(args):
                 "--lambda-grid": args.lambda_grid,
             }
             _reject_unread(flags, "success-grid presets")
-    elif args.command == "wine" and not (args.wine_csv or os.environ.get("FUSECLUSTER_DATA_DIR")):
-        raise _UsageError("provide --wine-csv or set FUSECLUSTER_DATA_DIR")
+    elif args.command == "wine":
+        if not (args.wine_csv or os.environ.get("FUSECLUSTER_DATA_DIR")):
+            raise _UsageError("provide --wine-csv or set FUSECLUSTER_DATA_DIR")
+        _check_lambda_flag(args.lambda_grid)
+
+
+def _check_lambda_flag(text):
+    """A ``--lambda-grid`` with a lambda that is not finite and positive is
+    a usage error."""
+    try:
+        _check_lambda_grid(parse_grid(text))
+    except ValueError as exc:
+        raise _UsageError(f"--lambda-grid: {exc}") from None
 
 
 def build_parser() -> _Parser:

@@ -58,14 +58,18 @@ def _parse_entry(field: str) -> float:
 
 
 def write_points_csv(path, data: ObservedDataset, header_lines=()):
-    """Write a dataset (points as rows, missing entries as empty fields)."""
+    """Write a dataset (points as rows, missing entries as empty fields).
+
+    The bytes are those of ``csv.writer``: a float's ``repr`` needs no
+    quoting, rows end in ``\\r\\n``, and a one-field row whose entry is
+    missing is written ``""`` so that it is not a blank line."""
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        for i in range(data.point_count):
-            values, mask = data.values[:, i].tolist(), data.mask[:, i].tolist()
-            writer.writerow([repr(v) if m else "" for v, m in zip(values, mask)])
+        for values, mask in zip(data.values.T, data.mask.T):
+            fields = zip(values.tolist(), mask.tolist())
+            row = ",".join([repr(v) if m else "" for v, m in fields])
+            fh.write((row or '""') + "\r\n")
 
 
 def write_table_csv(path, column_names, rows, header_lines=()):

@@ -14,14 +14,19 @@ nearby surrogates are pulled together until they coalesce into clusters.
 Both penalties share that surrogate, ``w(x) = phi'(x) / (2x)``, and one
 row-blocked pass per iteration does all the N x N work for either
 (:func:`_majorize`): per block of rows it takes the distances over the upper
-triangle (Gram for h1, exact for the power penalty), evaluates ``phi`` and
-``weight`` on them while they are in cache, adds the fusion sum of the
-objective, writes the next weights into one N x N buffer that the solve
-reuses and keeps the row blocks of pairs close enough to fuse.  One solve
-state, :class:`_Groups`, merges those pairs into quotient columns; h1 never
-fuses.  Extraction (:func:`extract_clusters`) walks the same row blocks
-(:func:`_row_blocks`); both label ``(s, c)`` boolean blocks in vectorized
-hooking rounds (:func:`_components`), which hold no N x N array of any kind.
+triangle, evaluates ``phi`` and ``weight`` on them while they are in cache,
+adds the fusion sum of the objective, writes the next weights into one N x N
+buffer that the solve reuses and keeps the row blocks of pairs close enough
+to fuse.  h1 takes Gram distances.  The power penalty, whose slope diverges
+at 0, takes each within 1e-12 relative of the exact per-feature sum, and
+exactly 0 where that sum is: a pair whose Gram product could cancel comes
+from the columns centred on their component's mean, or from the exact sum
+(:func:`_lp_row_blocks`).  One solve state, :class:`_Groups`, merges the
+close pairs into quotient columns; h1 never fuses.  Extraction
+(:func:`extract_clusters`) walks the same row blocks (:func:`_row_blocks`);
+the merge, the components of the power pass and extraction label ``(s, c)``
+boolean blocks in vectorized hooking rounds (:func:`_components`), which
+hold no N x N array of any kind.
 
 The solver is deterministic: no randomness enters anywhere.
 """
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ObservedDataset, Partition, _frozen_array
-from .model import _pairwise_reduce, _pairwise_sq_dists
+from .model import _pairwise_sq_dists
 from .penalty import LP, PenaltySpec, phi, weight
 
 
@@ -148,31 +153,23 @@ class SolverConfig:
             raise ValueError("max_outer_iters must be at least 1")
 
 
-def pairwise_distances(
-    U: np.ndarray, accurate: bool = False, rows: tuple[int, int] | None = None
-) -> np.ndarray:
-    """Euclidean distances between columns of U.
+def pairwise_distances(U: np.ndarray, rows: tuple[int, int] | None = None) -> np.ndarray:
+    """Euclidean distances between columns of U, by the Gram expansion
+    ``model._pairwise_sq_dists``.
 
-    The Gram expansion loses ~sqrt(eps)*scale of absolute accuracy near zero,
-    which is harmless for the Gaussian-saturating penalty (quadratically flat
-    at 0) but not for the power penalty whose slope diverges there; the
-    accurate path sums squared differences instead, with the exact kernel
-    ``model._pairwise_reduce``.  That kernel computes each unordered pair
-    once and mirrors it, bitwise exact because ``fl(a-b) == -fl(b-a)`` and
-    squaring is even, so the result is bitwise a per-feature loop over all
-    ordered pairs, and exactly symmetric.
+    A squared distance from the Gram expansion carries an absolute error of
+    up to about ``(2P + 3) eps (||u_i||^2 + ||u_j||^2)``, which is harmless
+    for the Gaussian-saturating penalty (quadratically flat at 0) but not
+    for the power penalty, whose slope diverges there; its pass takes
+    component-centred products instead (:func:`_lp_row_blocks`).
 
-    ``rows=(s, e)`` asks either path for one upper row block only: the
-    distances from columns ``[s, e)`` to columns ``[s, N)``, whose leading
-    square is exactly symmetric with a zero diagonal.  :func:`_row_blocks`
-    asks for every block this way, for the majorization pass and for
-    cluster extraction.
+    ``rows=(s, e)`` asks for one upper row block only: the distances from
+    columns ``[s, e)`` to columns ``[s, N)``, whose leading square is
+    exactly symmetric with a zero diagonal.  :func:`_row_blocks` asks for
+    every block this way, for the majorization pass and for cluster
+    extraction.
     """
-    U = np.asarray(U, dtype=float)
-    if accurate:
-        d = _pairwise_reduce(U, np.square, np.add, *(rows or ()))
-    else:
-        d = _pairwise_sq_dists(U, *(rows or ()))
+    d = _pairwise_sq_dists(np.asarray(U, dtype=float), *(rows or ()))
     return np.sqrt(d, out=d)
 
 
@@ -181,16 +178,119 @@ def pairwise_distances(
 _PASS_BLOCK_BYTES = 1 << 20
 
 
-def _row_blocks(U, accurate=False):
+def _row_blocks(U, budget=None):
     """Yield ``(s, d)``: U's column distances from rows ``[s, s + len(d))``
-    to columns ``[s, N)``, B rows at a time (B from ``_PASS_BLOCK_BYTES``)."""
+    to columns ``[s, N)``, B rows at a time (B from ``budget`` bytes per
+    block, ``_PASS_BLOCK_BYTES`` by default)."""
     # Stored arrays are C-ordered already; a raw U passed to the public
     # distance routines may not be, and the Gram product rounds by layout.
     U = np.ascontiguousarray(U, dtype=float)
     n = U.shape[1]
-    step = max(1, _PASS_BLOCK_BYTES // max(8 * n, 1))
+    step = max(1, (budget or _PASS_BLOCK_BYTES) // max(8 * n, 1))
     for s in range(0, n, step):
-        yield s, pairwise_distances(U, accurate, (s, min(s + step, n)))
+        yield s, pairwise_distances(U, (s, min(s + step, n)))
+
+
+# Relative accuracy of the power penalty's pass distances against the exact
+# per-feature sums of squared differences.
+_LP_RTOL = 1e-12
+
+
+def _lp_row_blocks(U, parked):
+    """Yield the ``(s, d)`` row blocks of :func:`_row_blocks`, each distance
+    within ``_LP_RTOL`` relative of the exact per-feature sum, and that sum
+    itself where it is 0 or where a Gram form could underflow.
+
+    A Gram square ``d^2`` errs by at most ``(2P + 3) eps S``, with ``S`` the
+    two columns' squared norms, so ``d^2 >= kappa S`` with
+    ``kappa = (2P + 3) eps / _LP_RTOL`` bounds its relative error, and a
+    floor of ``kappa tiny`` (``tiny`` the smallest normal float) covers
+    products that underflow.
+
+    Sweep 1 takes plain Gram blocks and yields every block whose pairs all
+    pass that check.  A block with a pair that fails it waits in its
+    own rows ``parked[s:e, s:]`` of the G x G buffer its weights will fill,
+    and one :func:`_components` call labels the failing pairs.  Sweep 2
+    yields the waiting blocks: pairs within a component from the Gram
+    product of the columns centred on their component's mean, where the
+    norms are at the component's scale, and the other pairs, which passed
+    the check, as they waited.  A pair that fails the check against its
+    centred norms is the exact sum over features in order, bitwise a
+    per-feature loop.
+
+    A yielded block's weights fill its own rows and, mirrored, rows below
+    it in its own columns, so they never overwrite a waiting block.  Blocks
+    take half of ``_PASS_BLOCK_BYTES``: the pass also holds the failing
+    pairs as booleans, as the close pairs, and the P x G centred columns,
+    and half blocks keep its peak below that of full ones.
+    """
+    U = np.ascontiguousarray(U, dtype=float)
+    p, n = U.shape
+    kappa = (2 * p + 3) * np.finfo(float).eps / _LP_RTOL
+    half_bound = _half_bounds(U, kappa)
+    near = []
+    for s, d in _row_blocks(U, _PASS_BLOCK_BYTES // 2):
+        c = _fails_check(d, half_bound, s)
+        if c.any():
+            near.append((s, c))
+            parked[s : s + len(d), s:] = d
+        else:
+            del c
+            yield s, d
+    if not near:
+        return
+    labels = _components(n, near)
+    spans = [(s, s + len(c)) for s, c in near]
+    del near
+    centred = U - _component_means(U, labels)[:, labels]
+    half_bound = _half_bounds(centred, kappa)
+    for s, e in spans:
+        same = labels[s:e, None] == labels[None, s:]
+        d = pairwise_distances(centred, (s, e))
+        fail = _fails_check(d, half_bound, s)
+        fail &= same
+        np.copyto(d, parked[s:e, s:], where=~same)
+        if fail.any():
+            r, k = np.nonzero(fail)
+            d[r, k] = np.sqrt(_exact_sq_dists(U, s + r, s + k))
+        del same, fail
+        yield s, d
+
+
+def _half_bounds(V, kappa):
+    """Per column ``max(kappa ||v_i||^2, max(kappa, 1) tiny)``: the pair
+    ``(i, j)`` passes the Gram check when ``d_ij^2`` reaches the sum of its
+    two.  The floor covers ``kappa tiny`` and keeps the bounds normal
+    numbers, which the elementwise passes take at full speed."""
+    floor = max(kappa, 1.0) * np.finfo(float).tiny
+    return np.maximum(kappa * np.einsum("pi,pi->i", V, V), floor)
+
+
+def _fails_check(d, half_bound, s):
+    """Rows ``[s, s + len(d))`` of distances ``d``: the off-diagonal pairs
+    that fail the Gram check of :func:`_half_bounds`."""
+    bound = np.add.outer(half_bound[s : s + len(d)], half_bound[s:])
+    c = d < np.sqrt(bound, out=bound)
+    np.fill_diagonal(c, False)  # the leading square's zero diagonal
+    return c
+
+
+def _component_means(U, labels):
+    """P x K mean column of each of the K labelled components."""
+    counts = np.bincount(labels)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    order = np.argsort(labels, kind="stable")
+    return np.add.reduceat(U[:, order], starts, axis=1) / counts
+
+
+def _exact_sq_dists(U, i, j):
+    """Squared distances of the column pairs ``(i, j)``, summed feature by
+    feature in order, as a per-feature loop sums them."""
+    out = np.zeros(len(i))
+    for row in U:
+        diff = row[i] - row[j]
+        out += diff * diff
+    return out
 
 
 def _majorize(U, penalty, W, fuse_tol, counts=None):
@@ -203,19 +303,22 @@ def _majorize(U, penalty, W, fuse_tol, counts=None):
     diagonal cleared, so ``c[r, k]`` links columns ``s + r`` and ``s + k``;
     only blocks that hold a pair are kept, so an h1 pass keeps none.
     ``counts`` are the group sizes ``c`` of fused columns; ``None`` means
-    every column is one point.  The power penalty takes the exact distances,
-    the Gaussian-saturating one the Gram distances.  A power weight is taken
-    at ``max(d_ij, fuse_tol)``, read after ``phi`` and the close pairs.
+    every column is one point.  The Gaussian-saturating penalty takes the
+    Gram distances of :func:`_row_blocks`; the power penalty takes those of
+    :func:`_lp_row_blocks`, within ``_LP_RTOL`` relative of the exact
+    per-feature sums and exactly 0 where those are.  A power weight is
+    taken at ``max(d_ij, fuse_tol)``, read after ``phi`` and the close pairs.
 
-    One block of :func:`_row_blocks` at a time, ``phi`` and ``weight`` run
-    on the block's distances while they are in cache.  The block's own
-    square counts once in the fusion sum and the part right of it twice;
-    that part is mirrored, transposed, into the lower triangle, so ``W`` is
-    exactly symmetric.  Extra memory is O(P*G + budget).
+    One block at a time, ``phi`` and ``weight`` run on the block's
+    distances while they are in cache.  The block's own square counts once
+    in the fusion sum and the part right of it twice; that part is
+    mirrored, transposed, into the lower triangle, so ``W`` is exactly
+    symmetric.  Extra memory is O(P*G + budget).
     """
     fusion = 0.0
     close = []
-    for s, d in _row_blocks(U, penalty.kind == LP):
+    blocks = _lp_row_blocks(U, W) if penalty.kind == LP else _row_blocks(U)
+    for s, d in blocks:
         part, c = _majorize_block(d, penalty, s, W, fuse_tol, counts)
         fusion += part
         if c.any():

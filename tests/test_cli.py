@@ -481,6 +481,21 @@ class TestWineCommand:
         assert run_in(tmp_path, argv) == 2
         assert "m_per_class must be at least 1, got -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ("8,nan", "8,0", "8,-2", "8,inf"))
+    def test_bad_lambda_grid_is_a_usage_error_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, synthetic_wine, grid
+    ):
+        path, _, _ = synthetic_wine()
+        solves = []
+        monkeypatch.setattr("fusecluster.cli.cluster_once", lambda *a, **k: solves.append(a))
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        argv = ["wine", "--wine-csv", path, "--lambda-grid", grid, "--out-dir", "o"]
+        assert run_in(run_dir, argv) == 1
+        assert "lambda must be finite and positive" in capsys.readouterr().err
+        assert solves == []
+        assert os.listdir(run_dir) == []
+
     def test_missing_wine_path_is_usage_error(self, tmp_path):
         env_backup = os.environ.pop("FUSECLUSTER_DATA_DIR", None)
         try:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,42 @@ class TestReadFormats:
         path.write_text("# only a comment\n")
         with pytest.raises(ValueError, match="no data"):
             read_points_csv(path)
+
+
+def csv_writer_reference(path, data, header_lines):
+    """The bytes of the csv.writer form of write_points_csv."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        for values, mask in zip(data.values.T.tolist(), data.mask.T.tolist()):
+            writer.writerow([repr(v) if m else "" for v, m in zip(values, mask)])
+
+
+class TestPointsWriter:
+    @pytest.mark.parametrize(
+        "values, mask",
+        [
+            (
+                [[-0.0, 5e-324, 1e16, 1.0], [1e-5, 2.0, -3.5, 4.0], [7.0, 8.0, 9.0, 0.1]],
+                [[True, True, False, False], [True, False, True, False],
+                 [True, True, True, False]],
+            ),
+            ([[-0.0, 5e-324, 1e16, 1e-5]], [[True, False, True, True]]),
+            ([[-0.0, 5e-324, 1e16, 1e-5]], [[True, True, True, True]]),
+        ],
+        ids=["masked", "p1-masked", "p1-full"],
+    )
+    def test_bytes_equal_the_csv_writer(self, tmp_path, values, mask):
+        # Column 3 of the masked case is an all-unobserved row, and the
+        # P = 1 one a one-field row that csv.writer quotes as "".
+        data = ObservedDataset(np.array(values), np.array(mask))
+        header = ("version: test", "seed: 0")
+        write_points_csv(tmp_path / "new.csv", data, header_lines=header)
+        csv_writer_reference(tmp_path / "ref.csv", data, header)
+        got = (tmp_path / "new.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == data.point_count
 
 
 class TestTableWriter:

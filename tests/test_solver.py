@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fusecluster import model, solver
@@ -49,6 +49,12 @@ def loop_distances(U):
     return np.sqrt(d2)
 
 
+def exact_distances(u, rows=()):
+    """The exact kernel's distances: rows ``[s, e)`` against columns
+    ``[s, N)`` for ``rows=(s, e)``, all pairs by default."""
+    return np.sqrt(model._pairwise_reduce(u, np.square, np.add, *rows))
+
+
 def union_find_labels(adj):
     """Reference for _components: union-find over the off-diagonal pairs,
     roots numbered in order of first occurrence."""
@@ -74,10 +80,11 @@ def exact_block_budget(p, n, rows):
     return 8 * p * n * rows
 
 
-def pass_block_budget(n, rows):
+def pass_block_budget(n, rows, kind="h1"):
     """Value of solver._PASS_BLOCK_BYTES that makes the row-blocked
-    majorization pass fill ``rows`` rows per block on N points."""
-    return 8 * n * rows
+    majorization pass fill ``rows`` rows per block on N points; the power
+    penalty's pass (kind "lp") takes blocks of half the budget."""
+    return 8 * n * rows * (2 if kind == "lp" else 1)
 
 
 def majorize(u, penalty, fuse_tol=None):
@@ -370,7 +377,7 @@ class TestMMCluster:
         cfg = SolverConfig(lam=0.2, penalty=PenaltySpec.lp(0.5), max_outer_iters=120,
                            objective_rel_tol=1e-12)
         centroids, _ = mm_cluster(data, cfg)
-        d = pairwise_distances(centroids.U, accurate=True)
+        d = loop_distances(centroids.U)
         same = truth.labels[:, None] == truth.labels[None, :]
         np.fill_diagonal(same, False)
         if d[same].size:
@@ -464,9 +471,7 @@ class TestExtractClusters:
 class TestPairwiseDistances:
     def test_gram_and_accurate_agree(self, rng):
         u = rng.normal(size=(4, 7))
-        np.testing.assert_allclose(
-            pairwise_distances(u), pairwise_distances(u, accurate=True), atol=1e-9
-        )
+        np.testing.assert_allclose(pairwise_distances(u), loop_distances(u), atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -487,7 +492,7 @@ class TestPairwiseDistances:
         with mock.patch.object(
             model, "_EXACT_BLOCK_BYTES", exact_block_budget(p, n, rows)
         ):
-            d = pairwise_distances(u, accurate=True)
+            d = exact_distances(u)
             linf = model._pairwise_reduce(u, np.abs, np.maximum)
         assert np.array_equal(d, loop_distances(u))
         assert np.array_equal(linf, linf_loop(u))
@@ -497,7 +502,7 @@ class TestPairwiseDistances:
         # 601 rows split into blocks with a ragged tail (B = 4 at P = 50).
         u = rng.normal(size=(p, 601))
         u[:, 300:310] = u[:, 0:10]
-        assert np.array_equal(pairwise_distances(u, accurate=True), loop_distances(u))
+        assert np.array_equal(exact_distances(u), loop_distances(u))
         linf = model._pairwise_reduce(u, np.abs, np.maximum)
         assert np.array_equal(linf, linf_loop(u))
 
@@ -516,8 +521,52 @@ class TestPairwiseDistances:
         assert not np.diagonal(square).any()
         if rows == (0, 23):
             assert np.array_equal(block, full)
-        exact = pairwise_distances(u, accurate=True, rows=rows)
+        exact = exact_distances(u, rows)
         assert np.array_equal(exact, loop_distances(u)[s:e, s:])
+
+
+class TestLpDistances:
+    """The power penalty's pass distances, ``solver._lp_row_blocks``: within
+    1e-12 relative of the per-feature loop, and exactly 0 where it is 0."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        m=st.integers(1, 14),
+        p=st.sampled_from([1, 3, 50]),
+        log_spread=st.floats(-12, 0),
+        log_scale=st.floats(-160, 150),
+        rows=st.sampled_from([2, 3, 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=2, m=6, p=3, log_spread=-3.0, log_scale=-160.0, rows=7, seed=0)
+    def test_within_1e_12_of_the_loop(self, k, m, p, log_spread, log_scale, rows, seed):
+        # k tight clusters, each spread 10^log_spread of its offset, with
+        # exact duplicate columns, all scaled by 10^log_scale (below 1e-153
+        # squares underflow); the pass blocks of `rows` rows leave a ragged
+        # tail.
+        n = k * m
+        assume(n % rows)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(p, k))[:, rng.integers(0, k, size=n)]
+        u += 10.0**log_spread * np.abs(u).max() * rng.normal(size=(p, n))
+        dup = rng.integers(0, n, size=n // 3)
+        u[:, rng.integers(0, n, size=dup.size)] = u[:, dup]
+        u *= 10.0**log_scale
+        want = loop_distances(u)
+        got = np.full((n, n), np.nan)
+        with mock.patch.object(solver, "_PASS_BLOCK_BYTES", pass_block_budget(n, rows, "lp")):
+            for s, d in solver._lp_row_blocks(u, np.empty((n, n))):
+                square = d[:, : len(d)]
+                assert np.array_equal(square, square.T)
+                assert not np.diagonal(square).any()
+                assert np.isnan(got[s : s + len(d), s:]).all()  # each row once
+                got[s : s + len(d), s:] = d
+        upper = np.triu_indices(n)
+        got, want = got[upper], want[upper]
+        assert np.array_equal(got[want == 0], want[want == 0])
+        rel = np.abs(got - want)[want > 0] / want[want > 0]
+        assert rel.max(initial=0.0) <= 1e-12
 
 
 class TestTriangleKernel:
@@ -529,7 +578,7 @@ class TestTriangleKernel:
         u = rng.normal(size=(6, n))
         u[:, n - 1] = u[:, 0]  # the tail row coincides with the first block
         with mock.patch.object(model, "_EXACT_BLOCK_BYTES", exact_block_budget(6, n, rows)):
-            d = pairwise_distances(u, accurate=True)
+            d = exact_distances(u)
             linf = model._pairwise_reduce(u, np.abs, np.maximum)
         for got, want in ((d, loop_distances(u)), (linf, linf_loop(u))):
             assert np.array_equal(got, want)
@@ -544,9 +593,9 @@ class TestTriangleKernel:
         n = u.shape[1]
         dense = np.ascontiguousarray(u)
         with mock.patch.object(model, "_EXACT_BLOCK_BYTES", exact_block_budget(5, n, 3)):
-            d = pairwise_distances(u, accurate=True)
+            d = exact_distances(u)
             linf = model._pairwise_reduce(u, np.abs, np.maximum)
-            assert np.array_equal(d, pairwise_distances(dense, accurate=True))
+            assert np.array_equal(d, exact_distances(dense))
             assert np.array_equal(linf, model._pairwise_reduce(dense, np.abs, np.maximum))
         assert np.array_equal(d, loop_distances(dense))
         assert np.array_equal(linf, linf_loop(dense))
@@ -563,24 +612,28 @@ class TestTriangleKernel:
 class TestH1Pass:
     """The majorization pass of both penalties: one row-blocked sweep gives
     the fusion sum, the weights, exactly symmetric, and the close pairs.  h1
-    is close to phi and weight on the Gram distances; lp is bitwise them on
-    the exact distances."""
+    is close to phi and weight on the Gram distances; lp is them on the
+    per-feature loop's distances within the pass's 1e-12 relative accuracy,
+    and exactly where the loop puts a pair at 0."""
 
     PENALTIES = {"h1": PenaltySpec.h1(1.5), "lp": PenaltySpec.lp(0.5)}
 
     def check_against_reference(self, u, penalty, fusion, w, fuse_tol):
         assert np.array_equal(w, w.T)
         assert not np.diagonal(w).any()
-        d = pairwise_distances(u, accurate=penalty.kind == "lp")
+        d = loop_distances(u) if penalty.kind == "lp" else pairwise_distances(u)
         # the power weight's one floor is the pass's fuse threshold
         want_w = weight(np.maximum(d, fuse_tol), penalty)
         np.fill_diagonal(want_w, 0.0)
         pen = phi(d, penalty)
         np.fill_diagonal(pen, 0.0)
-        assert fusion == pytest.approx(pen.sum(), rel=1e-13)
         if penalty.kind == "lp":
-            assert np.array_equal(w, want_w)
+            assert fusion == pytest.approx(pen.sum(), rel=1e-12)
+            # w ~ d^(p - 2): 1.5 times the distances' relative error
+            np.testing.assert_allclose(w, want_w, rtol=2e-12, atol=0)
+            assert np.array_equal(w[d == 0], want_w[d == 0])
         else:
+            assert fusion == pytest.approx(pen.sum(), rel=1e-13)
             assert np.abs(w - want_w).max() <= 1e-13 / (2.0 * penalty.sigma**2)
 
     @pytest.mark.parametrize("kind, rows", h1_and_lp([1, 2, 3, 7, None]))
@@ -590,33 +643,33 @@ class TestH1Pass:
         u[:, n - 1] = u[:, 0]  # the tail coincides with the first block
         u[:, 5] = u[:, 4]
         penalty = self.PENALTIES[kind]
-        exact = pairwise_distances(u, accurate=True)
-        if kind == "lp":
-            fuse_tol = float(np.median(exact))
+        exact = loop_distances(u)
+        if kind == "lp":  # between two pair distances: rounding moves no pair across
+            fuse_tol = float(np.median(exact)) * (1.0 + 1e-9)
         else:  # the run's threshold: 0, as h1 never fuses
             fuse_tol = solver._fuse_threshold(penalty, u)
         blocks = []
 
-        def recorded(U, accurate, rows):  # a copy: the lp pass floors d in place
-            d = pairwise_distances(U, accurate, rows)
-            blocks.append((rows, d.copy()))
-            return d
+        def recorded(U, rows):
+            blocks.append(rows)
+            return pairwise_distances(U, rows)
 
-        budget = solver._PASS_BLOCK_BYTES if rows is None else pass_block_budget(n, rows)
-        assert rows is not None or budget >= 8 * n * n  # one block covers all
+        budget = solver._PASS_BLOCK_BYTES if rows is None else pass_block_budget(n, rows, kind)
+        assert rows is not None or budget >= 16 * n * n  # one block covers all
         with mock.patch.object(solver, "_PASS_BLOCK_BYTES", budget), mock.patch.object(
             solver, "pairwise_distances", recorded
         ):
             fusion, w, close = majorize(u, penalty, fuse_tol)
         self.check_against_reference(u, penalty, fusion, w, fuse_tol)
-        assert [r for r, _ in blocks] == [
-            (s, min(s + (rows or n), n)) for s in range(0, n, rows or n)
-        ]
+        tiling = [(s, min(s + (rows or n), n)) for s in range(0, n, rows or n)]
+        assert blocks[: len(tiling)] == tiling
         if kind == "h1":
+            assert blocks == tiling
             assert close == []  # no pair is closer than 0
         else:
-            for (s, e), d in blocks:
-                assert np.array_equal(d, exact[s:e, s:])
+            # Only the coincident pairs fail the Gram check, so sweep 2
+            # takes the blocks of rows 0 and 4 again.
+            assert blocks[len(tiling) :] == [(s, e) for s, e in tiling if s <= 0 < e or s <= 4 < e]
             got = np.zeros((n, n), dtype=bool)
             for s, c in close:
                 assert c.any()  # only blocks that hold a pair are kept
@@ -629,9 +682,13 @@ class TestH1Pass:
         u = rng.normal(size=(6, 23))
         for penalty in self.PENALTIES.values():
             fusion, w, _ = majorize(u, penalty)
-            d = pairwise_distances(u, accurate=penalty.kind == "lp")
+            fuse_tol = solver._fuse_threshold(penalty, u)
+            if penalty.kind == "lp":
+                self.check_against_reference(u, penalty, fusion, w, fuse_tol)
+                continue
+            d = pairwise_distances(u)
             pen = phi(d, penalty)
-            want_w = weight(np.maximum(d, solver._fuse_threshold(penalty, u)), penalty)
+            want_w = weight(np.maximum(d, fuse_tol), penalty)
             np.fill_diagonal(want_w, 0.0)
             assert fusion == pen.sum()
             assert np.array_equal(w, want_w)
@@ -644,7 +701,7 @@ class TestH1Pass:
         u = layout(rng.normal(size=(5, 46)))
         n = u.shape[1]
         penalty = self.PENALTIES[kind]
-        budget = solver._PASS_BLOCK_BYTES if rows is None else pass_block_budget(n, rows)
+        budget = solver._PASS_BLOCK_BYTES if rows is None else pass_block_budget(n, rows, kind)
         with mock.patch.object(solver, "_PASS_BLOCK_BYTES", budget):
             fusion, w, _ = majorize(u, penalty)
             dense_fusion, dense_w, _ = majorize(np.ascontiguousarray(u), penalty)
@@ -676,7 +733,7 @@ class TestH1Pass:
         # quotient's count-weighted pass, compared with the point-level one.
         data, _ = random_instance(seed=4, K=3, M=20, P=50, p0=0.6, scale=6.0)
         if rows is not None:
-            monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(60, rows))
+            monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(60, rows, kind))
         if kind == "h1":
             lam, penalty = 16.0, PenaltySpec.h1(2.0)
         else:
@@ -787,7 +844,7 @@ class TestScaleEquivariance:
             return cluster_once(data, 64.0 * c**2, PenaltySpec.h1(2.0 * c))
         return cluster_once(data, c**1.5, PenaltySpec.lp(0.5))
 
-    @pytest.mark.parametrize("c", [1e-100, 1e-20, 1.0, 1e20])
+    @pytest.mark.parametrize("c", [1e-150, 1e-100, 1e-20, 1.0, 1e20, 1e150])
     @pytest.mark.parametrize("kind", ["h1", "lp"])
     def test_partition_and_iterations_match_unit_scale(self, kind, c):
         unit, scaled = self.run(kind, 1.0), self.run(kind, c)
@@ -867,6 +924,30 @@ class TestComponents:
         assert elapsed < 1.0
 
 
+def loop_row_blocks(U, parked):
+    """Stand-in for solver._lp_row_blocks: the per-feature loop's distances,
+    in one block."""
+    return iter([(0, loop_distances(U))])
+
+
+def solve_recording_merges(data, cfg, monkeypatch):
+    """mm_cluster with each merge recorded as (iteration, G after it)."""
+    merge = solver._Groups.merge
+    calls, merges = [], []
+
+    def recorded(self):
+        merged = merge(self)
+        calls.append(merged)
+        if merged:
+            merges.append((len(calls), self.V.shape[1]))
+        return merged
+
+    monkeypatch.setattr(solver._Groups, "merge", recorded)
+    centroids, trace = mm_cluster(data, cfg)
+    monkeypatch.setattr(solver._Groups, "merge", merge)
+    return centroids, trace, merges
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize(
         "rows, pass_rows",
@@ -878,33 +959,56 @@ class TestBitIdentity:
         ],
     )
     def test_lp_run_with_merges_matches_the_loop_kernel(self, rows, pass_rows, monkeypatch):
-        # The whole lp solve, fused-group merges included, must not move one
-        # bit when the blocked kernel stands in for the per-feature loop.
+        # The whole lp solve, fused-group merges included, must make the
+        # per-feature loop kernel's merges, at the same iterations and to the
+        # same G, and end in its partition; each of its passes must be the
+        # loop kernel's pass at the same point within 1e-12 relative.  The
+        # two runs' objectives agree within 1e-10 only: near coalescence the
+        # weights, ~ d^-1.5, amplify a pass's rounding (1e-14 here) along
+        # the run, to 5.1e-12 on this input.
         data, _ = random_instance(seed=3, K=3, M=20, P=50, p0=0.6, scale=6.0)
         cfg = SolverConfig(lam=0.2, penalty=PenaltySpec.lp(0.5))
-        whole, _ = mm_cluster(data, cfg)  # default budgets: one pass block
-        if rows is not None:
+        whole, whole_trace, _ = solve_recording_merges(data, cfg, monkeypatch)
+        if rows is not None:  # the exact kernel's budget must not matter
             monkeypatch.setattr(
                 model, "_EXACT_BLOCK_BYTES", exact_block_budget(50, 60, rows)
             )
         if pass_rows is not None:
             monkeypatch.setattr(
-                solver, "_PASS_BLOCK_BYTES", pass_block_budget(60, pass_rows)
+                solver, "_PASS_BLOCK_BYTES", pass_block_budget(60, pass_rows, "lp")
             )
-        blocked, blocked_trace = mm_cluster(data, cfg)
-        # Weights and merges are bitwise blind to the blocking; only the
-        # fusion sum's rounding may see it.
-        assert np.array_equal(blocked.U, whole.U)
-        monkeypatch.setattr(
-            solver,
-            "pairwise_distances",
-            lambda U, accurate, rows: loop_distances(U)[rows[0] : rows[1], rows[0] :],
-        )
-        loop, loop_trace = mm_cluster(data, cfg)
+        majorize, passes = solver._majorize, []
+
+        def checked(U, penalty, W, fuse_tol, counts=None):
+            fusion, close = majorize(U, penalty, W, fuse_tol, counts)
+            want_w = np.empty_like(W)
+            with mock.patch.object(solver, "_lp_row_blocks", loop_row_blocks):
+                want, _ = majorize(U, penalty, want_w, fuse_tol, counts)
+            assert fusion == pytest.approx(want, rel=1e-12)
+            np.testing.assert_allclose(W, want_w, rtol=2e-12, atol=0)
+            passes.append(U.shape[1])
+            return fusion, close
+
+        monkeypatch.setattr(solver, "_majorize", checked)
+        blocked, blocked_trace, merges = solve_recording_merges(data, cfg, monkeypatch)
+        monkeypatch.setattr(solver, "_majorize", majorize)
+        assert len(passes) == blocked_trace.iterations + 1 + len(merges)
+        if pass_rows is None:  # the same pass blocks: bitwise the same run
+            assert np.array_equal(blocked.U, whole.U)
+            assert np.array_equal(blocked_trace.objectives, whole_trace.objectives)
+        monkeypatch.setattr(solver, "_lp_row_blocks", loop_row_blocks)
+        loop, loop_trace, loop_merges = solve_recording_merges(data, cfg, monkeypatch)
         groups = np.unique(blocked.U, axis=1, return_inverse=True)[1]
         assert groups.max() + 1 < data.point_count  # merged
         if pass_rows is not None:  # some fused group spans two pass blocks
             block_of = np.arange(data.point_count) // pass_rows
             assert any(len(set(block_of[groups == g])) > 1 for g in range(groups.max() + 1))
-        assert np.array_equal(blocked.U, loop.U)
-        assert np.array_equal(blocked_trace.objectives, loop_trace.objectives)
+        assert merges == loop_merges
+        assert blocked_trace.iterations == loop_trace.iterations
+        np.testing.assert_allclose(
+            blocked_trace.objectives, loop_trace.objectives, rtol=1e-10, atol=0
+        )
+        loop_groups = np.unique(loop.U, axis=1, return_inverse=True)[1]
+        assert Partition(groups).same_clustering(Partition(loop_groups))
+        labels = [extract_clusters(c.U, default_merge_tol(c.U)).labels for c in (blocked, loop)]
+        assert np.array_equal(*labels)
