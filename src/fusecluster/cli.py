@@ -1,8 +1,9 @@
 """Command-line interface and experiment presets.
 
 Subcommands: theory | simulate | cluster | wine | oracle-check | version.
-Every run is seeded (``--seed``, default 0) and writes deterministic outputs
-under ``--out-dir``; identical invocations produce byte-identical files.
+Every run but ``version``, which takes no flags and writes nothing, is seeded
+(``--seed``, default 0) and writes deterministic outputs under ``--out-dir``;
+identical invocations produce byte-identical files.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -135,6 +136,7 @@ def _check_flags(args):
     if args.seed < 0:  # numpy's seeding takes non-negative integers only
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.command == "cluster":
+        _check_lambda_flag("--lambda", args.lam)
         penalty_flags = {"h1": {"--sigma": args.sigma}, "lp": {"--p": args.p}}
         for kind, flags in penalty_flags.items():
             if kind != args.penalty:
@@ -144,8 +146,10 @@ def _check_flags(args):
             flags = {"--p0": args.p0, "--lambda": args.lam, "--merge-tol": args.merge_tol}
             _reject_unread(flags, "single-run presets")
             if args.lambda_grid is not None:
-                _check_lambda_flag(args.lambda_grid)
+                _check_lambda_flag("--lambda-grid", args.lambda_grid)
         else:
+            if args.lam is not None:
+                _check_lambda_flag("--lambda", args.lam)
             flags = {
                 "--trials": args.trials,
                 "--m-grid": args.m_grid,
@@ -156,16 +160,16 @@ def _check_flags(args):
     elif args.command == "wine":
         if not (args.wine_csv or os.environ.get("FUSECLUSTER_DATA_DIR")):
             raise _UsageError("provide --wine-csv or set FUSECLUSTER_DATA_DIR")
-        _check_lambda_flag(args.lambda_grid)
+        _check_lambda_flag("--lambda-grid", args.lambda_grid)
 
 
-def _check_lambda_flag(text):
-    """A ``--lambda-grid`` with a lambda that is not finite and positive is
-    a usage error."""
+def _check_lambda_flag(flag, value):
+    """A ``--lambda`` (a number) or ``--lambda-grid`` (grid text) with a
+    lambda that is not finite and positive is a usage error."""
     try:
-        _check_lambda_grid(parse_grid(text))
+        _check_lambda_grid(parse_grid(value) if isinstance(value, str) else (value,))
     except ValueError as exc:
-        raise _UsageError(f"--lambda-grid: {exc}") from None
+        raise _UsageError(f"{flag}: {exc}") from None
 
 
 def build_parser() -> _Parser:
@@ -241,9 +245,7 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--p0", type=float, default=0.8)
     p_oracle.add_argument("--trials", type=int, default=2000)
 
-    p_version = sub.add_parser("version", help="print the package version")
-    common(p_version)
-
+    sub.add_parser("version", help="print the package version")
     return parser
 
 
@@ -278,6 +280,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
+        if args.command == "version":
+            print(__version__)
+            return 0
         _check_flags(args)
     except (_UsageError, OSError) as exc:
         print(f"fusecluster: error: {exc}", file=sys.stderr)
@@ -293,7 +298,6 @@ def main(argv=None) -> int:
             "cluster": _run_cluster,
             "wine": _run_wine,
             "oracle-check": _run_oracle_check,
-            "version": _run_version,
         }[args.command]
         handler(args, argv)
         return 0
@@ -303,10 +307,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"fusecluster: error: {exc}", file=sys.stderr)
         return 2
-
-
-def _run_version(args, argv):
-    print(__version__)
 
 
 def _run_theory(args, argv):

@@ -232,17 +232,18 @@ _EXACT_BLOCK_BYTES = 1 << 20
 
 
 def _pairwise_reduce(
-    values: np.ndarray, elementwise, reduce, start: int = 0, stop: int | None = None
+    values: np.ndarray, elementwise, reduce, stop: int | None = None
 ) -> np.ndarray:
     """``reduce`` over features of ``elementwise(values[:, i] - values[:, j])``
     for pairs of columns: squared l2 distances with ``np.square`` and
     ``np.add``, sup-norm distances with ``np.abs`` and ``np.maximum``.  Rows
-    ``[start, stop)`` against columns ``[start, N)``: all pairs by default.
+    ``[0, stop)`` against all columns: all pairs by default (rows ``[s, e)``
+    against columns ``[s, N)`` are ``values[:, s:]`` with ``e - s``).
 
     Works on that upper triangle, B rows at a time (B from a fixed ~1 MB
     budget for one P x B x N buffer): rows ``[s, s+B)`` are reduced against
-    columns ``[s, N)`` only, and the part of the range's leading square left
-    of the diagonal is copied, transposed, from the part right of it.  The
+    columns ``[s, N)`` only, and the part of the leading square left of the
+    diagonal is copied, transposed, from the part right of it.  The
     copy is bitwise what a direct pass would compute: round-to-nearest
     subtraction is antisymmetric (``fl(a-b) == -fl(b-a)``), both elementwise
     maps are even, and the features are still reduced in index order, the
@@ -252,18 +253,17 @@ def _pairwise_reduce(
     p, n = values.shape
     stop = n if stop is None else stop
     rows = max(1, _EXACT_BLOCK_BYTES // max(8 * p * n, 1))
-    out = np.empty((stop - start, n - start))
-    buf = np.empty(p * min(rows, stop - start) * (n - start))
-    for a in range(start, stop, rows):
+    out = np.empty((stop, n))
+    buf = np.empty(p * min(rows, stop) * n)
+    for a in range(0, stop, rows):
         b = min(a + rows, stop)
         # Packed contiguously: faster than a strided view of a wider buffer.
         diff = buf[: p * (b - a) * (n - a)].reshape(p, b - a, n - a)
         np.subtract(values[:, a:b, None], values[:, None, a:], out=diff)
         elementwise(diff, out=diff)
-        i, j = a - start, b - start
         # An axis-0 reduce combines feature by feature, never pairwise.
-        reduce.reduce(diff, axis=0, out=out[i:j, i:])
-        out[j:, i:j] = out[i:j, j : stop - start].T
+        reduce.reduce(diff, axis=0, out=out[a:b, a:])
+        out[b:, a:b] = out[a:b, b:stop].T
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -66,9 +66,12 @@ class MajorizationError(RuntimeError):
 
     ``iteration`` is the outer iteration whose objective ``current`` rose
     above its predecessor ``previous``.  The solve minimizes the very
-    objective it checks, so its one measured trigger is the residual floor
-    of the conjugate-gradient solve on stiff systems: h1 with sigma = 1 and
-    lambda >= 1e10 on 5 x 20 standard Gaussians, for some seeds.
+    objective it checks; the measured trigger is Gram rounding in the h1
+    pass's fusion sum at stiff lambda, where nearly equal surrogates make
+    the Gram differences cancel.  On 5 x 20 standard Gaussians with sigma =
+    1, h1 distances from :func:`_lp_row_blocks` removed every rise: 5 of 65
+    h1 runs at lambda 1e-12..1e12 over 5 seeds, and 44 of 240 (up to 4.1e-5
+    relative) at lambda 1e6..1e12 over 60 seeds.
     """
 
     def __init__(self, iteration: int, previous: float, current: float):
@@ -87,7 +90,9 @@ class MajorizationError(RuntimeError):
 class CentroidSet:
     """Converged surrogates U (P x N), one column per point.
 
-    The final majorizer weights are ``update_weights(U, penalty)``.
+    ``update_weights(U, penalty)`` recomputes the solve's final weights for
+    h1 and for an lp run that never fused; once an lp run fuses, its solve
+    weighs fused groups, and the weights on the expanded U differ.
     """
 
     U: np.ndarray
@@ -153,9 +158,9 @@ class SolverConfig:
             raise ValueError("max_outer_iters must be at least 1")
 
 
-def pairwise_distances(U: np.ndarray, rows: tuple[int, int] | None = None) -> np.ndarray:
-    """Euclidean distances between columns of U, by the Gram expansion
-    ``model._pairwise_sq_dists``.
+def pairwise_distances(U: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
+    """Euclidean distances from columns ``[s, e)`` of U to columns ``[s, N)``
+    for ``rows=(s, e)``, by the Gram expansion ``model._pairwise_sq_dists``.
 
     A squared distance from the Gram expansion carries an absolute error of
     up to about ``(2P + 3) eps (||u_i||^2 + ||u_j||^2)``, which is harmless
@@ -163,13 +168,12 @@ def pairwise_distances(U: np.ndarray, rows: tuple[int, int] | None = None) -> np
     for the power penalty, whose slope diverges there; its pass takes
     component-centred products instead (:func:`_lp_row_blocks`).
 
-    ``rows=(s, e)`` asks for one upper row block only: the distances from
-    columns ``[s, e)`` to columns ``[s, N)``, whose leading square is
-    exactly symmetric with a zero diagonal.  :func:`_row_blocks` asks for
+    The block's leading square is exactly symmetric with a zero diagonal;
+    ``rows=(0, N)`` gives the whole matrix.  :func:`_row_blocks` asks for
     every block this way, for the majorization pass and for cluster
     extraction.
     """
-    d = _pairwise_sq_dists(np.asarray(U, dtype=float), *(rows or ()))
+    d = _pairwise_sq_dists(np.asarray(U, dtype=float), *rows)
     return np.sqrt(d, out=d)
 
 
@@ -218,10 +222,9 @@ def _lp_row_blocks(U, parked):
     centred norms is the exact sum over features in order, bitwise a
     per-feature loop.  It is gathered pair by pair, or, where at least half
     of a block's pairs fail, taken from the block by the row-blocked exact
-    kernel ``model._pairwise_reduce``: per pair that kernel costs 0.4 to
-    0.6 of the gather (measured at P from 50 to 3000), so it is the cheaper
-    from that share on.  ``kappa`` nears 1 at P ~ 2250, and from there most
-    pairs of a component fail.
+    kernel ``model._pairwise_reduce``, which costs 0.4 to 0.6 of the gather
+    per pair (P from 50 to 3000).  ``kappa`` nears 1 at P ~ 2250, and from
+    there most pairs of a component fail.
 
     A yielded block's weights fill its own rows and, mirrored, rows below
     it in its own columns, so they never overwrite a waiting block.  Blocks
@@ -257,8 +260,13 @@ def _lp_row_blocks(U, parked):
         np.copyto(d, parked[s:e, s:], where=~same)
         del same
         failing = np.count_nonzero(fail)
+        # Both branches stay, by measurement: on cluster-lp only seed 7
+        # input 2 gathers (49 and 64 pairs at G = 391), in 0.1 ms against
+        # 4.1 ms for the exact kernel over the block's rows, and a pass over
+        # three 200-point blobs at P = 3000 (69,979 pairs gathered) took
+        # 1.04 s with the gather and 1.54 s without (medians of 12, 2 cores).
         if 2 * failing >= fail.size:
-            exact = _pairwise_reduce(U, np.square, np.add, s, e)
+            exact = _pairwise_reduce(U[:, s:], np.square, np.add, e - s)
             np.copyto(d, np.sqrt(exact, out=exact), where=fail)
             del exact
         elif failing:
@@ -389,10 +397,7 @@ def objective(
     data: ObservedDataset, U: np.ndarray, lam: float, penalty: PenaltySpec
 ) -> float:
     """True (non-surrogate) objective value at U."""
-    U = _finite(U)
-    fusion, _ = _majorize(U, penalty, np.empty((U.shape[1],) * 2), _fuse_threshold(penalty, U))
-    resid = np.where(data.mask, U - data.values, 0.0)
-    return float(np.sum(resid * resid)) + lam * fusion
+    return _Groups(data, _finite(U), penalty).objective(lam)
 
 
 def objective_gradient(
@@ -498,11 +503,6 @@ def _laplacian(W, deg, V):
     return V * deg[None, :] - V @ W
 
 
-def _apply_system(diag, W, deg, lam, V):
-    """Batched A @ V for all per-feature systems; V has one row per feature."""
-    return diag * V + 2.0 * lam * _laplacian(W, deg, V)
-
-
 def _solve_cg(diag, W, deg, lam, r, tol_per_feature):
     """Jacobi-preconditioned conjugate gradients, batched over features."""
     n = W.shape[1]
@@ -522,7 +522,7 @@ def _solve_cg(diag, W, deg, lam, r, tol_per_feature):
         active = res_norm > tol_per_feature
         if not active.any():
             return d
-        ap = _apply_system(diag, W, deg, lam, p)
+        ap = diag * p + 2.0 * lam * _laplacian(W, deg, p)  # A @ p, per feature
         pap = np.einsum("pi,pi->p", p, ap)
         alpha = np.where(active & (pap > 0), rz / np.where(pap > 0, pap, 1.0), 0.0)
         d += alpha[:, None] * p
@@ -552,13 +552,14 @@ class _Groups:
     a separation would run into makes un-fusing impossible in practice.  The
     h1 threshold is 0, so an h1 solve stays on the points themselves.
 
-    Each :meth:`fusion` call runs the majorization pass at ``V``: it writes
-    the next weights into the solve's one G x G buffer and records the close
-    pairs that :meth:`merge` consumes.  ``rep`` (each point's group) stays
-    ``None`` until the first merge.
+    Each :meth:`objective` call runs the majorization pass at ``V``: it
+    writes the next weights into the solve's one G x G buffer and records
+    the close pairs that :meth:`merge` consumes.  ``rep`` (each point's
+    group) stays ``None`` until the first merge.
     """
 
     def __init__(self, data: ObservedDataset, v0: np.ndarray, penalty: PenaltySpec):
+        self.data = data
         self.diag = data.mask.astype(float)  # P x G observation counts
         self.rhs = data.observed_values()  # P x G sums of observed values
         self.counts = np.ones(data.point_count)
@@ -574,10 +575,13 @@ class _Groups:
 
     def fusion(self) -> float:
         counts = None if self.rep is None else self.counts
-        fusion, self.close = _majorize(
-            self.V, self.penalty, self.W, self.fuse_tol, counts
-        )
+        fusion, self.close = _majorize(self.V, self.penalty, self.W, self.fuse_tol, counts)
         return fusion
+
+    def objective(self, lam: float) -> float:
+        """The true objective at the expanded surrogates, by one pass."""
+        resid = np.where(self.data.mask, self.expanded() - self.data.values, 0.0)
+        return float(np.sum(resid * resid)) + lam * self.fusion()
 
     def merge(self) -> bool:
         """Union the groups of the close pairs; returns True when merged."""
@@ -625,12 +629,7 @@ def mm_cluster(
     (by 1 ulp on the benchmark's ``cluster-h1`` seed 1).
     """
     system = _Groups(data, mean_imputed(data), config.penalty)
-
-    def true_objective():
-        resid = np.where(data.mask, system.expanded() - data.values, 0.0)
-        return float(np.sum(resid * resid)) + config.lam * system.fusion()
-
-    f = true_objective()
+    f = system.objective(config.lam)
     objectives = [f]
     converged = False
 
@@ -638,7 +637,7 @@ def mm_cluster(
         system.V = _solve_weighted_system(
             system.diag, system.rhs, system.W, config.lam, system.V
         )
-        f_new = true_objective()
+        f_new = system.objective(config.lam)
         objectives.append(f_new)
         if f_new > f + 1e-10 * max(abs(f), 1.0):
             raise MajorizationError(iterations, f, f_new)

@@ -169,7 +169,6 @@ class TestExitCodes:
             ["cluster", "--input", "toy.csv", "--lambda", "2"],
             ["wine", "--wine-csv", "wine.data"],
             ["oracle-check"],
-            ["version"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -180,6 +179,31 @@ class TestExitCodes:
         assert run_in(tmp_path, argv + ["--seed", "-1", "--out-dir", "o"]) == 1
         assert "--seed must be non-negative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--out-dir", "o"], ["--seed", "-1"], ["--threads", "1"], ["--config", "run.cfg"]],
+        ids=["out-dir", "seed", "threads", "config"],
+    )
+    def test_version_takes_no_flags(self, tmp_path, capsys, flags):
+        # version reads no flag, so each one is a usage error, and it
+        # creates nothing.
+        (tmp_path / "run.cfg").write_text("seed=1\n")
+        assert run_in(tmp_path, ["version", *flags]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster", "--input", "toy.csv"], ["simulate", "--preset", "fig4-dataset1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_lambda_is_a_usage_error_before_the_out_dir(self, tmp_path, capsys, argv, lam):
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        assert run_in(tmp_path, argv + [f"--lambda={lam}", "--out-dir", "o"]) == 1
+        assert "--lambda: lambda must be finite and positive" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["toy.csv"]
 
     @pytest.mark.parametrize(
         "argv, message",

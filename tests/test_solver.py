@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -49,10 +50,11 @@ def loop_distances(U):
     return np.sqrt(d2)
 
 
-def exact_distances(u, rows=()):
+def exact_distances(u, rows=None):
     """The exact kernel's distances: rows ``[s, e)`` against columns
     ``[s, N)`` for ``rows=(s, e)``, all pairs by default."""
-    return np.sqrt(model._pairwise_reduce(u, np.square, np.add, *rows))
+    s, e = rows or (0, u.shape[1])
+    return np.sqrt(model._pairwise_reduce(u[:, s:], np.square, np.add, e - s))
 
 
 def union_find_labels(adj):
@@ -433,7 +435,7 @@ class TestExtractClusters:
         for step, i in enumerate(chain):  # links 0.5 apart, ends 2.0 apart
             u[:, i] = u[:, 5] + [0.5 * step, 0.0, 0.0]
         tol = 0.6
-        d = pairwise_distances(u)
+        d = pairwise_distances(u, (0, n))
         monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(n, rows))
         labels = extract_clusters(u, tol).labels
         adj = d <= tol
@@ -471,7 +473,7 @@ class TestExtractClusters:
 class TestPairwiseDistances:
     def test_gram_and_accurate_agree(self, rng):
         u = rng.normal(size=(4, 7))
-        np.testing.assert_allclose(pairwise_distances(u), loop_distances(u), atol=1e-9)
+        np.testing.assert_allclose(pairwise_distances(u, (0, 7)), loop_distances(u), atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -513,7 +515,7 @@ class TestPairwiseDistances:
         u[:, 21] = u[:, 6]
         s, e = rows
         block = pairwise_distances(u, rows=rows)
-        full = pairwise_distances(u)
+        full = pairwise_distances(u, (0, 23))
         assert block.shape == (e - s, 23 - s)
         np.testing.assert_allclose(block, full[s:e, s:], rtol=0, atol=1e-12)
         square = block[:, : e - s]
@@ -633,7 +635,7 @@ class TestH1Pass:
     def check_against_reference(self, u, penalty, fusion, w, fuse_tol):
         assert np.array_equal(w, w.T)
         assert not np.diagonal(w).any()
-        d = loop_distances(u) if penalty.kind == "lp" else pairwise_distances(u)
+        d = loop_distances(u) if penalty.kind == "lp" else pairwise_distances(u, (0, u.shape[1]))
         # the power weight's one floor is the pass's fuse threshold
         want_w = weight(np.maximum(d, fuse_tol), penalty)
         np.fill_diagonal(want_w, 0.0)
@@ -698,7 +700,7 @@ class TestH1Pass:
             if penalty.kind == "lp":
                 self.check_against_reference(u, penalty, fusion, w, fuse_tol)
                 continue
-            d = pairwise_distances(u)
+            d = pairwise_distances(u, (0, 23))
             pen = phi(d, penalty)
             want_w = weight(np.maximum(d, fuse_tol), penalty)
             np.fill_diagonal(want_w, 0.0)
@@ -848,6 +850,7 @@ class TestScaleEquivariance:
     Gaussians in P = 5, centred 6 apart on every coordinate."""
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def run(kind, c):
         centers = np.repeat(6.0 * np.arange(3)[:, None], 5, axis=1)
         spec = SyntheticSpec(K=3, M=20, P=5, centers=centers, variance=1.0, seed=0)
@@ -863,6 +866,18 @@ class TestScaleEquivariance:
         assert unit.partition.cluster_count == 3
         assert np.array_equal(scaled.partition.labels, unit.partition.labels)
         assert scaled.trace.iterations == unit.trace.iterations
+
+    @settings(max_examples=30, deadline=None)
+    @given(e=st.floats(-150, 150))
+    @example(e=-150.0)
+    @example(e=-100.0)
+    @example(e=-20.0)
+    @example(e=0.0)
+    @example(e=20.0)
+    @example(e=150.0)
+    @pytest.mark.parametrize("kind", ["h1", "lp"])
+    def test_any_scale_matches_unit_scale(self, kind, e):
+        self.test_partition_and_iterations_match_unit_scale(kind, 10.0**e)
 
 
 class TestSolverConfig:
@@ -958,6 +973,42 @@ def solve_recording_merges(data, cfg, monkeypatch):
     centroids, trace = mm_cluster(data, cfg)
     monkeypatch.setattr(solver._Groups, "merge", merge)
     return centroids, trace, merges
+
+
+def solve_recording_weights(data, cfg, monkeypatch):
+    """mm_cluster with a copy of the weights of its last pass."""
+    fusion, last = solver._Groups.fusion, []
+
+    def recorded(self):
+        out = fusion(self)
+        last[:] = [self.W.copy()]
+        return out
+
+    monkeypatch.setattr(solver._Groups, "fusion", recorded)
+    centroids, trace = mm_cluster(data, cfg)
+    monkeypatch.setattr(solver._Groups, "fusion", fusion)
+    return centroids, trace, last[0]
+
+
+class TestFinalWeights:
+    """``update_weights(centroids.U, penalty)`` is the solve's last pass for
+    h1, which never fuses; after an lp run fuses, the solve's weights are
+    those of the fused groups, not of the expanded columns."""
+
+    def test_h1_update_weights_are_the_last_pass(self, monkeypatch):
+        data, _ = random_instance(seed=4, K=3, M=20, P=5, p0=0.6, scale=6.0)
+        cfg = SolverConfig(lam=4.0, penalty=PenaltySpec.h1(2.0))
+        centroids, _, w = solve_recording_weights(data, cfg, monkeypatch)
+        assert w.any()
+        assert np.array_equal(update_weights(centroids.U, cfg.penalty), w)
+
+    def test_fused_lp_run_ends_on_the_groups_weights(self, monkeypatch):
+        x = np.random.default_rng(0).normal(size=(5, 30))
+        x[:, :15] += 4.0
+        cfg = SolverConfig(lam=2.0, penalty=PenaltySpec.lp(0.5))
+        centroids, _, w = solve_recording_weights(ObservedDataset.full(x), cfg, monkeypatch)
+        assert np.array_equal(w, np.zeros((1, 1)))  # everything fused into one group
+        assert update_weights(centroids.U, cfg.penalty).max() > 1e7
 
 
 class TestBitIdentity:
