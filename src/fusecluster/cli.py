@@ -76,7 +76,14 @@ SIMULATE_PRESETS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
+    """argparse variant that exits 1 (not 2) on usage errors.
+
+    ``takes_config`` marks a subcommand parser with ``--config``;
+    :func:`build_parser` sets ``subcommands``, each subcommand's parser by
+    name, on the top-level one.
+    """
+
+    takes_config = False
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -183,6 +190,7 @@ def build_parser() -> _Parser:
         # command lines (and bench/child.py, which parses it) still work.
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--config", help="key=value lines of long flags (lambda=2); flags win")
+        p.takes_config = True
 
     p_theory = sub.add_parser("theory", help="emit guarantee-bound curves")
     common(p_theory)
@@ -246,18 +254,23 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--trials", type=int, default=2000)
 
     sub.add_parser("version", help="print the package version")
+    parser.subcommands = sub.choices
     return parser
 
 
-def _config_tokens(argv):
+def _config_tokens(parser, argv):
     """Turn the ``--config`` file named in argv into long-flag tokens.
 
     Each ``key=value`` line becomes ``--key=value`` (the on/off flag
     ``--labeled`` takes ``true`` or ``false``).  The tokens are parsed just
     after the subcommand, so argparse applies types, choices and required
     options, and a flag on the command line still wins as the later
-    occurrence.
+    occurrence.  Only a subcommand of ``parser`` that takes ``--config``
+    reads the file; for any other, argparse rejects the flag unopened.
     """
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None or not command.takes_config:
+        return []
     pre = _Parser(prog="fusecluster", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -279,7 +292,8 @@ def _config_tokens(argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
+        parser = build_parser()
+        args = parser.parse_args(argv[:1] + _config_tokens(parser, argv) + argv[1:])
         if args.command == "version":
             print(__version__)
             return 0

@@ -28,6 +28,15 @@ the merge, the components of the power pass and extraction label ``(s, c)``
 boolean blocks in vectorized hooking rounds (:func:`_components`), which
 hold no N x N array of any kind.
 
+The saturating weights make far-apart h1 surrogates decouple, so each h1
+solve keeps only the diagonal blocks of W over the components of its
+non-negligible weights (:meth:`_Groups.split`): one batched CG runs with
+``V[:, a:b] @ W[a:b, a:b]`` per column span ``(a, b)``, views of the one
+weight buffer after a column reorder.  h1's phi is at most 1, so the
+dropped pairs can raise the true objective by at most ``lam * 2 sigma^2``
+times their weight, which a split must keep within ``eps * |f|``.  The
+single span ``(0, G)`` is the whole of W, as for lp.
+
 The solver is deterministic: no randomness enters anywhere.
 """
 
@@ -40,7 +49,7 @@ import numpy as np
 
 from .model import ObservedDataset, Partition, _frozen_array
 from .model import _pairwise_reduce, _pairwise_sq_dists
-from .penalty import LP, PenaltySpec, phi, weight
+from .penalty import H1, LP, PenaltySpec, phi, weight
 
 
 class ConvergenceError(RuntimeError):
@@ -71,7 +80,9 @@ class MajorizationError(RuntimeError):
     the Gram differences cancel.  On 5 x 20 standard Gaussians with sigma =
     1, h1 distances from :func:`_lp_row_blocks` removed every rise: 5 of 65
     h1 runs at lambda 1e-12..1e12 over 5 seeds, and 44 of 240 (up to 4.1e-5
-    relative) at lambda 1e6..1e12 over 60 seeds.
+    relative) at lambda 1e6..1e12 over 60 seeds.  The block split of an h1
+    solve (:meth:`_Groups.split`) spends at most ``eps * |f|``, within
+    ``eps * max(|f|, 1)``, of the slack.
     """
 
     def __init__(self, iteration: int, previous: float, current: float):
@@ -108,13 +119,20 @@ class CentroidSet:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """True-objective value per outer iteration (index 0 = initialization)."""
+    """True-objective value per outer iteration (index 0 = initialization),
+    and per inner solve its conjugate-gradient iteration count (one matvec
+    each) and the number of diagonal blocks of W its matvec kept (1 = all
+    of W)."""
 
     objectives: np.ndarray
     converged: bool
+    cg_iterations: tuple[int, ...]
+    blocks: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "objectives", _frozen_array(self.objectives, float))
+        for name in ("cg_iterations", "blocks"):
+            object.__setattr__(self, name, tuple(int(k) for k in getattr(self, name)))
 
     @property
     def iterations(self) -> int:
@@ -315,10 +333,11 @@ def _exact_sq_dists(U, i, j):
 def _majorize(U, penalty, W, fuse_tol, counts=None):
     """Majorization at U in one row-blocked pass.
 
-    Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)`` and the close
-    pairs, and writes the weights ``c_i c_j w(d_ij)`` (zero diagonal) into
-    the G x G buffer ``W``.  The close pairs come as the ``(s, c)`` record
-    of :func:`_components`: ``c`` is a row block's ``d < fuse_tol`` with the
+    Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)``, the close
+    pairs and the smallest off-diagonal weight (h1 with G >= 2; inf for
+    lp), and writes the weights ``c_i c_j w(d_ij)`` (zero diagonal) into the
+    G x G buffer ``W``.  The close pairs come as the ``(s, c)`` record of
+    :func:`_components`: ``c`` is a row block's ``d < fuse_tol`` with the
     diagonal cleared, so ``c[r, k]`` links columns ``s + r`` and ``s + k``;
     only blocks that hold a pair are kept, so an h1 pass keeps none.
     ``counts`` are the group sizes ``c`` of fused columns; ``None`` means
@@ -334,20 +353,22 @@ def _majorize(U, penalty, W, fuse_tol, counts=None):
     mirrored, transposed, into the lower triangle, so ``W`` is exactly
     symmetric.  Extra memory is O(P*G + budget).
     """
-    fusion = 0.0
+    fusion, low = 0.0, math.inf
     close = []
     blocks = _lp_row_blocks(U, W) if penalty.kind == LP else _row_blocks(U)
     for s, d in blocks:
-        part, c = _majorize_block(d, penalty, s, W, fuse_tol, counts)
+        part, c, block_low = _majorize_block(d, penalty, s, W, fuse_tol, counts)
         fusion += part
+        low = min(low, block_low)
         if c.any():
             close.append((s, c))
-    return fusion, close
+    return fusion, close, low
 
 
 def _majorize_block(d, penalty, s, W, fuse_tol, counts):
     """Rows ``[s, s + len(d))`` of :func:`_majorize` at distances ``d``: their
-    share of the fusion sum and their close block; temporaries die here."""
+    share of the fusion sum, their close block and (h1) their smallest
+    weight; temporaries die here."""
     e = s + len(d)
     mult = None if counts is None else np.outer(counts[s:e], counts[s:])
     pen = phi(d, penalty)
@@ -362,11 +383,14 @@ def _majorize_block(d, penalty, s, W, fuse_tol, counts):
     w = weight(d, penalty)
     if mult is not None:
         w *= mult
+    # h1's weight peaks at d = 0, so the diagonal does not undercut the
+    # smallest off-diagonal weight; only h1 solves read it.
+    low = float(w.min()) if penalty.kind == H1 else math.inf
     np.fill_diagonal(w, 0.0)  # the diagonal of the leading square
     W[s:e, s:] = w
     if e < len(W):
         W[e:, s:e] = w[:, e - s :].T
-    return fusion, close
+    return fusion, close, low
 
 
 def _fuse_threshold(penalty: PenaltySpec, u0: np.ndarray) -> float:
@@ -413,7 +437,7 @@ def objective_gradient(
     w = update_weights(U, penalty)
     resid = np.where(data.mask, U - data.values, 0.0)
     deg = w.sum(axis=1)
-    return 2.0 * resid + 4.0 * lam * _laplacian(w, deg, U)
+    return 2.0 * resid + 4.0 * lam * _laplacian([(slice(None), w)], deg, U)
 
 
 def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
@@ -463,26 +487,35 @@ def update_centroids(data: ObservedDataset, W: np.ndarray, lam: float) -> np.nda
         W=W,
         lam=lam,
         anchor=mean_imputed(data),
-    )
+        spans=[(0, n)],
+    )[0]
 
 
-def _solve_weighted_system(diag_data, rhs_data, W, lam, anchor):
-    """Solve (diag(diag_data_p) + 2 lam L_W) v_p = rhs_p per feature.
+def _solve_weighted_system(diag_data, rhs_data, W, lam, anchor, spans):
+    """Solve (diag(diag_data_p) + 2 lam L) v_p = rhs_p per feature.
 
     ``diag_data``/``rhs_data`` are P x G (per-feature diagonal and data rhs).
     ``W`` holds the weights of the one majorization pass, for either
     penalty; the system is the point-level one (diagonal = observation mask)
     until something fuses and the fused-group quotient (diagonal = per-group
-    observation counts) after.
+    observation counts) after.  ``L`` is the Laplacian of W's diagonal
+    blocks ``W[a:b, a:b]`` over the column ``spans``, which cover the
+    columns in order; the one span ``[(0, G)]`` is the whole of W.
 
     The solve computes the correction d = v - anchor by batched
     Jacobi-preconditioned conjugate gradients; the residual r = b - A @ anchor
     keeps the data term as a difference, so an anchor that already
-    satisfies it contributes exact zeros there.
+    satisfies it contributes exact zeros there.  Returns v and the number of
+    conjugate-gradient iterations.
     """
-    deg = W.sum(axis=1)
+    deg = np.zeros(W.shape[1])
+    blocks = []  # (columns, W's diagonal block over them), one-column spans aside
+    for a, b in spans:
+        deg[a:b] = W[a:b, a:b].sum(axis=1)
+        if b - a > 1:
+            blocks.append((slice(a, b), W[a:b, a:b]))
     r = rhs_data - diag_data * anchor
-    r -= 2.0 * lam * _laplacian(W, deg, anchor)
+    r -= 2.0 * lam * _laplacian(blocks, deg, anchor)
 
     b_norm = np.linalg.norm(rhs_data, axis=1)
     # Residual target per feature: _CG_TOL relative to ||b||, floored at the
@@ -494,18 +527,24 @@ def _solve_weighted_system(diag_data, rhs_data, W, lam, anchor):
     tol_per_feature = np.maximum.reduce(
         [_CG_TOL * b_norm, eps_floor, np.full_like(b_norm, 1e-300)]
     )
-    d = _solve_cg(diag_data, W, deg, lam, r, tol_per_feature)
-    return anchor + d
+    d, iterations = _solve_cg(diag_data, blocks, deg, lam, r, tol_per_feature)
+    return anchor + d, iterations
 
 
-def _laplacian(W, deg, V):
-    """Batched L_W @ v_p for every feature row of V (deg = row sums of W)."""
-    return V * deg[None, :] - V @ W
+def _laplacian(blocks, deg, V):
+    """Batched L @ v_p for every feature row of V, L the Laplacian of the
+    diagonal ``blocks`` of W, ``(columns, W[columns, columns])`` pairs of
+    views (deg = their row sums); a column in no block has no weight."""
+    out = V * deg[None, :]
+    for cols, w in blocks:
+        out[:, cols] -= V[:, cols] @ w
+    return out
 
 
-def _solve_cg(diag, W, deg, lam, r, tol_per_feature):
-    """Jacobi-preconditioned conjugate gradients, batched over features."""
-    n = W.shape[1]
+def _solve_cg(diag, blocks, deg, lam, r, tol_per_feature):
+    """Jacobi-preconditioned conjugate gradients, batched over features;
+    returns the correction and the number of iterations."""
+    n = len(deg)
     d = np.zeros_like(r)
     res = r.copy()
     precond = diag + 2.0 * lam * deg[None, :]
@@ -518,11 +557,11 @@ def _solve_cg(diag, W, deg, lam, r, tol_per_feature):
     rz = np.einsum("pi,pi->p", res, z)
     res_norm = np.linalg.norm(res, axis=1)
     maxiter = _CG_MAXITER_FACTOR * n
-    for _ in range(maxiter):
+    for iteration in range(maxiter):
         active = res_norm > tol_per_feature
         if not active.any():
-            return d
-        ap = diag * p + 2.0 * lam * _laplacian(W, deg, p)  # A @ p, per feature
+            return d, iteration
+        ap = diag * p + 2.0 * lam * _laplacian(blocks, deg, p)  # A @ p, per feature
         pap = np.einsum("pi,pi->p", p, ap)
         alpha = np.where(active & (pap > 0), rz / np.where(pap > 0, pap, 1.0), 0.0)
         d += alpha[:, None] * p
@@ -537,7 +576,7 @@ def _solve_cg(diag, W, deg, lam, r, tol_per_feature):
         raise ConvergenceError(
             "conjugate gradient did not converge", float(res_norm.max()), maxiter
         )
-    return d
+    return d, maxiter
 
 
 class _Groups:
@@ -554,8 +593,11 @@ class _Groups:
 
     Each :meth:`objective` call runs the majorization pass at ``V``: it
     writes the next weights into the solve's one G x G buffer and records
-    the close pairs that :meth:`merge` consumes.  ``rep`` (each point's
-    group) stays ``None`` until the first merge.
+    the close pairs that :meth:`merge` consumes.  :meth:`split` chooses the
+    column ``spans`` the next solve keeps the weights of, and may reorder
+    the columns so that each span is contiguous.  ``rep`` (each point's
+    column) stays ``None`` until the first merge or reorder; the data term
+    and :meth:`expanded` stay in the points' own order.
     """
 
     def __init__(self, data: ObservedDataset, v0: np.ndarray, penalty: PenaltySpec):
@@ -569,13 +611,18 @@ class _Groups:
         self.fuse_tol = _fuse_threshold(penalty, v0)
         self.W = np.empty((data.point_count, data.point_count))
         self.close = None
+        self.low = math.inf  # the last pass's smallest off-diagonal weight
+        self.spans = [(0, data.point_count)]
 
     def expanded(self) -> np.ndarray:
         return self.V if self.rep is None else self.V[:, self.rep]
 
     def fusion(self) -> float:
-        counts = None if self.rep is None else self.counts
-        fusion, self.close = _majorize(self.V, self.penalty, self.W, self.fuse_tol, counts)
+        # A reorder keeps one point per column; only a merge needs counts.
+        counts = self.counts if len(self.counts) < self.data.point_count else None
+        fusion, self.close, self.low = _majorize(
+            self.V, self.penalty, self.W, self.fuse_tol, counts
+        )
         return fusion
 
     def objective(self, lam: float) -> float:
@@ -587,7 +634,57 @@ class _Groups:
         """Union the groups of the close pairs; returns True when merged."""
         if not self.close:
             return False
-        new_of_old = _components(len(self.W), self.close)
+        self._regroup(_components(len(self.W), self.close))
+        return True
+
+    def split(self, f: float, lam: float) -> None:
+        """Set ``spans`` for the next solve from the last pass, whose
+        objective was ``f``.
+
+        h1's phi is at most 1, so dropping the pairs between spans from the
+        surrogate can raise the true objective by at most ``lam * 2 sigma^2``
+        times their weight, summed over ordered pairs.  A split is kept only
+        while that sum, taken directly over the dropped entries, is at most
+        ``eps * |f|`` (the budget; the descent slack's floor at 1 would let
+        a tiny-scale run drop every weight).  Every split drops at least the
+        ``2 (G - 1)`` ordered pairs of one column, so nothing is sought when
+        those, at the pass's smallest weight, would exceed the budget.  The
+        current spans are re-checked first.  A new split can cut only pairs
+        lighter than the budget, so the finest one that could pass is the
+        components of the heavier pairs; it is kept if it passes.  Columns
+        are then reordered so that each span is contiguous, and the pass is
+        re-run in that order.
+        """
+        g = len(self.W)
+        if self.penalty.kind != H1 or g < 2:
+            self.spans = [(0, g)]
+            return
+        # The weight that may be dropped: h1's rise per unit weight is
+        # lam 2 sigma^2, and the budget is eps |f|.
+        budget = np.finfo(float).eps * abs(f) / lam / (2.0 * self.penalty.sigma**2)
+        if 2 * (g - 1) * self.low > budget:
+            self.spans = [(0, g)]
+            return
+        if len(self.spans) > 1 and _span_cut_mass(self.W, self.spans) <= budget:
+            return
+        self.spans = [(0, g)]
+        labels = _heavy_components(self.W, budget)
+        if labels.max() == 0 or _cut_mass(self.W, labels) > budget:
+            return
+        order = np.argsort(labels, kind="stable")
+        if np.any(np.diff(order) < 0):
+            new_of_old = np.empty_like(order)
+            new_of_old[order] = np.arange(g)
+            self._regroup(new_of_old)
+        sizes = np.bincount(labels)
+        ends = np.cumsum(sizes)
+        spans = list(zip((ends - sizes).tolist(), ends.tolist()))
+        if _span_cut_mass(self.W, spans) <= budget:  # the re-run pass's weights
+            self.spans = spans
+
+    def _regroup(self, new_of_old):
+        """Move each group to column ``new_of_old[group]``, summing groups
+        that share one, and re-run the pass for the next solve's weights."""
         shape = (self.diag.shape[0], int(new_of_old.max()) + 1)
         cols = (slice(None), new_of_old)
         diag, rhs, v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
@@ -600,10 +697,58 @@ class _Groups:
         self.V = v / counts[None, :]
         self.counts = counts
         self.rep = new_of_old if self.rep is None else new_of_old[self.rep]
-        self.W = None  # release the old buffer before allocating the new one
-        self.W = np.empty((shape[1], shape[1]))
-        self.fusion()  # the merged columns' weights for the next solve
-        return True
+        if len(self.W) != shape[1]:
+            self.W = None  # release the old buffer before allocating the new one
+            self.W = np.empty((shape[1], shape[1]))
+        self.fusion()  # the new columns' weights for the next solve
+
+
+def _heavy_components(W, floor):
+    """Component labels of the pairs whose weight exceeds ``floor``,
+    numbered by each one's lowest member.  Each component grows breadth
+    first from its lowest member, one row block of the frontier at a time,
+    so every row of W is read at most once and no G x G temporary is made.
+    That beats the hooking rounds of :func:`_components` on W's row blocks:
+    about 6 against 24 ms on the first pass of a benchmark cluster-h1 input
+    (G = 1500, 3 components), 0.06 against 0.18-0.28 ms on a connected
+    G = 120 graph, the case of nearly every Wine solve that passes the
+    gate."""
+    g = len(W)
+    step = max(1, _PASS_BLOCK_BYTES // (8 * g))
+    labels = np.full(g, -1)
+    for label in range(g):
+        frontier = np.flatnonzero(labels < 0)[:1]
+        if not frontier.size:
+            break
+        labels[frontier] = label
+        # Stop as soon as every column is labelled: a connected graph whose
+        # first column links to all others reads one row.
+        while frontier.size and (labels < 0).any():
+            reach = np.zeros(g, dtype=bool)
+            for c in range(0, frontier.size, step):
+                reach |= (W[frontier[c : c + step]] > floor).any(axis=0)
+            frontier = np.flatnonzero(reach & (labels < 0))
+            labels[frontier] = label
+    return labels
+
+
+def _cut_mass(W, labels):
+    """Sum of W over the ordered pairs whose labels differ, added up over
+    those entries themselves, one row block at a time."""
+    g = len(W)
+    step = max(1, _PASS_BLOCK_BYTES // (8 * g))
+    mass = 0.0
+    for s in range(0, g, step):
+        e = min(s + step, g)
+        cut = np.where(labels[s:e, None] != labels[None, s:], W[s:e, s:], 0.0)
+        mass += float(cut[:, : e - s].sum()) + 2.0 * float(cut[:, e - s :].sum())
+    return mass
+
+
+def _span_cut_mass(W, spans):
+    """:func:`_cut_mass` for contiguous ``spans``: twice the sum of the
+    blocks right of each span's diagonal block."""
+    return 2.0 * sum(float(W[a:b, b:].sum()) for a, b in spans)
 
 
 def mm_cluster(
@@ -618,7 +763,8 @@ def mm_cluster(
     surrogate columns that coalesce below a run-level threshold are
     consolidated into quotient super-nodes (see :class:`_Groups`), which
     keeps the linear systems well conditioned through complete fusion; h1
-    never fuses.
+    never fuses, and its solves keep only the blocks of
+    :meth:`_Groups.split`.
 
     The trace records the true objective, whose monotone descent the
     majorize-minimize construction guarantees.  The descent slack is
@@ -631,12 +777,16 @@ def mm_cluster(
     system = _Groups(data, mean_imputed(data), config.penalty)
     f = system.objective(config.lam)
     objectives = [f]
+    cg_iterations, blocks = [], []
     converged = False
 
     for iterations in range(1, config.max_outer_iters + 1):
-        system.V = _solve_weighted_system(
-            system.diag, system.rhs, system.W, config.lam, system.V
+        system.split(f, config.lam)
+        system.V, steps = _solve_weighted_system(
+            system.diag, system.rhs, system.W, config.lam, system.V, system.spans
         )
+        cg_iterations.append(steps)
+        blocks.append(len(system.spans))
         f_new = system.objective(config.lam)
         objectives.append(f_new)
         if f_new > f + 1e-10 * max(abs(f), 1.0):
@@ -649,7 +799,12 @@ def mm_cluster(
             converged = True
             break
 
-    trace = SolveTrace(objectives=np.array(objectives), converged=converged)
+    trace = SolveTrace(
+        objectives=np.array(objectives),
+        converged=converged,
+        cg_iterations=tuple(cg_iterations),
+        blocks=tuple(blocks),
+    )
     return CentroidSet(U=system.expanded()), trace
 
 

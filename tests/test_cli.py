@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fusecluster import cli
 from fusecluster.cli import main, parse_grid, parse_int_grid
 
 
@@ -192,6 +193,17 @@ class TestExitCodes:
         assert run_in(tmp_path, ["version", *flags]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "run.cfg"])
+    def test_version_rejects_config_unopened(self, tmp_path, capsys, monkeypatch, name):
+        # Only the subcommands that take --config read it: version rejects
+        # the flag itself and opens no file, present or missing.
+        (tmp_path / "run.cfg").write_text("seed=1\n")
+        opened = []
+        monkeypatch.setattr(cli, "open", lambda path, *a, **k: opened.append(path), raising=False)
+        assert run_in(tmp_path, ["version", "--config", name]) == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert opened == []
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 import copy
 import dataclasses
 import functools
+import importlib.util
 import itertools
 import math
 import pickle
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 
 from fusecluster import model, solver
 
-from fusecluster.analysis import cluster_once
+from fusecluster.analysis import _derive_seed, cluster_once
+from fusecluster.cli import SIMULATE_PRESETS
 from fusecluster.datagen import MaskSpec, apply_mask, block_centers, generate
 from fusecluster.model import ObservedDataset, Partition, SyntheticSpec
 from fusecluster.penalty import PenaltySpec, phi, weight
@@ -96,7 +100,7 @@ def majorize(u, penalty, fuse_tol=None):
     if fuse_tol is None:
         fuse_tol = solver._fuse_threshold(penalty, u)
     w = np.empty((u.shape[1],) * 2)
-    fusion, close = solver._majorize(u, penalty, w, fuse_tol=fuse_tol)
+    fusion, close, _ = solver._majorize(u, penalty, w, fuse_tol=fuse_tol)
     return fusion, w, close
 
 
@@ -808,9 +812,10 @@ class TestMajorizationError:
         assert trace.converged
 
     def test_stiff_lambda_sweep_fails_only_at_the_known_cases(self):
-        # Known failures of the descent check, owned by ROADMAP item 3 (the
-        # CG residual floor on stiff h1 systems).  A fix, or a new failure,
-        # shows up as a change of this set; no run may stop on the CG cap.
+        # Known failures of the descent check, owned by ROADMAP item 3: Gram
+        # rounding in the h1 pass's fusion sum at stiff lambda, as the
+        # MajorizationError docstring says.  A fix, or a new failure, shows
+        # up as a change of this set; no run may stop on the CG cap.
         penalties = {"h1": PenaltySpec.h1(1.0), "lp": PenaltySpec.lp(0.5)}
         rises = set()
         for (kind, penalty), e, seed in itertools.product(
@@ -1047,14 +1052,14 @@ class TestBitIdentity:
         majorize, passes = solver._majorize, []
 
         def checked(U, penalty, W, fuse_tol, counts=None):
-            fusion, close = majorize(U, penalty, W, fuse_tol, counts)
+            fusion, close, low = majorize(U, penalty, W, fuse_tol, counts)
             want_w = np.empty_like(W)
             with mock.patch.object(solver, "_lp_row_blocks", loop_row_blocks):
-                want, _ = majorize(U, penalty, want_w, fuse_tol, counts)
+                want, _, _ = majorize(U, penalty, want_w, fuse_tol, counts)
             assert fusion == pytest.approx(want, rel=1e-12)
             np.testing.assert_allclose(W, want_w, rtol=2e-12, atol=0)
             passes.append(U.shape[1])
-            return fusion, close
+            return fusion, close, low
 
         monkeypatch.setattr(solver, "_majorize", checked)
         blocked, blocked_trace, merges = solve_recording_merges(data, cfg, monkeypatch)
@@ -1077,3 +1082,217 @@ class TestBitIdentity:
         assert Partition(groups).same_clustering(Partition(loop_groups))
         labels = [extract_clusters(c.U, default_merge_tol(c.U)).labels for c in (blocked, loop)]
         assert np.array_equal(*labels)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@functools.lru_cache(maxsize=None)
+def bench_workloads():
+    """bench/workloads.py, loaded read-only (no bytecode written there)."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.modules["workloads"] = module  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules["workloads"]
+    return module
+
+
+def cluster_h1_case(index):
+    """The benchmark's cluster-h1 input ``index`` of seed 7 (N = 1500, P = 50,
+    p0 = 0.6) with the workload's settings."""
+    points, _, observed = bench_workloads().ClusterH1(7)._draw(index)
+    return ObservedDataset(points.T, observed.T), SolverConfig(4.0, PenaltySpec.h1(2.0))
+
+
+def fig4_case(preset, p0):
+    """``simulate --preset <preset> --p0 <p0>``'s data and solver settings."""
+    p = SIMULATE_PRESETS[preset]
+    spec = SyntheticSpec(
+        K=p["K"], M=p["M"], P=p["P"], centers=block_centers(p["K"], p["P"], p["scale"]),
+        variance=p["variance"], seed=_derive_seed(0, 1),
+    )
+    data = apply_mask(generate(spec)[0], MaskSpec(p0=p0, seed=_derive_seed(0, 2)))
+    penalty = PenaltySpec.h1(p["sigma"])
+    return data, SolverConfig(p["lam"], penalty, max_outer_iters=150, objective_rel_tol=1e-10)
+
+
+SPLIT_CASES = {
+    "cluster-h1-0": lambda: cluster_h1_case(0),
+    "cluster-h1-1": lambda: cluster_h1_case(1),
+    "fig4-dataset1": lambda: fig4_case("fig4-dataset1", 0.5),
+    "fig4-dataset2": lambda: fig4_case("fig4-dataset2", 0.5),
+}
+
+
+def single_span():
+    """The solve with every h1 system kept whole: W's one span ``(0, G)``."""
+    return mock.patch.object(solver._Groups, "split", lambda self, f, lam: None)
+
+
+def traced_peak_solve(data, cfg):
+    """mm_cluster and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        centroids, trace = mm_cluster(data, cfg)
+        return centroids, trace, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@functools.lru_cache(maxsize=None)
+def split_and_single_span(case):
+    data, cfg = SPLIT_CASES[case]()
+    split = traced_peak_solve(data, cfg)
+    with single_span():
+        single = traced_peak_solve(data, cfg)
+    return data, cfg, split, single
+
+
+class TestBlockSplit:
+    """h1 solves keep only the diagonal blocks of W over the components of
+    their non-negligible weights; the dropped weights may raise the true
+    objective by at most eps * |f| per solve."""
+
+    @pytest.mark.parametrize("graph", ["random", "chain", "none", "all"])
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_heavy_components_match_union_find(self, graph, rows, monkeypatch):
+        # Breadth-first labels of the pairs above the floor, numbered by
+        # lowest member as _components numbers them; ``rows`` frontier rows
+        # per gathered block.
+        n = 23
+        rng = np.random.default_rng(2)
+        w = {
+            "random": rng.random((n, n)) ** 8,
+            "chain": np.zeros((n, n)),
+            "none": np.full((n, n), 0.25),
+            "all": np.ones((n, n)),
+        }[graph]
+        if graph == "chain":  # one component of diameter n - 1
+            order = rng.permutation(n)
+            w[order[:-1], order[1:]] = 1.0
+        w = np.triu(w, 1) + np.triu(w, 1).T
+        if rows is not None:
+            monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(n, rows))
+        labels = solver._heavy_components(w, 0.5)
+        assert np.array_equal(labels, union_find_labels(w > 0.5))
+
+    def test_spans_solve_the_block_diagonal_system(self):
+        # The spans' solve is the whole-matrix solve of W with every weight
+        # outside the diagonal blocks set to 0, degrees included, even where
+        # those weights are large; a one-column span has no coupling.
+        rng = np.random.default_rng(5)
+        n, spans = 12, [(0, 4), (4, 5), (5, 7), (7, 12)]
+        w = rng.uniform(0.1, 1.0, size=(n, n))
+        w = np.triu(w, 1) + np.triu(w, 1).T
+        kept = np.zeros_like(w)
+        for a, b in spans:
+            kept[a:b, a:b] = w[a:b, a:b]
+        diag = (rng.random((3, n)) < 0.7).astype(float)
+        rhs = diag * rng.normal(size=(3, n))
+        anchor = rng.normal(size=(3, n))
+        v, steps = solver._solve_weighted_system(diag, rhs, w, 0.5, anchor, spans)
+        v0, steps0 = solver._solve_weighted_system(diag, rhs, kept, 0.5, anchor, [(0, n)])
+        assert steps == steps0
+        np.testing.assert_allclose(v, v0, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    def test_split_matches_the_single_span_solve(self, case):
+        # Same partition, outer and CG iteration counts, and final objective
+        # within 1e-12.  Objectives in between are not compared: a solve
+        # that stops at the CG tolerance carries the dropped pairs' effect
+        # into the next objective (5.5e-9 relative once on cluster-h1-1).
+        _, _, (u, trace, _), (u0, trace0, _) = split_and_single_span(case)
+        assert max(trace.blocks) > 1 and set(trace0.blocks) == {1}
+        assert trace.iterations == trace0.iterations
+        assert trace.cg_iterations == trace0.cg_iterations
+        assert trace.objectives[-1] == pytest.approx(trace0.objectives[-1], rel=1e-12, abs=0)
+        labels = [extract_clusters(c.U, default_merge_tol(c.U)).labels for c in (u, u0)]
+        assert np.array_equal(*labels)
+
+    def test_split_solve_peaks_no_higher_than_the_dense_one(self):
+        # The blocks are views of the one weight buffer and the columns are
+        # reordered in place of gathering them, so a split costs at most
+        # O(P * N) beyond the dense solve (it measured 0.4 P*N*8 bytes lower).
+        data, _, (_, trace, peak), (_, _, peak0) = split_and_single_span("cluster-h1-0")
+        assert min(trace.blocks) == 3
+        p, n = data.feature_count, data.point_count
+        assert peak <= peak0 + 2 * 8 * p * n
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(lambda: fig4_case("fig4-dataset1", 0.5), id="fig4-dataset1"),
+            pytest.param(lambda: fig4_case("fig4-dataset2", 1.0), id="fig4-dataset2-p1"),
+            pytest.param(
+                lambda: (random_instance(1, K=2, M=15, P=5, p0=0.8, scale=2.0)[0],
+                         SolverConfig(0.1, PenaltySpec.h1(0.5))),
+                id="rejects-then-splits",
+            ),
+        ],
+    )
+    def test_every_split_meets_the_dropped_mass_bound(self, case):
+        data, cfg = case()
+        sigma, solves = cfg.penalty.sigma, []
+        solve = solver._solve_weighted_system
+
+        def recorded(diag, rhs, W, lam, anchor, spans):
+            ends = [b for _, b in spans]
+            assert [a for a, _ in spans] == [0, *ends[:-1]] and ends[-1] == len(W)
+            kept = np.zeros(W.shape, dtype=bool)
+            for a, b in spans:
+                kept[a:b, a:b] = True
+            solves.append((len(spans), float(np.where(kept, 0.0, W).sum())))
+            return solve(diag, rhs, W, lam, anchor, spans)
+
+        with mock.patch.object(solver, "_solve_weighted_system", recorded):
+            _, trace = mm_cluster(data, cfg)
+        assert [k for k, _ in solves] == list(trace.blocks)
+        assert any(k > 1 for k, _ in solves)
+        eps = np.finfo(float).eps
+        for (k, dropped), f in zip(solves, trace.objectives):
+            if k > 1:
+                assert cfg.lam * 2 * sigma**2 * dropped <= eps * abs(f)
+
+    @pytest.mark.parametrize(
+        "data, cfg, labelled",
+        [
+            pytest.param(
+                random_instance(3, K=3, M=20, P=50, p0=0.6, scale=6.0)[0],
+                SolverConfig(0.2, PenaltySpec.lp(0.5)), 0, id="lp-fusing",
+            ),
+            pytest.param(
+                random_instance(0, K=3, M=15, P=5, p0=0.8, scale=2.0)[0],
+                SolverConfig(0.1, PenaltySpec.h1(0.5)), 11, id="h1-connected",
+            ),
+            pytest.param(
+                random_instance(0, K=3, M=15, P=5, p0=0.8, scale=3.0)[0],
+                SolverConfig(1.0, PenaltySpec.h1(0.5)), 5, id="h1-rejected",
+            ),
+        ],
+    )
+    def test_unsplit_runs_are_bitwise_the_single_span_path(self, data, cfg, labelled):
+        # lp never splits; these h1 runs look for a split (their heavy-pair
+        # graph is connected, or its components cut too much weight) and
+        # never keep one, so nothing is reordered and no bit moves.
+        heavy, calls = solver._heavy_components, []
+
+        def counted(W, floor):
+            calls.append(len(W))
+            return heavy(W, floor)
+
+        with mock.patch.object(solver, "_heavy_components", counted):
+            u, trace = mm_cluster(data, cfg)
+        with single_span():
+            u0, trace0 = mm_cluster(data, cfg)
+        assert len(calls) == labelled
+        assert set(trace.blocks) == {1}
+        assert len(trace.blocks) == len(trace.cg_iterations) == trace.iterations
+        assert trace.cg_iterations == trace0.cg_iterations
+        assert np.array_equal(trace.objectives, trace0.objectives)
+        assert np.array_equal(u.U, u0.U)
