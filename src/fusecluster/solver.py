@@ -16,12 +16,12 @@ row-blocked pass per iteration does all the N x N work for either
 (:func:`_majorize`): per block of rows it takes the distances over the upper
 triangle, evaluates ``phi`` and ``weight`` on them while they are in cache,
 adds the fusion sum of the objective, writes the next weights into one N x N
-buffer that the solve reuses and keeps the row blocks of pairs close enough
-to fuse.  h1 takes Gram distances.  The power penalty, whose slope diverges
-at 0, takes each within 1e-12 relative of the exact per-feature sum, and
-exactly 0 where that sum is: a pair whose Gram product could cancel comes
-from the columns centred on their component's mean, or from the exact sum
-(:func:`_lp_row_blocks`).  One solve state, :class:`_Groups`, merges the
+buffer that the solve reuses and, for lp, keeps the row blocks of pairs
+close enough to fuse.  h1 takes Gram distances.  The power penalty, whose
+slope diverges at 0, takes each within 1e-12 relative of the exact
+per-feature sum, and exactly 0 where that sum is: a pair whose Gram product
+could cancel comes from the columns centred on their component's mean, or
+from the exact sum (:func:`_lp_row_blocks`).  One solve state, :class:`_Groups`, merges the
 close pairs into quotient columns; h1 never fuses.  Extraction
 (:func:`extract_clusters`) walks the same row blocks (:func:`_row_blocks`);
 the merge, the components of the power pass and extraction label ``(s, c)``
@@ -35,7 +35,9 @@ non-negligible weights (:meth:`_Groups.split`): one batched CG runs with
 weight buffer after a column reorder.  h1's phi is at most 1, so the
 dropped pairs can raise the true objective by at most ``lam * 2 sigma^2``
 times their weight, which a split must keep within ``eps * |f|``.  The
-single span ``(0, G)`` is the whole of W, as for lp.
+split reads only W and the current spans; a rejected candidate's column
+order is restored.  The single span ``(0, G)`` is the whole of W, as for
+lp.
 
 The solver is deterministic: no randomness enters anywhere.
 """
@@ -101,9 +103,12 @@ class MajorizationError(RuntimeError):
 class CentroidSet:
     """Converged surrogates U (P x N), one column per point.
 
-    ``update_weights(U, penalty)`` recomputes the solve's final weights for
-    h1 and for an lp run that never fused; once an lp run fuses, its solve
-    weighs fused groups, and the weights on the expanded U differ.
+    ``update_weights(U, penalty)`` recomputes the solve's final weights bit
+    for bit for an h1 run that kept no block split and for an lp run that
+    never fused.  A kept split leaves the columns reordered, and the last
+    pass's Gram products ran in that order, so h1 weights then agree within
+    rounding.  Once an lp run fuses, its solve weighs fused groups, and the
+    weights on the expanded U differ.
     """
 
     U: np.ndarray
@@ -333,16 +338,16 @@ def _exact_sq_dists(U, i, j):
 def _majorize(U, penalty, W, fuse_tol, counts=None):
     """Majorization at U in one row-blocked pass.
 
-    Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)``, the close
-    pairs and the smallest off-diagonal weight (h1 with G >= 2; inf for
-    lp), and writes the weights ``c_i c_j w(d_ij)`` (zero diagonal) into the
-    G x G buffer ``W``.  The close pairs come as the ``(s, c)`` record of
+    Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)`` and the close
+    pairs, and writes the weights ``c_i c_j w(d_ij)`` (zero diagonal) into
+    the G x G buffer ``W``.  The close pairs come as the ``(s, c)`` record of
     :func:`_components`: ``c`` is a row block's ``d < fuse_tol`` with the
     diagonal cleared, so ``c[r, k]`` links columns ``s + r`` and ``s + k``;
-    only blocks that hold a pair are kept, so an h1 pass keeps none.
-    ``counts`` are the group sizes ``c`` of fused columns; ``None`` means
-    every column is one point.  The Gaussian-saturating penalty takes the
-    Gram distances of :func:`_row_blocks`; the power penalty takes those of
+    only blocks that hold a pair are kept, and a pass at ``fuse_tol = 0``
+    (h1's) builds none.  ``counts`` are the group sizes ``c`` of fused
+    columns; ``None`` means every column is one point.  The
+    Gaussian-saturating penalty takes the Gram distances of
+    :func:`_row_blocks`; the power penalty takes those of
     :func:`_lp_row_blocks`, within ``_LP_RTOL`` relative of the exact
     per-feature sums and exactly 0 where those are.  A power weight is
     taken at ``max(d_ij, fuse_tol)``, read after ``phi`` and the close pairs.
@@ -353,22 +358,20 @@ def _majorize(U, penalty, W, fuse_tol, counts=None):
     mirrored, transposed, into the lower triangle, so ``W`` is exactly
     symmetric.  Extra memory is O(P*G + budget).
     """
-    fusion, low = 0.0, math.inf
-    close = []
+    fusion, close = 0.0, []
     blocks = _lp_row_blocks(U, W) if penalty.kind == LP else _row_blocks(U)
     for s, d in blocks:
-        part, c, block_low = _majorize_block(d, penalty, s, W, fuse_tol, counts)
+        part, c = _majorize_block(d, penalty, s, W, fuse_tol, counts)
         fusion += part
-        low = min(low, block_low)
-        if c.any():
+        if c is not None and c.any():
             close.append((s, c))
-    return fusion, close, low
+    return fusion, close
 
 
 def _majorize_block(d, penalty, s, W, fuse_tol, counts):
     """Rows ``[s, s + len(d))`` of :func:`_majorize` at distances ``d``: their
-    share of the fusion sum, their close block and (h1) their smallest
-    weight; temporaries die here."""
+    share of the fusion sum and their close block (None at ``fuse_tol = 0``);
+    temporaries die here."""
     e = s + len(d)
     mult = None if counts is None else np.outer(counts[s:e], counts[s:])
     pen = phi(d, penalty)
@@ -376,21 +379,19 @@ def _majorize_block(d, penalty, s, W, fuse_tol, counts):
         pen *= mult
     fusion = float(pen[:, : e - s].sum()) + 2.0 * float(pen[:, e - s :].sum())
     del pen
-    close = d < fuse_tol
-    np.fill_diagonal(close, False)  # a column is not its own close pair
-    if fuse_tol > 0:  # lp only (h1's is 0): the power weight's one floor
+    close = None
+    if fuse_tol > 0:  # lp only (h1's is 0): close pairs, and the weight's floor
+        close = d < fuse_tol
+        np.fill_diagonal(close, False)  # a column is not its own close pair
         np.maximum(d, fuse_tol, out=d)
     w = weight(d, penalty)
     if mult is not None:
         w *= mult
-    # h1's weight peaks at d = 0, so the diagonal does not undercut the
-    # smallest off-diagonal weight; only h1 solves read it.
-    low = float(w.min()) if penalty.kind == H1 else math.inf
     np.fill_diagonal(w, 0.0)  # the diagonal of the leading square
     W[s:e, s:] = w
     if e < len(W):
         W[e:, s:e] = w[:, e - s :].T
-    return fusion, close, low
+    return fusion, close
 
 
 def _fuse_threshold(penalty: PenaltySpec, u0: np.ndarray) -> float:
@@ -611,7 +612,6 @@ class _Groups:
         self.fuse_tol = _fuse_threshold(penalty, v0)
         self.W = np.empty((data.point_count, data.point_count))
         self.close = None
-        self.low = math.inf  # the last pass's smallest off-diagonal weight
         self.spans = [(0, data.point_count)]
 
     def expanded(self) -> np.ndarray:
@@ -620,7 +620,7 @@ class _Groups:
     def fusion(self) -> float:
         # A reorder keeps one point per column; only a merge needs counts.
         counts = self.counts if len(self.counts) < self.data.point_count else None
-        fusion, self.close, self.low = _majorize(
+        fusion, self.close = _majorize(
             self.V, self.penalty, self.W, self.fuse_tol, counts
         )
         return fusion
@@ -638,22 +638,24 @@ class _Groups:
         return True
 
     def split(self, f: float, lam: float) -> None:
-        """Set ``spans`` for the next solve from the last pass, whose
-        objective was ``f``.
+        """Set ``spans`` for the next solve from the weights ``W`` of the
+        last pass, whose objective was ``f``.
 
         h1's phi is at most 1, so dropping the pairs between spans from the
         surrogate can raise the true objective by at most ``lam * 2 sigma^2``
         times their weight, summed over ordered pairs.  A split is kept only
         while that sum, taken directly over the dropped entries, is at most
         ``eps * |f|`` (the budget; the descent slack's floor at 1 would let
-        a tiny-scale run drop every weight).  Every split drops at least the
-        ``2 (G - 1)`` ordered pairs of one column, so nothing is sought when
-        those, at the pass's smallest weight, would exceed the budget.  The
-        current spans are re-checked first.  A new split can cut only pairs
-        lighter than the budget, so the finest one that could pass is the
-        components of the heavier pairs; it is kept if it passes.  Columns
-        are then reordered so that each span is contiguous, and the pass is
-        re-run in that order.
+        a tiny-scale run drop every weight).  The current spans are
+        re-checked first.  Every split drops at least the ``2 (G - 1)``
+        ordered pairs of one column, so no new one is sought when those, at
+        W's smallest off-diagonal weight, would exceed the budget.  A new
+        split can cut only pairs lighter than the budget, so the finest one
+        that could pass is the components of the heavier pairs.  Columns
+        are reordered so that each span is contiguous, the pass is re-run in
+        that order, and the candidate is kept if its weights pass; else the
+        previous order is restored, which a permutation does exactly (every
+        sum is ``0 + x``, every mean ``x / 1``) and so does the re-run pass.
         """
         g = len(self.W)
         if self.penalty.kind != H1 or g < 2:
@@ -662,25 +664,31 @@ class _Groups:
         # The weight that may be dropped: h1's rise per unit weight is
         # lam 2 sigma^2, and the budget is eps |f|.
         budget = np.finfo(float).eps * abs(f) / lam / (2.0 * self.penalty.sigma**2)
-        if 2 * (g - 1) * self.low > budget:
-            self.spans = [(0, g)]
-            return
         if len(self.spans) > 1 and _span_cut_mass(self.W, self.spans) <= budget:
             return
         self.spans = [(0, g)]
+        diagonal = self.W.reshape(-1)[:: g + 1]  # a view: W is C-ordered
+        diagonal[:] = math.inf
+        low = self.W.min()
+        diagonal[:] = 0.0
+        if 2 * (g - 1) * low > budget:
+            return
         labels = _heavy_components(self.W, budget)
-        if labels.max() == 0 or _cut_mass(self.W, labels) > budget:
+        if labels.max() == 0:
             return
         order = np.argsort(labels, kind="stable")
-        if np.any(np.diff(order) < 0):
+        moved = np.any(np.diff(order) < 0)
+        if moved:
             new_of_old = np.empty_like(order)
             new_of_old[order] = np.arange(g)
             self._regroup(new_of_old)
         sizes = np.bincount(labels)
         ends = np.cumsum(sizes)
         spans = list(zip((ends - sizes).tolist(), ends.tolist()))
-        if _span_cut_mass(self.W, spans) <= budget:  # the re-run pass's weights
+        if _span_cut_mass(self.W, spans) <= budget:
             self.spans = spans
+        elif moved:
+            self._regroup(order)
 
     def _regroup(self, new_of_old):
         """Move each group to column ``new_of_old[group]``, summing groups
@@ -732,22 +740,10 @@ def _heavy_components(W, floor):
     return labels
 
 
-def _cut_mass(W, labels):
-    """Sum of W over the ordered pairs whose labels differ, added up over
-    those entries themselves, one row block at a time."""
-    g = len(W)
-    step = max(1, _PASS_BLOCK_BYTES // (8 * g))
-    mass = 0.0
-    for s in range(0, g, step):
-        e = min(s + step, g)
-        cut = np.where(labels[s:e, None] != labels[None, s:], W[s:e, s:], 0.0)
-        mass += float(cut[:, : e - s].sum()) + 2.0 * float(cut[:, e - s :].sum())
-    return mass
-
-
 def _span_cut_mass(W, spans):
-    """:func:`_cut_mass` for contiguous ``spans``: twice the sum of the
-    blocks right of each span's diagonal block."""
+    """Sum of W over the ordered pairs in different ``spans``, which are
+    contiguous: twice the sum of the blocks right of each span's diagonal
+    block."""
     return 2.0 * sum(float(W[a:b, b:].sum()) for a, b in spans)
 
 

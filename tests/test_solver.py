@@ -100,7 +100,7 @@ def majorize(u, penalty, fuse_tol=None):
     if fuse_tol is None:
         fuse_tol = solver._fuse_threshold(penalty, u)
     w = np.empty((u.shape[1],) * 2)
-    fusion, close, _ = solver._majorize(u, penalty, w, fuse_tol=fuse_tol)
+    fusion, close = solver._majorize(u, penalty, w, fuse_tol=fuse_tol)
     return fusion, w, close
 
 
@@ -981,12 +981,15 @@ def solve_recording_merges(data, cfg, monkeypatch):
 
 
 def solve_recording_weights(data, cfg, monkeypatch):
-    """mm_cluster with a copy of the weights of its last pass."""
+    """mm_cluster with a copy of the weights of its last pass, in the points'
+    order while every point has a column of its own."""
     fusion, last = solver._Groups.fusion, []
 
     def recorded(self):
         out = fusion(self)
-        last[:] = [self.W.copy()]
+        rep = self.rep
+        own = rep is not None and len(rep) == len(self.W)
+        last[:] = [self.W[np.ix_(rep, rep)] if own else self.W.copy()]
         return out
 
     monkeypatch.setattr(solver._Groups, "fusion", recorded)
@@ -997,8 +1000,10 @@ def solve_recording_weights(data, cfg, monkeypatch):
 
 class TestFinalWeights:
     """``update_weights(centroids.U, penalty)`` is the solve's last pass for
-    h1, which never fuses; after an lp run fuses, the solve's weights are
-    those of the fused groups, not of the expanded columns."""
+    h1, which never fuses: bit for bit while no split has reordered the
+    columns, within rounding after one has; after an lp run fuses, the
+    solve's weights are those of the fused groups, not of the expanded
+    columns."""
 
     def test_h1_update_weights_are_the_last_pass(self, monkeypatch):
         data, _ = random_instance(seed=4, K=3, M=20, P=5, p0=0.6, scale=6.0)
@@ -1006,6 +1011,30 @@ class TestFinalWeights:
         centroids, _, w = solve_recording_weights(data, cfg, monkeypatch)
         assert w.any()
         assert np.array_equal(update_weights(centroids.U, cfg.penalty), w)
+
+    @pytest.mark.parametrize(
+        "case, splits",
+        [
+            pytest.param(
+                lambda: (random_instance(0, K=3, M=15, P=5, p0=0.8, scale=3.0)[0],
+                         SolverConfig(1.0, PenaltySpec.h1(0.5))),
+                False, id="h1-rejected",
+            ),
+            pytest.param(lambda: cluster_h1_case(0), True, id="cluster-h1-0"),
+        ],
+    )
+    def test_h1_update_weights_after_split_reorders(self, case, splits, monkeypatch):
+        # A kept split leaves the columns reordered, so the last pass took
+        # its Gram products in another order (2.3e-13 relative apart on
+        # cluster-h1-0); a rejected candidate's order is restored exactly.
+        data, cfg = case()
+        centroids, trace, w = solve_recording_weights(data, cfg, monkeypatch)
+        assert (set(trace.blocks) != {1}) == splits
+        final = update_weights(centroids.U, cfg.penalty)
+        if splits:
+            np.testing.assert_allclose(final, w, rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(final, w)
 
     def test_fused_lp_run_ends_on_the_groups_weights(self, monkeypatch):
         x = np.random.default_rng(0).normal(size=(5, 30))
@@ -1052,14 +1081,14 @@ class TestBitIdentity:
         majorize, passes = solver._majorize, []
 
         def checked(U, penalty, W, fuse_tol, counts=None):
-            fusion, close, low = majorize(U, penalty, W, fuse_tol, counts)
+            fusion, close = majorize(U, penalty, W, fuse_tol, counts)
             want_w = np.empty_like(W)
             with mock.patch.object(solver, "_lp_row_blocks", loop_row_blocks):
-                want, _, _ = majorize(U, penalty, want_w, fuse_tol, counts)
+                want, _ = majorize(U, penalty, want_w, fuse_tol, counts)
             assert fusion == pytest.approx(want, rel=1e-12)
             np.testing.assert_allclose(W, want_w, rtol=2e-12, atol=0)
             passes.append(U.shape[1])
-            return fusion, close, low
+            return fusion, close
 
         monkeypatch.setattr(solver, "_majorize", checked)
         blocked, blocked_trace, merges = solve_recording_merges(data, cfg, monkeypatch)
@@ -1260,37 +1289,50 @@ class TestBlockSplit:
                 assert cfg.lam * 2 * sigma**2 * dropped <= eps * abs(f)
 
     @pytest.mark.parametrize(
-        "data, cfg, labelled",
+        "data, cfg, labelled, restored",
         [
             pytest.param(
                 random_instance(3, K=3, M=20, P=50, p0=0.6, scale=6.0)[0],
-                SolverConfig(0.2, PenaltySpec.lp(0.5)), 0, id="lp-fusing",
+                SolverConfig(0.2, PenaltySpec.lp(0.5)), 0, 0, id="lp-fusing",
             ),
             pytest.param(
                 random_instance(0, K=3, M=15, P=5, p0=0.8, scale=2.0)[0],
-                SolverConfig(0.1, PenaltySpec.h1(0.5)), 11, id="h1-connected",
+                SolverConfig(0.1, PenaltySpec.h1(0.5)), 11, 0, id="h1-connected",
             ),
             pytest.param(
                 random_instance(0, K=3, M=15, P=5, p0=0.8, scale=3.0)[0],
-                SolverConfig(1.0, PenaltySpec.h1(0.5)), 5, id="h1-rejected",
+                SolverConfig(1.0, PenaltySpec.h1(0.5)), 5, 3, id="h1-rejected",
             ),
         ],
     )
-    def test_unsplit_runs_are_bitwise_the_single_span_path(self, data, cfg, labelled):
+    def test_unsplit_runs_are_bitwise_the_single_span_path(self, data, cfg, labelled, restored):
         # lp never splits; these h1 runs look for a split (their heavy-pair
         # graph is connected, or its components cut too much weight) and
-        # never keep one, so nothing is reordered and no bit moves.
+        # never keep one.  A rejected candidate whose components are not
+        # contiguous is checked on reordered columns, and the next regroup
+        # restores their order exactly, so no bit moves.
         heavy, calls = solver._heavy_components, []
+        regroup, moves = solver._Groups._regroup, []
 
         def counted(W, floor):
             calls.append(len(W))
             return heavy(W, floor)
 
-        with mock.patch.object(solver, "_heavy_components", counted):
+        def recorded(self, new_of_old):
+            moves.append(new_of_old)
+            return regroup(self, new_of_old)
+
+        with mock.patch.object(solver, "_heavy_components", counted), \
+                mock.patch.object(solver._Groups, "_regroup", recorded):
             u, trace = mm_cluster(data, cfg)
         with single_span():
             u0, trace0 = mm_cluster(data, cfg)
         assert len(calls) == labelled
+        # a merge takes fewer columns; a reorder is a permutation
+        reorders = [m for m in moves if np.array_equal(np.sort(m), np.arange(len(m)))]
+        assert len(reorders) == 2 * restored
+        for there, back in zip(reorders[::2], reorders[1::2]):
+            assert np.array_equal(back[there], np.arange(len(there)))
         assert set(trace.blocks) == {1}
         assert len(trace.blocks) == len(trace.cg_iterations) == trace.iterations
         assert trace.cg_iterations == trace0.cg_iterations
