@@ -449,11 +449,11 @@ def _run_cluster(args, argv):
         truth,
         _header_lines(argv, args.seed),
     )
+    line = f"clusters: {run.partition.cluster_count}"
     if truth is not None:
-        ari = adjusted_rand_index(run.partition, truth)
-        print(f"clusters: {run.partition.cluster_count}  ari: {ari:.4f}")
-    else:
-        print(f"clusters: {run.partition.cluster_count}")
+        line += f"  ari: {adjusted_rand_index(run.partition, truth):.4f}"
+    converged = "true" if run.trace.converged else "false"
+    print(f"{line}  iterations: {run.trace.iterations}  converged: {converged}")
 
 
 def _run_wine(args, argv):

@@ -30,9 +30,11 @@ hold no N x N array of any kind.
 
 The saturating weights make far-apart h1 surrogates decouple, so each h1
 solve keeps only the diagonal blocks of W over the components of its
-non-negligible weights (:meth:`_Groups.split`): one batched CG runs with
-``V[:, a:b] @ W[a:b, a:b]`` per column span ``(a, b)``, views of the one
-weight buffer after a column reorder.  h1's phi is at most 1, so the
+non-negligible weights (:meth:`_Groups.split`), views of the one weight
+buffer after a column reorder.  The spans' systems are independent, so
+each column span ``(a, b)`` runs its own batched CG on ``W[a:b, a:b]``, to
+its share of the residual target; one-column spans run as one diagonal
+batch.  h1's phi is at most 1, so the
 dropped pairs can raise the true objective by at most ``lam * 2 sigma^2``
 times their weight, which a split must keep within ``eps * |f|``.  The
 split reads only W and the current spans; a rejected candidate's column
@@ -125,9 +127,10 @@ class CentroidSet:
 @dataclass(frozen=True)
 class SolveTrace:
     """True-objective value per outer iteration (index 0 = initialization),
-    and per inner solve its conjugate-gradient iteration count (one matvec
-    each) and the number of diagonal blocks of W its matvec kept (1 = all
-    of W)."""
+    and per inner solve its conjugate-gradient iteration count and the
+    number of diagonal blocks of W it kept (1 = all of W).  Each block runs
+    its own batch, one matvec of that block per iteration; the count is the
+    largest any block took."""
 
     objectives: np.ndarray
     converged: bool
@@ -438,7 +441,7 @@ def objective_gradient(
     w = update_weights(U, penalty)
     resid = np.where(data.mask, U - data.values, 0.0)
     deg = w.sum(axis=1)
-    return 2.0 * resid + 4.0 * lam * _laplacian([(slice(None), w)], deg, U)
+    return 2.0 * resid + 4.0 * lam * _laplacian(w, deg, U)
 
 
 def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
@@ -467,9 +470,10 @@ def update_centroids(data: ObservedDataset, W: np.ndarray, lam: float) -> np.nda
     already stationary are preserved exactly.  Where the system is singular
     this returns one of its solutions: a coordinate that no point observes
     and no nonzero weight pulls keeps its mean-imputed value.
-    Conjugate gradients run to the fixed relative tolerance ``_CG_TOL`` and
-    raise :class:`ConvergenceError` after ``_CG_MAXITER_FACTOR * N``
-    iterations.
+    This is one solve on the whole of W: conjugate gradients run to the
+    fixed relative tolerance ``_CG_TOL`` and raise :class:`ConvergenceError`
+    after ``_CG_MAXITER_FACTOR * N`` iterations (within :func:`mm_cluster`
+    an h1 solve splits W, and the cap is per span).
     """
     W = np.asarray(W, dtype=float)
     n = data.point_count
@@ -503,52 +507,81 @@ def _solve_weighted_system(diag_data, rhs_data, W, lam, anchor, spans):
     blocks ``W[a:b, a:b]`` over the column ``spans``, which cover the
     columns in order; the one span ``[(0, G)]`` is the whole of W.
 
-    The solve computes the correction d = v - anchor by batched
-    Jacobi-preconditioned conjugate gradients; the residual r = b - A @ anchor
-    keeps the data term as a difference, so an anchor that already
-    satisfies it contributes exact zeros there.  Returns v and the number of
-    conjugate-gradient iterations.
+    The solve computes the correction d = v - anchor by Jacobi-preconditioned
+    conjugate gradients, batched over features; the residual r = b - A @
+    anchor keeps the data term as a difference, so an anchor that already
+    satisfies it contributes exact zeros there.  The spans' systems are
+    independent, so each runs as its own batch (:func:`_solve_cg`) to the
+    share ``sqrt((b - a) / G)`` of each feature's residual target, which
+    keeps the residual over all spans within that target, and to at most
+    ``_CG_MAXITER_FACTOR * (b - a)`` iterations; the one-column spans run
+    together as one diagonal batch.  Returns v and the largest number of
+    conjugate-gradient iterations a span took.
     """
-    deg = np.zeros(W.shape[1])
-    blocks = []  # (columns, W's diagonal block over them), one-column spans aside
-    for a, b in spans:
+    c = 2.0 * lam
+    wide = [(a, b) for a, b in spans if b - a > 1]
+    ones = [a for a, b in spans if b - a == 1]
+    deg = np.zeros(W.shape[1])  # a one-column span has no weight
+    for a, b in wide:
         deg[a:b] = W[a:b, a:b].sum(axis=1)
-        if b - a > 1:
-            blocks.append((slice(a, b), W[a:b, a:b]))
     r = rhs_data - diag_data * anchor
-    r -= 2.0 * lam * _laplacian(blocks, deg, anchor)
+    for a, b in wide:
+        r[:, a:b] -= c * _laplacian(W[a:b, a:b], deg[a:b], anchor[:, a:b])
 
     b_norm = np.linalg.norm(rhs_data, axis=1)
     # Residual target per feature: _CG_TOL relative to ||b||, floored at the
     # backward-stable limit ~eps * ||A|| * ||u|| that saturated-weight
     # (stiff) systems impose on any finite-precision solve.
-    a_scale = np.max(diag_data, axis=1) + 2.0 * lam * float(deg.max(initial=0.0))
+    a_scale = np.max(diag_data, axis=1) + c * float(deg.max(initial=0.0))
     anchor_norm = np.linalg.norm(anchor, axis=1)
     eps_floor = 64.0 * np.finfo(float).eps * a_scale * np.maximum(anchor_norm, b_norm)
     tol_per_feature = np.maximum.reduce(
         [_CG_TOL * b_norm, eps_floor, np.full_like(b_norm, 1e-300)]
     )
-    d, iterations = _solve_cg(diag_data, blocks, deg, lam, r, tol_per_feature)
-    return anchor + d, iterations
+    v, iterations = anchor.copy(), 0
+    width = sum(b - a for a, b in spans)
+    for a, b in wide:
+        share = math.sqrt((b - a) / width)  # exactly 1.0 for one span
+        d, steps = _solve_cg(
+            diag_data[:, a:b], W[a:b, a:b], deg[a:b], lam, r[:, a:b],
+            tol_per_feature * share,
+        )
+        v[:, a:b] += d
+        iterations = max(iterations, steps)
+    if ones:
+        # One-column systems are diagonal: one batch with a row per feature
+        # and column solves them all, each row as its own call would, in
+        # one Jacobi step and without a call per span.
+        a, m = ones[0], len(ones)
+        d, steps = _solve_cg(
+            diag_data[:, ones].reshape(-1, 1), W[a : a + 1, a : a + 1], deg[a : a + 1],
+            lam, r[:, ones].reshape(-1, 1),
+            np.repeat(tol_per_feature * math.sqrt(1 / width), m),
+        )
+        v[:, ones] += d.reshape(-1, m)
+        iterations = max(iterations, steps)
+    return v, iterations
 
 
-def _laplacian(blocks, deg, V):
+def _laplacian(w, deg, V):
     """Batched L @ v_p for every feature row of V, L the Laplacian of the
-    diagonal ``blocks`` of W, ``(columns, W[columns, columns])`` pairs of
-    views (deg = their row sums); a column in no block has no weight."""
+    weights ``w`` (deg = their row sums)."""
     out = V * deg[None, :]
-    for cols, w in blocks:
-        out[:, cols] -= V[:, cols] @ w
+    out -= V @ w
     return out
 
 
-def _solve_cg(diag, blocks, deg, lam, r, tol_per_feature):
-    """Jacobi-preconditioned conjugate gradients, batched over features;
-    returns the correction and the number of iterations."""
+def _solve_cg(diag, w, deg, lam, r, tol_per_feature):
+    """Jacobi-preconditioned conjugate gradients on (diag(diag_p) + 2 lam L)
+    d_p = r_p, L the Laplacian of ``w``, batched over features; returns the
+    correction and the number of iterations.  Every P x n product lands in
+    one scratch buffer, and z and p are updated in place."""
     n = len(deg)
+    c = 2.0 * lam
     d = np.zeros_like(r)
     res = r.copy()
-    precond = diag + 2.0 * lam * deg[None, :]
+    scratch = np.empty_like(res)
+    precond = diag + c * deg[None, :]
     # A coordinate that no point observes and no nonzero weight pulls has a
     # zero row: its residual stays exactly 0, so any non-zero divisor keeps
     # it there (at its anchor) instead of making 0/0.
@@ -556,22 +589,26 @@ def _solve_cg(diag, blocks, deg, lam, r, tol_per_feature):
     z = res / precond
     p = z.copy()
     rz = np.einsum("pi,pi->p", res, z)
-    res_norm = np.linalg.norm(res, axis=1)
+    # np.linalg.norm(res, axis=1)'s own arithmetic for real input
+    res_norm = np.sqrt(np.add.reduce(np.multiply(res, res, out=scratch), axis=1))
     maxiter = _CG_MAXITER_FACTOR * n
     for iteration in range(maxiter):
         active = res_norm > tol_per_feature
         if not active.any():
             return d, iteration
-        ap = diag * p + 2.0 * lam * _laplacian(blocks, deg, p)  # A @ p, per feature
+        ap = _laplacian(w, deg, p)  # A @ p, per feature
+        ap *= c
+        ap += np.multiply(diag, p, out=scratch)
         pap = np.einsum("pi,pi->p", p, ap)
         alpha = np.where(active & (pap > 0), rz / np.where(pap > 0, pap, 1.0), 0.0)
-        d += alpha[:, None] * p
-        res -= alpha[:, None] * ap
-        res_norm = np.linalg.norm(res, axis=1)
-        z = res / precond
+        d += np.multiply(alpha[:, None], p, out=scratch)
+        res -= np.multiply(alpha[:, None], ap, out=scratch)
+        res_norm = np.sqrt(np.add.reduce(np.multiply(res, res, out=scratch), axis=1))
+        np.divide(res, precond, out=z)
         rz_new = np.einsum("pi,pi->p", res, z)
         beta = np.where(rz > 0, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-        p = z + beta[:, None] * p
+        p *= beta[:, None]
+        p += z
         rz = rz_new
     if np.any(res_norm > tol_per_feature):
         raise ConvergenceError(
@@ -597,8 +634,9 @@ class _Groups:
     the close pairs that :meth:`merge` consumes.  :meth:`split` chooses the
     column ``spans`` the next solve keeps the weights of, and may reorder
     the columns so that each span is contiguous.  ``rep`` (each point's
-    column) stays ``None`` until the first merge or reorder; the data term
-    and :meth:`expanded` stay in the points' own order.
+    column) is ``None`` while every point has its own column in the points'
+    order, as before the first merge or reorder and after a restore; the
+    data term and :meth:`expanded` stay in the points' own order.
     """
 
     def __init__(self, data: ObservedDataset, v0: np.ndarray, penalty: PenaltySpec):
@@ -704,7 +742,9 @@ class _Groups:
         self.diag, self.rhs = diag, rhs
         self.V = v / counts[None, :]
         self.counts = counts
-        self.rep = new_of_old if self.rep is None else new_of_old[self.rep]
+        rep = new_of_old if self.rep is None else new_of_old[self.rep]
+        # Restoring the points' order (a rejected split) needs no gather.
+        self.rep = None if np.array_equal(rep, np.arange(len(rep))) else rep
         if len(self.W) != shape[1]:
             self.W = None  # release the old buffer before allocating the new one
             self.W = np.empty((shape[1], shape[1]))

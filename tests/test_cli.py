@@ -309,6 +309,25 @@ class TestClusterCommand:
         assert run_in(tmp_path, argv) == 0
         assert "ari: 1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("max_iters, converged", [(None, "true"), ("1", "false")])
+    def test_stdout_reports_iterations_and_convergence(self, tmp_path, capsys, max_iters, converged):
+        # The stdout line carries the outer iteration count and whether the
+        # objective settled before --max-iters; no output file changes.
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n0.1,0.0\n9.0,9.0\n9.1,9.0\n")
+        argv = ["cluster", "--input", "toy.csv", "--lambda", "2.0", "--sigma", "0.3"]
+        if max_iters is not None:
+            argv += ["--max-iters", max_iters]
+        assert run_in(tmp_path, argv) == 0
+        iterations = [
+            line.split(",")[0]
+            for line in (tmp_path / "trace.csv").read_text().splitlines()
+            if not line.startswith("#")
+        ][-1]
+        out = capsys.readouterr().out
+        assert out == f"clusters: 2  iterations: {iterations}  converged: {converged}\n"
+        if max_iters is not None:
+            assert iterations == max_iters
+
     def test_missing_entries_accepted(self, tmp_path):
         (tmp_path / "toy.csv").write_text("1.0,,2.0\n1.0,NaN,2.0\n")
         code = run_in(
