@@ -33,12 +33,12 @@ solve keeps only the diagonal blocks of W over the components of its
 non-negligible weights (:meth:`_Groups.split`), views of the one weight
 buffer after a column reorder.  The spans' systems are independent, so
 each column span ``(a, b)`` runs its own batched CG on ``W[a:b, a:b]``, to
-its share of the residual target; one-column spans run as one diagonal
-batch.  h1's phi is at most 1, so the
-dropped pairs can raise the true objective by at most ``lam * 2 sigma^2``
-times their weight, which a split must keep within ``eps * |f|``.  The
-split reads only W and the current spans; a rejected candidate's column
-order is restored.  The single span ``(0, G)`` is the whole of W, as for
+its share of the residual target; a one-column span's system is diagonal
+and is solved in closed form.  h1's phi is at most 1, so the dropped pairs
+can raise the true objective by at most ``lam * 2 sigma^2`` times their
+weight, which a split must keep within ``eps * |f|``.  The split reads
+only W and the current spans; a rejected candidate's column order is
+restored.  The single span ``(0, G)`` is the whole of W, as for
 lp.
 
 The solver is deterministic: no randomness enters anywhere.
@@ -129,8 +129,9 @@ class SolveTrace:
     """True-objective value per outer iteration (index 0 = initialization),
     and per inner solve its conjugate-gradient iteration count and the
     number of diagonal blocks of W it kept (1 = all of W).  Each block runs
-    its own batch, one matvec of that block per iteration; the count is the
-    largest any block took."""
+    its own batch, one matvec of that block per iteration (a one-column
+    block is solved in closed form, as one); the count is the largest any
+    block took."""
 
     objectives: np.ndarray
     converged: bool
@@ -511,12 +512,14 @@ def _solve_weighted_system(diag_data, rhs_data, W, lam, anchor, spans):
     conjugate gradients, batched over features; the residual r = b - A @
     anchor keeps the data term as a difference, so an anchor that already
     satisfies it contributes exact zeros there.  The spans' systems are
-    independent, so each runs as its own batch (:func:`_solve_cg`) to the
-    share ``sqrt((b - a) / G)`` of each feature's residual target, which
-    keeps the residual over all spans within that target, and to at most
-    ``_CG_MAXITER_FACTOR * (b - a)`` iterations; the one-column spans run
-    together as one diagonal batch.  Returns v and the largest number of
-    conjugate-gradient iterations a span took.
+    independent, so each runs as its own batch (:func:`_solve_cg`), to at
+    most ``_CG_MAXITER_FACTOR * (b - a)`` iterations.  A span's residual
+    target shares out the relative part of each feature's target,
+    ``_CG_TOL * ||b|| * sqrt((b - a) / G)``, which keeps the residual over
+    all spans within the target wherever that part binds, but not its
+    backward-stable floor, which no span can beat.  A one-column span has no weight, so its system is diagonal
+    and is solved in closed form, counted as one iteration.  Returns v and
+    the largest number of conjugate-gradient iterations a span took.
     """
     c = 2.0 * lam
     wide = [(a, b) for a, b in spans if b - a > 1]
@@ -535,31 +538,24 @@ def _solve_weighted_system(diag_data, rhs_data, W, lam, anchor, spans):
     a_scale = np.max(diag_data, axis=1) + c * float(deg.max(initial=0.0))
     anchor_norm = np.linalg.norm(anchor, axis=1)
     eps_floor = 64.0 * np.finfo(float).eps * a_scale * np.maximum(anchor_norm, b_norm)
-    tol_per_feature = np.maximum.reduce(
-        [_CG_TOL * b_norm, eps_floor, np.full_like(b_norm, 1e-300)]
-    )
+    rel_tol = _CG_TOL * b_norm
+    floor = np.maximum(eps_floor, 1e-300)
     v, iterations = anchor.copy(), 0
     width = sum(b - a for a, b in spans)
     for a, b in wide:
         share = math.sqrt((b - a) / width)  # exactly 1.0 for one span
         d, steps = _solve_cg(
             diag_data[:, a:b], W[a:b, a:b], deg[a:b], lam, r[:, a:b],
-            tol_per_feature * share,
+            np.maximum(rel_tol * share, floor),
         )
         v[:, a:b] += d
         iterations = max(iterations, steps)
     if ones:
-        # One-column systems are diagonal: one batch with a row per feature
-        # and column solves them all, each row as its own call would, in
-        # one Jacobi step and without a call per span.
-        a, m = ones[0], len(ones)
-        d, steps = _solve_cg(
-            diag_data[:, ones].reshape(-1, 1), W[a : a + 1, a : a + 1], deg[a : a + 1],
-            lam, r[:, ones].reshape(-1, 1),
-            np.repeat(tol_per_feature * math.sqrt(1 / width), m),
-        )
-        v[:, ones] += d.reshape(-1, m)
-        iterations = max(iterations, steps)
+        # diag_data * d = r; an entry with a zero diagonal has r = 0 and
+        # keeps its anchor, as in _solve_cg.
+        m = diag_data[:, ones]
+        v[:, ones] += r[:, ones] / np.where(m > 0, m, 1.0)
+        iterations = max(iterations, 1)
     return v, iterations
 
 

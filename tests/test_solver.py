@@ -1216,7 +1216,8 @@ class TestBlockSplit:
         # block of W, degrees included, at its share sqrt((b - a) / n) of
         # each feature's residual target, whatever the weights between the
         # blocks; over all spans, every feature's residual meets the whole
-        # target, the one-span solve's target for W with those weights zeroed.
+        # target, the one-span solve's target for W with those weights zeroed
+        # (here its relative part, _CG_TOL * ||rhs||).
         rng = np.random.default_rng(5)
         n, spans, lam = 12, [(0, 4), (4, 5), (5, 7), (7, 12)], 0.5
         w = rng.uniform(0.1, 1.0, size=(n, n))
@@ -1236,6 +1237,7 @@ class TestBlockSplit:
         with mock.patch.object(solver, "_solve_cg", recorded):
             solver._solve_weighted_system(diag, rhs, kept, lam, anchor, [(0, n)])
         (target,) = targets
+        assert np.array_equal(target, solver._CG_TOL * np.linalg.norm(rhs, axis=1))
         v, steps = solver._solve_weighted_system(diag, rhs, w, lam, anchor, spans)
         counts, residual = [], np.zeros_like(v)
         for a, b in spans:
@@ -1250,9 +1252,39 @@ class TestBlockSplit:
         assert steps == max(counts)
         assert np.all(np.linalg.norm(residual, axis=1) <= target)
 
+    def test_spans_keep_the_whole_floor(self):
+        # Only the relative part of the target is shared out: where the
+        # backward-stable floor binds (an anchor far larger than the data),
+        # every span runs to that floor, which no finite-precision solve of
+        # its block can beat, and meets it.
+        rng = np.random.default_rng(5)
+        n, spans, lam = 12, [(0, 4), (4, 5), (5, 7), (7, 12)], 0.5
+        w = rng.uniform(0.1, 1.0, size=(n, n))
+        w = np.triu(w, 1) + np.triu(w, 1).T
+        diag = 1.0 + (rng.random((3, n)) < 0.7)
+        rhs = diag * rng.normal(size=(3, n))
+        anchor = 1e8 * rng.normal(size=(3, n))
+        cg, solves = solver._solve_cg, []
+
+        def recorded(diag, w, deg, lam, r, tol):
+            d, k = cg(diag, w, deg, lam, r, tol)
+            res = r - diag * d - 2.0 * lam * (d * deg - d @ w)
+            solves.append((tol, np.linalg.norm(res, axis=1)))
+            return d, k
+
+        with mock.patch.object(solver, "_solve_cg", recorded):
+            solver._solve_weighted_system(diag, rhs, w, lam, anchor, spans)
+        # the one-column span is solved in closed form
+        assert len(solves) == 3
+        floor = solves[0][0]
+        assert np.all(floor > solver._CG_TOL * np.linalg.norm(rhs, axis=1))
+        for tol, res in solves:
+            assert np.array_equal(tol, floor)
+            assert np.all(res <= tol)
+
     def test_one_column_spans_are_solved_in_one_step(self):
-        # A one-column span has no weight: its system is diagonal, and
-        # Jacobi-preconditioned CG solves it in one step, for any weights
+        # A one-column span has no weight: its system is diagonal, and is
+        # solved in closed form, counted as one step, for any weights
         # between the spans; unobserved entries keep their anchor.
         rng = np.random.default_rng(6)
         n = 9
@@ -1327,23 +1359,6 @@ class TestBlockSplit:
             if k > 1:
                 assert cfg.lam * 2 * sigma**2 * dropped <= eps * abs(f)
 
-    def test_a_restore_leaves_no_column_map(self):
-        # The h1-rejected input below reorders and restores three candidates;
-        # once each restore puts the points back in their own order,
-        # expanded() gathers nothing.
-        data = random_instance(0, K=3, M=15, P=5, p0=0.8, scale=3.0)[0]
-        regroup, reps = solver._Groups._regroup, []
-
-        def recorded(self, new_of_old):
-            regroup(self, new_of_old)
-            reps.append(self.rep)
-
-        with mock.patch.object(solver._Groups, "_regroup", recorded):
-            mm_cluster(data, SolverConfig(1.0, PenaltySpec.h1(0.5)))
-        assert len(reps) == 6
-        assert all(rep is not None for rep in reps[::2])
-        assert all(rep is None for rep in reps[1::2])
-
     @pytest.mark.parametrize(
         "data, cfg, labelled, restored",
         [
@@ -1366,7 +1381,8 @@ class TestBlockSplit:
         # graph is connected, or its components cut too much weight) and
         # never keep one.  A rejected candidate whose components are not
         # contiguous is checked on reordered columns, and the next regroup
-        # restores their order exactly, so no bit moves.
+        # restores their order exactly, so no bit moves; with h1's points
+        # back in their own order, expanded() gathers nothing (rep is None).
         heavy, calls = solver._heavy_components, []
         regroup, moves = solver._Groups._regroup, []
 
@@ -1375,8 +1391,8 @@ class TestBlockSplit:
             return heavy(W, floor)
 
         def recorded(self, new_of_old):
-            moves.append(new_of_old)
-            return regroup(self, new_of_old)
+            regroup(self, new_of_old)
+            moves.append((new_of_old, self.rep))
 
         with mock.patch.object(solver, "_heavy_components", counted), \
                 mock.patch.object(solver._Groups, "_regroup", recorded):
@@ -1385,10 +1401,11 @@ class TestBlockSplit:
             u0, trace0 = mm_cluster(data, cfg)
         assert len(calls) == labelled
         # a merge takes fewer columns; a reorder is a permutation
-        reorders = [m for m in moves if np.array_equal(np.sort(m), np.arange(len(m)))]
+        reorders = [m for m in moves if np.array_equal(np.sort(m[0]), np.arange(len(m[0])))]
         assert len(reorders) == 2 * restored
-        for there, back in zip(reorders[::2], reorders[1::2]):
+        for (there, _), (back, rep) in zip(reorders[::2], reorders[1::2]):
             assert np.array_equal(back[there], np.arange(len(there)))
+            assert rep is None
         assert set(trace.blocks) == {1}
         assert len(trace.blocks) == len(trace.cg_iterations) == trace.iterations
         assert trace.cg_iterations == trace0.cg_iterations
