@@ -229,17 +229,6 @@ def pca_plot_table(
     coords = pca_project(stacked)
     if coords.shape[0] < 2:
         coords = np.vstack([coords, np.zeros((2 - coords.shape[0], 2 * n))])
-    rows = []
-    for i in range(n):
-        label = int(truth.labels[i]) if truth is not None else -1
-        rows.append(
-            (
-                i,
-                label,
-                float(coords[0, i]),
-                float(coords[1, i]),
-                float(coords[0, n + i]),
-                float(coords[1, n + i]),
-            )
-        )
-    return rows
+    labels = truth.labels.tolist() if truth is not None else [-1] * n
+    filled_xy, centroid_xy = coords[:, :n].tolist(), coords[:, n:].tolist()
+    return list(zip(range(n), labels, *filled_xy, *centroid_xy))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -144,6 +145,7 @@ def _check_flags(args):
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.command == "cluster":
         _check_lambda_flag("--lambda", args.lam)
+        _check_merge_tol_flag(args.merge_tol)
         penalty_flags = {"h1": {"--sigma": args.sigma}, "lp": {"--p": args.p}}
         for kind, flags in penalty_flags.items():
             if kind != args.penalty:
@@ -157,6 +159,7 @@ def _check_flags(args):
         else:
             if args.lam is not None:
                 _check_lambda_flag("--lambda", args.lam)
+            _check_merge_tol_flag(args.merge_tol)
             flags = {
                 "--trials": args.trials,
                 "--m-grid": args.m_grid,
@@ -168,6 +171,13 @@ def _check_flags(args):
         if not (args.wine_csv or os.environ.get("FUSECLUSTER_DATA_DIR")):
             raise _UsageError("provide --wine-csv or set FUSECLUSTER_DATA_DIR")
         _check_lambda_flag("--lambda-grid", args.lambda_grid)
+
+
+def _check_merge_tol_flag(value):
+    """A ``--merge-tol`` that is given and not finite and positive is a
+    usage error."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise _UsageError(f"--merge-tol must be finite and positive, got {value}")
 
 
 def _check_lambda_flag(flag, value):

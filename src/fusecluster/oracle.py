@@ -50,13 +50,6 @@ def group_feasible(data: ObservedDataset, point_indices, epsilon: float) -> bool
     return bool(np.all(vmax - vmin <= epsilon))
 
 
-def partition_cost(labels: np.ndarray) -> int:
-    """Ordered cross-group pair count: N^2 - sum of squared group sizes."""
-    n = labels.size
-    sizes = np.bincount(labels)
-    return int(n * n - np.sum(sizes * sizes))
-
-
 def _compatibility_masks(data: ObservedDataset, epsilon: float) -> list[int]:
     """Bit j of entry i is set when points i and j are within epsilon on
     every feature both of them observe.  Unobserved entries are NaN, which

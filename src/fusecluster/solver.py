@@ -37,9 +37,8 @@ its share of the residual target; a one-column span's system is diagonal
 and is solved in closed form.  h1's phi is at most 1, so the dropped pairs
 can raise the true objective by at most ``lam * 2 sigma^2`` times their
 weight, which a split must keep within ``eps * |f|``.  The split reads
-only W and the current spans; a rejected candidate's column order is
-restored.  The single span ``(0, G)`` is the whole of W, as for
-lp.
+only W and the current spans, and only a kept split moves columns.  The
+single span ``(0, G)`` is the whole of W, as for lp.
 
 The solver is deterministic: no randomness enters anywhere.
 """
@@ -630,9 +629,8 @@ class _Groups:
     the close pairs that :meth:`merge` consumes.  :meth:`split` chooses the
     column ``spans`` the next solve keeps the weights of, and may reorder
     the columns so that each span is contiguous.  ``rep`` (each point's
-    column) is ``None`` while every point has its own column in the points'
-    order, as before the first merge or reorder and after a restore; the
-    data term and :meth:`expanded` stay in the points' own order.
+    column) is ``None`` until the first merge or reorder; the data term and
+    :meth:`expanded` stay in the points' own order.
     """
 
     def __init__(self, data: ObservedDataset, v0: np.ndarray, penalty: PenaltySpec):
@@ -685,11 +683,9 @@ class _Groups:
         ordered pairs of one column, so no new one is sought when those, at
         W's smallest off-diagonal weight, would exceed the budget.  A new
         split can cut only pairs lighter than the budget, so the finest one
-        that could pass is the components of the heavier pairs.  Columns
-        are reordered so that each span is contiguous, the pass is re-run in
-        that order, and the candidate is kept if its weights pass; else the
-        previous order is restored, which a permutation does exactly (every
-        sum is ``0 + x``, every mean ``x / 1``) and so does the re-run pass.
+        that could pass is the components of the heavier pairs, whose cut
+        the labeller sums as it reads W.  Only a kept split moves columns,
+        so that each span is contiguous.
         """
         g = len(self.W)
         if self.penalty.kind != H1 or g < 2:
@@ -707,22 +703,17 @@ class _Groups:
         diagonal[:] = 0.0
         if 2 * (g - 1) * low > budget:
             return
-        labels = _heavy_components(self.W, budget)
-        if labels.max() == 0:
+        labels, cut = _heavy_components(self.W, budget)
+        if labels.max() == 0 or cut > budget:
             return
         order = np.argsort(labels, kind="stable")
-        moved = np.any(np.diff(order) < 0)
-        if moved:
+        if np.any(np.diff(order) < 0):
             new_of_old = np.empty_like(order)
             new_of_old[order] = np.arange(g)
             self._regroup(new_of_old)
         sizes = np.bincount(labels)
         ends = np.cumsum(sizes)
-        spans = list(zip((ends - sizes).tolist(), ends.tolist()))
-        if _span_cut_mass(self.W, spans) <= budget:
-            self.spans = spans
-        elif moved:
-            self._regroup(order)
+        self.spans = list(zip((ends - sizes).tolist(), ends.tolist()))
 
     def _regroup(self, new_of_old):
         """Move each group to column ``new_of_old[group]``, summing groups
@@ -738,9 +729,7 @@ class _Groups:
         self.diag, self.rhs = diag, rhs
         self.V = v / counts[None, :]
         self.counts = counts
-        rep = new_of_old if self.rep is None else new_of_old[self.rep]
-        # Restoring the points' order (a rejected split) needs no gather.
-        self.rep = None if np.array_equal(rep, np.arange(len(rep))) else rep
+        self.rep = new_of_old if self.rep is None else new_of_old[self.rep]
         if len(self.W) != shape[1]:
             self.W = None  # release the old buffer before allocating the new one
             self.W = np.empty((shape[1], shape[1]))
@@ -749,31 +738,36 @@ class _Groups:
 
 def _heavy_components(W, floor):
     """Component labels of the pairs whose weight exceeds ``floor``,
-    numbered by each one's lowest member.  Each component grows breadth
-    first from its lowest member, one row block of the frontier at a time,
-    so every row of W is read at most once and no G x G temporary is made.
-    That beats the hooking rounds of :func:`_components` on W's row blocks:
-    about 6 against 24 ms on the first pass of a benchmark cluster-h1 input
-    (G = 1500, 3 components), 0.06 against 0.18-0.28 ms on a connected
-    G = 120 graph, the case of nearly every Wine solve that passes the
-    gate."""
+    numbered by each one's lowest member, and W's sum over the ordered
+    pairs in different components.  Each component grows breadth first
+    from its lowest member, one row block of the frontier at a time, so
+    every row of W is read at most once and no G x G temporary is made.
+    When a row of component ``c`` is read, every column labelled below
+    ``c`` is final, so its product with their 0/1 indicator adds exactly
+    its entries between ``c`` and the earlier components."""
     g = len(W)
     step = max(1, _PASS_BLOCK_BYTES // (8 * g))
     labels = np.full(g, -1)
+    earlier = np.zeros(g)
+    cut = 0.0
     for label in range(g):
         frontier = np.flatnonzero(labels < 0)[:1]
         if not frontier.size:
             break
         labels[frontier] = label
-        # Stop as soon as every column is labelled: a connected graph whose
-        # first column links to all others reads one row.
-        while frontier.size and (labels < 0).any():
+        # The first component stops once every column is labelled (one row
+        # if the first column links to all others); later ones read all.
+        while frontier.size and (label or (labels < 0).any()):
             reach = np.zeros(g, dtype=bool)
             for c in range(0, frontier.size, step):
-                reach |= (W[frontier[c : c + step]] > floor).any(axis=0)
+                rows = W[frontier[c : c + step]]
+                reach |= (rows > floor).any(axis=0)
+                if label:
+                    cut += float((rows @ earlier).sum())
             frontier = np.flatnonzero(reach & (labels < 0))
             labels[frontier] = label
-    return labels
+        earlier[labels == label] = 1.0
+    return labels, 2.0 * cut
 
 
 def _span_cut_mass(W, spans):

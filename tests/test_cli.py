@@ -217,6 +217,21 @@ class TestExitCodes:
         assert "--lambda: lambda must be finite and positive" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["toy.csv"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--input", "toy.csv", "--lambda", "1"],
+            ["simulate", "--preset", "fig4-dataset1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_merge_tol_is_a_usage_error_before_the_out_dir(self, tmp_path, capsys, argv, tol):
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        assert run_in(tmp_path, argv + [f"--merge-tol={tol}", "--out-dir", "o"]) == 1
+        assert "--merge-tol must be finite and positive" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["toy.csv"]
+
     @pytest.mark.parametrize(
         "argv, message",
         [

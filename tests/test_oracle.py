@@ -9,7 +9,6 @@ from fusecluster.oracle import (
     group_feasible,
     l0_solve,
     monte_carlo_bound_check,
-    partition_cost,
 )
 
 
@@ -145,10 +144,6 @@ class TestL0Solve:
         data = ObservedDataset.full(np.zeros((1, 13)))
         with pytest.raises(ValueError, match="enumeration bound"):
             l0_solve(data, epsilon=1.0)
-
-    def test_cost_identity(self):
-        labels = np.array([0, 0, 1, 2, 2, 2])
-        assert partition_cost(labels) == 36 - (4 + 1 + 9)
 
     def test_min_cost_invariant_to_permutation(self, rng):
         values = rng.normal(size=(3, 6))

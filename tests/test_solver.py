@@ -23,7 +23,7 @@ from fusecluster.analysis import _derive_seed, cluster_once
 from fusecluster.cli import SIMULATE_PRESETS
 from fusecluster.datagen import MaskSpec, apply_mask, block_centers, generate
 from fusecluster.model import ObservedDataset, Partition, SyntheticSpec
-from fusecluster.penalty import PenaltySpec, phi, weight
+from fusecluster.penalty import H1, PenaltySpec, phi, weight
 from fusecluster.solver import (
     MajorizationError,
     SolverConfig,
@@ -1026,7 +1026,7 @@ class TestFinalWeights:
     def test_h1_update_weights_after_split_reorders(self, case, splits, monkeypatch):
         # A kept split leaves the columns reordered, so the last pass took
         # its Gram products in another order (2.3e-13 relative apart on
-        # cluster-h1-0); a rejected candidate's order is restored exactly.
+        # cluster-h1-0); a rejected candidate moves no column.
         data, cfg = case()
         centroids, trace, w = solve_recording_weights(data, cfg, monkeypatch)
         assert (set(trace.blocks) != {1}) == splits
@@ -1188,7 +1188,7 @@ class TestBlockSplit:
     their non-negligible weights; the dropped weights may raise the true
     objective by at most eps * |f| per solve."""
 
-    @pytest.mark.parametrize("graph", ["random", "chain", "none", "all"])
+    @pytest.mark.parametrize("graph", ["random", "chain", "none", "all", "isolated"])
     @pytest.mark.parametrize("rows", [1, 3, None])
     def test_heavy_components_match_union_find(self, graph, rows, monkeypatch):
         # Breadth-first labels of the pairs above the floor, numbered by
@@ -1201,15 +1201,21 @@ class TestBlockSplit:
             "chain": np.zeros((n, n)),
             "none": np.full((n, n), 0.25),
             "all": np.ones((n, n)),
+            "isolated": 0.5 * rng.random((n, n)),
         }[graph]
         if graph == "chain":  # one component of diameter n - 1
             order = rng.permutation(n)
             w[order[:-1], order[1:]] = 1.0
+        if graph == "isolated":  # two heavy pairs and 19 single columns
+            w[[3, 10], [17, 11]] = 1.0
         w = np.triu(w, 1) + np.triu(w, 1).T
         if rows is not None:
             monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(n, rows))
-        labels = solver._heavy_components(w, 0.5)
+        labels, cut = solver._heavy_components(w, 0.5)
         assert np.array_equal(labels, union_find_labels(w > 0.5))
+        # the weight between components, over ordered pairs
+        dropped = np.where(labels[:, None] != labels, w, 0).sum()
+        np.testing.assert_allclose(cut, dropped, rtol=1e-12, atol=0)
 
     def test_spans_solve_the_block_diagonal_system(self):
         # Each span's columns are the standalone CG solve of its diagonal
@@ -1360,29 +1366,27 @@ class TestBlockSplit:
                 assert cfg.lam * 2 * sigma**2 * dropped <= eps * abs(f)
 
     @pytest.mark.parametrize(
-        "data, cfg, labelled, restored",
+        "data, cfg, labelled",
         [
             pytest.param(
                 random_instance(3, K=3, M=20, P=50, p0=0.6, scale=6.0)[0],
-                SolverConfig(0.2, PenaltySpec.lp(0.5)), 0, 0, id="lp-fusing",
+                SolverConfig(0.2, PenaltySpec.lp(0.5)), 0, id="lp-fusing",
             ),
             pytest.param(
                 random_instance(0, K=3, M=15, P=5, p0=0.8, scale=2.0)[0],
-                SolverConfig(0.1, PenaltySpec.h1(0.5)), 11, 0, id="h1-connected",
+                SolverConfig(0.1, PenaltySpec.h1(0.5)), 11, id="h1-connected",
             ),
             pytest.param(
                 random_instance(0, K=3, M=15, P=5, p0=0.8, scale=3.0)[0],
-                SolverConfig(1.0, PenaltySpec.h1(0.5)), 5, 3, id="h1-rejected",
+                SolverConfig(1.0, PenaltySpec.h1(0.5)), 5, id="h1-rejected",
             ),
         ],
     )
-    def test_unsplit_runs_are_bitwise_the_single_span_path(self, data, cfg, labelled, restored):
+    def test_unsplit_runs_are_bitwise_the_single_span_path(self, data, cfg, labelled):
         # lp never splits; these h1 runs look for a split (their heavy-pair
         # graph is connected, or its components cut too much weight) and
-        # never keep one.  A rejected candidate whose components are not
-        # contiguous is checked on reordered columns, and the next regroup
-        # restores their order exactly, so no bit moves; with h1's points
-        # back in their own order, expanded() gathers nothing (rep is None).
+        # never keep one.  A candidate is judged on W before any column
+        # moves, and h1 never merges, so an h1 run regroups nothing.
         heavy, calls = solver._heavy_components, []
         regroup, moves = solver._Groups._regroup, []
 
@@ -1391,8 +1395,8 @@ class TestBlockSplit:
             return heavy(W, floor)
 
         def recorded(self, new_of_old):
+            moves.append(new_of_old)
             regroup(self, new_of_old)
-            moves.append((new_of_old, self.rep))
 
         with mock.patch.object(solver, "_heavy_components", counted), \
                 mock.patch.object(solver._Groups, "_regroup", recorded):
@@ -1400,12 +1404,8 @@ class TestBlockSplit:
         with single_span():
             u0, trace0 = mm_cluster(data, cfg)
         assert len(calls) == labelled
-        # a merge takes fewer columns; a reorder is a permutation
-        reorders = [m for m in moves if np.array_equal(np.sort(m[0]), np.arange(len(m[0])))]
-        assert len(reorders) == 2 * restored
-        for (there, _), (back, rep) in zip(reorders[::2], reorders[1::2]):
-            assert np.array_equal(back[there], np.arange(len(there)))
-            assert rep is None
+        if cfg.penalty.kind == H1:
+            assert moves == []
         assert set(trace.blocks) == {1}
         assert len(trace.blocks) == len(trace.cg_iterations) == trace.iterations
         assert trace.cg_iterations == trace0.cg_iterations
