@@ -26,11 +26,10 @@ def read_points_csv(path, labeled: bool = False):
         for line in csv.reader(fh):
             if not line or line[0].lstrip().startswith("#"):
                 continue
-            fields = [f.strip() for f in line]
             if labeled:
-                labels.append(parse_label(fields[-1]))
-                fields = fields[:-1]
-            rows.append([_parse_entry(f) for f in fields])
+                labels.append(parse_label(line.pop().strip()))
+            # float() accepts the NaN literal in any case; an empty field is missing.
+            rows.append([float(g) if (g := f.strip()) else math.nan for f in line])
     if not rows:
         raise ValueError(f"no data rows in {path}")
     width = len(rows[0])
@@ -49,12 +48,6 @@ def parse_label(field: str) -> int:
     if not value.is_integer():
         raise ValueError(f"label {field!r} is not an integer")
     return int(value)
-
-
-def _parse_entry(field: str) -> float:
-    if field == "":
-        return math.nan
-    return float(field)  # accepts the NaN literal in any case
 
 
 def write_points_csv(path, data: ObservedDataset, header_lines=()):

@@ -93,20 +93,14 @@ def default_h1_sigma(data) -> float:
     """
     values = data.observed_values()
     mask = data.mask.astype(float)
-    p_dim, n = values.shape
-    if n < 2:
-        return 1.0
     # Shared-coordinate squared distances: sum over p of m_pi m_pj (x_pi - x_pj)^2
-    # expands into masked Gram products.
-    v2 = values * values
+    # expands into masked Gram products; the mask-by-squares one is symmetric
+    # in its two terms, so it is made once and added to its transpose.
     shared = mask.T @ mask
-    d2 = v2.T @ mask + mask.T @ v2 - 2.0 * (values.T @ values)
-    iu = np.triu_indices(n, k=1)
-    d2 = np.maximum(d2[iu], 0.0)
-    cnt = shared[iu]
-    ok = cnt > 0
-    if not ok.any():
-        return 1.0
-    dists = np.sqrt(d2[ok] * (p_dim / cnt[ok]))
-    sigma = 0.5 * float(np.median(dists))
+    d2 = (values * values).T @ mask
+    d2 += d2.T
+    d2 -= 2.0 * (values.T @ values)
+    pairs = np.triu(shared > 0, 1)
+    dists = np.sqrt(np.maximum(d2[pairs], 0.0) * (values.shape[0] / shared[pairs]))
+    sigma = 0.5 * float(np.median(dists)) if dists.size else 0.0
     return sigma if sigma > 0 else 1.0
