@@ -78,13 +78,15 @@ class MajorizationError(RuntimeError):
 
     ``iteration`` is the outer iteration whose objective ``current`` rose
     above its predecessor ``previous``.  The solve minimizes the very
-    objective it checks; the measured trigger is Gram rounding in the h1
-    pass's fusion sum at stiff lambda, where nearly equal surrogates make
-    the Gram differences cancel.  On 5 x 20 standard Gaussians with sigma =
-    1, h1 distances from :func:`_lp_row_blocks` removed every rise: 5 of 65
-    h1 runs at lambda 1e-12..1e12 over 5 seeds, and 44 of 240 (up to 4.1e-5
-    relative) at lambda 1e6..1e12 over 60 seeds.  The block split of an h1
-    solve (:meth:`_Groups.split`) spends at most ``eps * |f|``, within
+    objective it checks; the measured trigger was Gram rounding in the h1
+    pass's fusion sum, whose error grows with the columns' squared norms, so
+    with their distance from the origin rather than their spread.  On 5 x 20
+    standard Gaussians with sigma = 1 it rose in 44 of 240 runs at lambda
+    1e6..1e12 over 60 seeds, and in 62 of 160 at lambda 1e2..1e8 with an
+    offset of 1e2 or 1e4 on every coordinate.  The h1 pass now takes its
+    Gram distances from columns centred on their mean (:func:`_majorize`),
+    and none of those runs rises.  The block split of an h1 solve
+    (:meth:`_Groups.split`) spends at most ``eps * |f|``, within
     ``eps * max(|f|, 1)``, of the slack.
     """
 
@@ -350,7 +352,9 @@ def _majorize(U, penalty, W, fuse_tol, counts=None):
     (h1's) builds none.  ``counts`` are the group sizes ``c`` of fused
     columns; ``None`` means every column is one point.  The
     Gaussian-saturating penalty takes the Gram distances of
-    :func:`_row_blocks`; the power penalty takes those of
+    :func:`_row_blocks` on U's columns centred on their mean (taken on the
+    C-ordered copy, so both layouts give the same bits); the power penalty
+    takes those of
     :func:`_lp_row_blocks`, within ``_LP_RTOL`` relative of the exact
     per-feature sums and exactly 0 where those are.  A power weight is
     taken at ``max(d_ij, fuse_tol)``, read after ``phi`` and the close pairs.
@@ -362,7 +366,11 @@ def _majorize(U, penalty, W, fuse_tol, counts=None):
     symmetric.  Extra memory is O(P*G + budget).
     """
     fusion, close = 0.0, []
-    blocks = _lp_row_blocks(U, W) if penalty.kind == LP else _row_blocks(U)
+    if penalty.kind == LP:
+        blocks = _lp_row_blocks(U, W)
+    else:  # centred: a Gram square errs with the columns' norms, not their spread
+        U = np.ascontiguousarray(U, dtype=float)
+        blocks = _row_blocks(U - U.mean(axis=1, keepdims=True))
     for s, d in blocks:
         part, c = _majorize_block(d, penalty, s, W, fuse_tol, counts)
         fusion += part
