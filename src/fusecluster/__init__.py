@@ -7,6 +7,8 @@ guarantee formulas, synthetic/real data preparation, and an experiment CLI.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     ClusterRun,
     SuccessCell,
@@ -67,4 +69,5 @@ from .theory import (
     log_gamma0,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every public name but the submodules, which the imports above bind here.
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]

@@ -40,6 +40,7 @@ from .dataio import read_points_csv, write_points_csv, write_table_csv
 from .model import ObservedDataset
 from .oracle import monte_carlo_bound_check
 from .penalty import PenaltySpec
+from .solver import SolverConfig
 from .theory import guarantee_curve
 
 # Experiment presets: each encodes the parameters of one reproducible study.
@@ -171,6 +172,21 @@ def _check_flags(args):
         if not (args.wine_csv or os.environ.get("FUSECLUSTER_DATA_DIR")):
             raise _UsageError("provide --wine-csv or set FUSECLUSTER_DATA_DIR")
         _check_lambda_flag("--lambda-grid", args.lambda_grid)
+    if args.command in ("cluster", "simulate", "wine"):
+        try:  # PenaltySpec's rule on --sigma and --p, for the penalty read
+            _penalty(args)
+        except ValueError as exc:
+            raise _UsageError(exc) from None
+
+
+def _penalty(args):
+    """The PenaltySpec of a ``cluster``, ``simulate`` or ``wine`` run; None
+    is ``cluster``'s h1 at the data's default sigma."""
+    if args.command == "cluster" and args.penalty == "lp":
+        return PenaltySpec.lp(0.5 if args.p is None else args.p)
+    if args.command == "simulate" and args.sigma is None:
+        return PenaltySpec.h1(SIMULATE_PRESETS[args.preset]["sigma"])
+    return None if args.sigma is None else PenaltySpec.h1(args.sigma)
 
 
 def _check_merge_tol_flag(value):
@@ -237,9 +253,8 @@ def build_parser() -> _Parser:
     p_cluster.add_argument("--sigma", type=float, default=None)
     p_cluster.add_argument("--p", type=float, default=None)
     p_cluster.add_argument("--merge-tol", type=float, default=None)
-    # None: SolverConfig's default.
-    p_cluster.add_argument("--max-iters", type=int, default=None)
-    p_cluster.add_argument("--tol", type=float, default=None)
+    p_cluster.add_argument("--max-iters", type=int, default=SolverConfig.max_outer_iters)
+    p_cluster.add_argument("--tol", type=float, default=SolverConfig.objective_rel_tol)
     p_cluster.add_argument("--out-labels", default=None)
     p_cluster.add_argument("--out-centroids", default=None)
     p_cluster.add_argument("--out-trace", default=None)
@@ -355,7 +370,7 @@ def _run_theory(args, argv):
 
 def _run_simulate(args, argv):
     preset = SIMULATE_PRESETS[args.preset]
-    penalty = PenaltySpec.h1(args.sigma if args.sigma is not None else preset["sigma"])
+    penalty = _penalty(args)
     header = _header_lines(argv, args.seed)
     if preset["kind"] == "success-grid":
         spec = SuccessCurveSpec(
@@ -440,14 +455,9 @@ def _write_solve(paths, run, truth, header):
 
 def _run_cluster(args, argv):
     data, truth = read_points_csv(args.input, labeled=args.labeled == "true")
-    if args.penalty == "lp":
-        penalty = PenaltySpec.lp(0.5 if args.p is None else args.p)
-    else:  # None: h1 at the data's default sigma
-        penalty = None if args.sigma is None else PenaltySpec.h1(args.sigma)
-    given = {"max_outer_iters": args.max_iters, "objective_rel_tol": args.tol}
-    settings = {name: value for name, value in given.items() if value is not None}
     run = cluster_once(
-        data, lam=args.lam, penalty=penalty, merge_tol=args.merge_tol, **settings
+        data, lam=args.lam, penalty=_penalty(args), merge_tol=args.merge_tol,
+        max_outer_iters=args.max_iters, objective_rel_tol=args.tol,
     )
     _write_solve(
         (
@@ -470,7 +480,7 @@ def _run_wine(args, argv):
     # _check_flags has made sure one of the two is given.
     path = args.wine_csv or os.path.join(os.environ["FUSECLUSTER_DATA_DIR"], "wine.data")
     data, truth = wine_prepare(path, m_per_class=args.m_per_class)
-    penalty = PenaltySpec.h1(args.sigma)
+    penalty = _penalty(args)
     p0_grid = parse_grid(args.p0_grid)
     lambda_grid = parse_grid(args.lambda_grid)
     header = _header_lines(argv, args.seed)

@@ -20,20 +20,17 @@ from .model import ObservedDataset, Partition
 
 def read_points_csv(path, labeled: bool = False):
     """Read a dataset; returns (ObservedDataset, Partition or None)."""
-    rows = []
-    labels = []
+    rows, labels = [], []
     with open(path, newline="") as fh:
         for line in csv.reader(fh):
             if not line or line[0].lstrip().startswith("#"):
                 continue
             if labeled:
                 labels.append(parse_label(line.pop().strip()))
-            # float() accepts the NaN literal in any case; an empty field is missing.
             rows.append([float(g) if (g := f.strip()) else math.nan for f in line])
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if len({len(r) for r in rows}) > 1:
         raise ValueError("rows have inconsistent field counts")
     values = np.array(rows, dtype=float).T
     mask = ~np.isnan(values)

@@ -93,9 +93,8 @@ def default_h1_sigma(data) -> float:
     """
     values = data.observed_values()
     mask = data.mask.astype(float)
-    # Shared-coordinate squared distances: sum over p of m_pi m_pj (x_pi - x_pj)^2
-    # expands into masked Gram products; the mask-by-squares one is symmetric
-    # in its two terms, so it is made once and added to its transpose.
+    # Shared-coordinate squared distances sum_p m_pi m_pj (x_pi - x_pj)^2 expand
+    # into masked Gram products; the mask-by-squares one is added to its transpose.
     shared = mask.T @ mask
     d2 = (values * values).T @ mask
     d2 += d2.T

@@ -17,16 +17,16 @@ row-blocked pass per iteration does all the N x N work for either
 triangle, evaluates ``phi`` and ``weight`` on them while they are in cache,
 adds the fusion sum of the objective, writes the next weights into one N x N
 buffer that the solve reuses and, for lp, keeps the row blocks of pairs
-close enough to fuse.  h1 takes Gram distances.  The power penalty, whose
-slope diverges at 0, takes each within 1e-12 relative of the exact
-per-feature sum, and exactly 0 where that sum is: a pair whose Gram product
-could cancel comes from the columns centred on their component's mean, or
-from the exact sum (:func:`_lp_row_blocks`).  One solve state, :class:`_Groups`, merges the
-close pairs into quotient columns; h1 never fuses.  Extraction
-(:func:`extract_clusters`) walks the same row blocks (:func:`_row_blocks`);
-the merge, the components of the power pass and extraction label ``(s, c)``
-boolean blocks in vectorized hooking rounds (:func:`_components`), which
-hold no N x N array of any kind.
+close enough to fuse.  h1 takes Gram distances of its columns less their
+mean.  The power penalty, whose slope diverges at 0, takes each within
+1e-12 relative of the exact per-feature sum, and exactly 0 where that sum
+is: a pair whose Gram product could cancel comes from the columns centred
+on their component's mean, or from the exact sum (:func:`_lp_row_blocks`).
+One solve state, :class:`_Groups`, merges the close pairs into quotient
+columns; h1 never fuses.  Extraction (:func:`extract_clusters`) walks the
+same row blocks (:func:`_row_blocks`); the merge, the components of the
+power pass and extraction label ``(s, c)`` boolean blocks in vectorized
+hooking rounds (:func:`_components`), which hold no N x N array of any kind.
 
 The saturating weights make far-apart h1 surrogates decouple, so each h1
 solve keeps only the diagonal blocks of W over the components of its
@@ -78,16 +78,13 @@ class MajorizationError(RuntimeError):
 
     ``iteration`` is the outer iteration whose objective ``current`` rose
     above its predecessor ``previous``.  The solve minimizes the very
-    objective it checks; the measured trigger was Gram rounding in the h1
-    pass's fusion sum, whose error grows with the columns' squared norms, so
-    with their distance from the origin rather than their spread.  On 5 x 20
-    standard Gaussians with sigma = 1 it rose in 44 of 240 runs at lambda
-    1e6..1e12 over 60 seeds, and in 62 of 160 at lambda 1e2..1e8 with an
-    offset of 1e2 or 1e4 on every coordinate.  The h1 pass now takes its
-    Gram distances from columns centred on their mean (:func:`_majorize`),
-    and none of those runs rises.  The block split of an h1 solve
-    (:meth:`_Groups.split`) spends at most ``eps * |f|``, within
-    ``eps * max(|f|, 1)``, of the slack.
+    objective it checks.  The measured trigger was Gram rounding in the h1
+    pass, which grows with the columns' norms, not with their spread: on
+    5 x 20 standard Gaussians (sigma = 1) it rose in 44 of 240 runs at lambda
+    1e6..1e12, and in 62 of 160 at lambda 1e2..1e8 offset by 1e2 or 1e4.
+    Centring that pass's columns (:func:`_majorize`) removed every rise.
+    The block split of an h1 solve (:meth:`_Groups.split`) spends at most
+    ``eps * |f|``, within ``eps * max(|f|, 1)``, of the slack.
     """
 
     def __init__(self, iteration: int, previous: float, current: float):
@@ -191,9 +188,9 @@ def pairwise_distances(U: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
     for ``rows=(s, e)``, by the Gram expansion ``model._pairwise_sq_dists``.
 
     A squared distance from the Gram expansion carries an absolute error of
-    up to about ``(2P + 3) eps (||u_i||^2 + ||u_j||^2)``, which is harmless
-    for the Gaussian-saturating penalty (quadratically flat at 0) but not
-    for the power penalty, whose slope diverges there; its pass takes
+    up to about ``(2P + 3) eps (||u_i||^2 + ||u_j||^2)``.  The h1 pass
+    centres the columns on their mean first, so that error follows their
+    spread; the power penalty, whose slope diverges at 0, takes
     component-centred products instead (:func:`_lp_row_blocks`).
 
     The block's leading square is exactly symmetric with a zero diagonal;
@@ -350,14 +347,12 @@ def _majorize(U, penalty, W, fuse_tol, counts=None):
     diagonal cleared, so ``c[r, k]`` links columns ``s + r`` and ``s + k``;
     only blocks that hold a pair are kept, and a pass at ``fuse_tol = 0``
     (h1's) builds none.  ``counts`` are the group sizes ``c`` of fused
-    columns; ``None`` means every column is one point.  The
-    Gaussian-saturating penalty takes the Gram distances of
-    :func:`_row_blocks` on U's columns centred on their mean (taken on the
-    C-ordered copy, so both layouts give the same bits); the power penalty
-    takes those of
-    :func:`_lp_row_blocks`, within ``_LP_RTOL`` relative of the exact
-    per-feature sums and exactly 0 where those are.  A power weight is
-    taken at ``max(d_ij, fuse_tol)``, read after ``phi`` and the close pairs.
+    columns; ``None`` means every column is one point.  h1 takes the Gram
+    distances of :func:`_row_blocks` on U's C-ordered columns less their
+    mean; the power penalty takes those of :func:`_lp_row_blocks`, within
+    ``_LP_RTOL`` relative of the exact per-feature sums and exactly 0 where
+    those are.  A power weight is taken at ``max(d_ij, fuse_tol)``, read
+    after ``phi`` and the close pairs.
 
     One block at a time, ``phi`` and ``weight`` run on the block's
     distances while they are in cache.  The block's own square counts once

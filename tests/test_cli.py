@@ -235,6 +235,30 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (["cluster", "--sigma", "-1"], "h1 takes sigma > 0"),
+            (["cluster", "--sigma", "nan"], "h1 takes sigma > 0"),
+            (["cluster", "--penalty", "lp", "--p", "1.5"], "lp takes 0 < p <= 1"),
+            (["cluster", "--penalty", "lp", "--p", "nan"], "lp takes 0 < p <= 1"),
+            # a flag the penalty does not read is named first
+            (["cluster", "--penalty", "lp", "--sigma", "-1"], "--sigma applies to --penalty h1"),
+            (["simulate", "--preset", "fig3a", "--sigma", "0"], "h1 takes sigma > 0"),
+            (["wine", "--wine-csv", "wine.data", "--sigma", "-1"], "h1 takes sigma > 0"),
+        ],
+    )
+    def test_bad_sigma_or_p_is_a_usage_error_before_the_out_dir(
+        self, tmp_path, capsys, argv, message
+    ):
+        # PenaltySpec's rule, applied to the flags before --out-dir is made.
+        (tmp_path / "toy.csv").write_text("0.0,0.0\n9.0,9.0\n")
+        if argv[0] == "cluster":
+            argv = argv + ["--input", "toy.csv", "--lambda", "1"]
+        assert run_in(tmp_path, argv + ["--out-dir", "o"]) == 1
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["toy.csv"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
             (["oracle-check", "--K", "1"], "K must be at least 2, got 1"),
             (["oracle-check", "--M", "1"], "M must be at least 2, got 1"),
             (["simulate", "--preset", "fig3a", "--m-grid", "1"], "M must be at least 2, got 1"),

@@ -1,4 +1,5 @@
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,3 +18,12 @@ def test_library_example_runs():
     namespace = {"values": values, "mask": mask}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["labels"].labels.tolist() == [0] * 4 + [1] * 4
+
+
+def test_star_import_binds_no_module():
+    # A submodule such as ``penalty`` would shadow a caller's variable.
+    namespace = {}
+    exec("from fusecluster import *", namespace)
+    modules = [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+    assert modules == []
+    assert {"mm_cluster", "PenaltySpec", "default_h1_sigma"} <= set(namespace)
