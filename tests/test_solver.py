@@ -813,10 +813,9 @@ class TestMajorizationError:
         assert trace.converged
 
     def test_stiff_lambda_sweep_fails_only_at_the_known_cases(self):
-        # Before the h1 pass centred its columns, Gram rounding in its fusion
-        # sum rose at lambda 1e10 (seeds 0, 1) and 1e12 (seeds 0, 3, 4), as
-        # the MajorizationError docstring says.  A new failure shows up as a
-        # change of this set; no run may stop on the CG cap.
+        # Guards the h1 pass's Gram rounding at stiff lambda, the trigger the
+        # MajorizationError docstring names: a rise shows up as a change of
+        # this empty set; no run may stop on the CG cap.
         penalties = {"h1": PenaltySpec.h1(1.0), "lp": PenaltySpec.lp(0.5)}
         rises = set()
         for (kind, penalty), e, seed in itertools.product(
@@ -900,7 +899,7 @@ class TestTranslationEquivariance:
     on :class:`TestScaleEquivariance`'s input and settings must give the
     partition and the iteration count of c = 0, and must not rise (raise
     MajorizationError).  Offsets stop at |c| = 1e6: from 1e7 on, x + c
-    itself loses enough digits to move iteration counts."""
+    itself loses enough digits that iteration counts can move."""
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
