@@ -12,7 +12,7 @@ problem per feature; the weights saturate, so far-apart pairs decouple while
 nearby surrogates are pulled together until they coalesce into clusters.
 
 Both penalties share that surrogate, ``w(x) = phi'(x) / (2x)``, and one
-row-blocked pass per iteration does all the N x N work for either
+row-blocked pass per iteration does the N x N work for either
 (:func:`_majorize`): per block of rows it takes the distances over the upper
 triangle, evaluates ``phi`` and ``weight`` on them while they are in cache,
 adds the fusion sum of the objective, writes the next weights into one N x N
@@ -39,6 +39,16 @@ can raise the true objective by at most ``lam * 2 sigma^2`` times their
 weight, which a split must keep within ``eps * |f|``.  The split reads
 only W and the current spans, and only a kept split moves columns.  The
 single span ``(0, G)`` is the whole of W, as for lp.
+
+Once the spans have drifted apart, an h1 pass pays only for their own
+blocks (:meth:`_Groups.fusion`): a bound from span means and radii
+(:func:`_spans_saturate`) shows that every pair between spans has phi
+exactly 1.0, so the pass adds their count as one integer and computes only
+the spans' diagonal blocks (:func:`_majorize_spans`).  Their weights are
+then at most ``(eps / 4) / (2 sigma^2)`` each, within the split's budget,
+so the split keeps its spans without reading W.  The reorder after a kept
+split also computes only the new spans' blocks.  Any other pass is the full
+one.
 
 The solver is deterministic: no randomness enters anywhere.
 """
@@ -105,10 +115,12 @@ class CentroidSet:
 
     ``update_weights(U, penalty)`` recomputes the solve's final weights bit
     for bit for an h1 run that kept no block split and for an lp run that
-    never fused.  A kept split leaves the columns reordered, and the last
-    pass's Gram products ran in that order, so h1 weights then agree within
-    rounding.  Once an lp run fuses, its solve weighs fused groups, and the
-    weights on the expanded U differ.
+    never fused.  After a kept split, it matches only the blocks the last
+    pass kept, within rounding: the columns were reordered, so that pass's
+    Gram products ran in another order, and a saturated pass writes no
+    weight between the spans (the true ones are at most
+    ``(eps / 4) / (2 sigma^2)``).  Once an lp run fuses, its solve weighs
+    fused groups, and the weights on the expanded U differ.
     """
 
     U: np.ndarray
@@ -337,6 +349,15 @@ def _exact_sq_dists(U, i, j):
     return out
 
 
+def _centred(U):
+    """U's C-ordered columns less their mean.  A Gram square errs with the
+    columns' norms, so centred its error follows their spread, not their
+    distance from the origin; the mean is taken after the contiguous copy,
+    so C and Fortran input give the same bits."""
+    U = np.ascontiguousarray(U, dtype=float)
+    return U - U.mean(axis=1, keepdims=True)
+
+
 def _majorize(U, penalty, W, fuse_tol, counts=None):
     """Majorization at U in one row-blocked pass.
 
@@ -349,23 +370,21 @@ def _majorize(U, penalty, W, fuse_tol, counts=None):
     (h1's) builds none.  ``counts`` are the group sizes ``c`` of fused
     columns; ``None`` means every column is one point.  h1 takes the Gram
     distances of :func:`_row_blocks` on U's C-ordered columns less their
-    mean; the power penalty takes those of :func:`_lp_row_blocks`, within
-    ``_LP_RTOL`` relative of the exact per-feature sums and exactly 0 where
-    those are.  A power weight is taken at ``max(d_ij, fuse_tol)``, read
-    after ``phi`` and the close pairs.
+    mean (:func:`_centred`); the power penalty takes those of
+    :func:`_lp_row_blocks`, within ``_LP_RTOL`` relative of the exact
+    per-feature sums and exactly 0 where those are.  A power weight is taken
+    at ``max(d_ij, fuse_tol)``, read after ``phi`` and the close pairs.
 
     One block at a time, ``phi`` and ``weight`` run on the block's
     distances while they are in cache.  The block's own square counts once
     in the fusion sum and the part right of it twice; that part is
     mirrored, transposed, into the lower triangle, so ``W`` is exactly
-    symmetric.  Extra memory is O(P*G + budget).
+    symmetric.  Extra memory is O(P*G + budget).  This is the full pass;
+    once an h1 solve's spans are saturated apart, :meth:`_Groups.fusion`
+    takes :func:`_majorize_spans` over their own blocks instead.
     """
     fusion, close = 0.0, []
-    if penalty.kind == LP:
-        blocks = _lp_row_blocks(U, W)
-    else:  # centred: a Gram square errs with the columns' norms, not their spread
-        U = np.ascontiguousarray(U, dtype=float)
-        blocks = _row_blocks(U - U.mean(axis=1, keepdims=True))
+    blocks = _lp_row_blocks(U, W) if penalty.kind == LP else _row_blocks(_centred(U))
     for s, d in blocks:
         part, c = _majorize_block(d, penalty, s, W, fuse_tol, counts)
         fusion += part
@@ -398,6 +417,69 @@ def _majorize_block(d, penalty, s, W, fuse_tol, counts):
     if e < len(W):
         W[e:, s:e] = w[:, e - s :].T
     return fusion, close
+
+
+def _majorize_spans(Y, penalty, W, spans):
+    """The h1 pass of :func:`_majorize` over each span's own diagonal block
+    of the centred columns ``Y``: returns those blocks' fusion sum and writes
+    their weights into ``W[a:b, a:b]``.  A one-column span has neither, and
+    W between the spans is left as it was."""
+    fusion = 0.0
+    for a, b in spans:
+        if b - a > 1:
+            block = W[a:b, a:b]
+            for s, d in _row_blocks(Y[:, a:b]):
+                fusion += _majorize_block(d, penalty, s, block, 0.0, None)[0]
+    return fusion
+
+
+# h1's phi = -expm1(-x) rounds to exactly 1.0 once exp(-x) <= eps / 4, that
+# is from x = ln(4 / eps) = 54 ln 2 on; its weight there is at most
+# (eps / 4) / (2 sigma^2).
+_H1_SATURATED = math.log(4.0 / np.finfo(float).eps)
+
+
+def _spans_saturate(Y, spans, sigma):
+    """Whether h1's phi is exactly 1.0 on every pair of the centred columns
+    ``Y`` in different ``spans`` (contiguous, covering Y in order), at the
+    Gram distances the full pass would take.
+
+    Columns of spans a and b are at least ``||c_a - c_b|| - r_a - r_b``
+    apart, ``c`` a span's mean and ``r`` the largest distance of its columns
+    from it (the triangle-inequality bound of k-means acceleration; Elkan,
+    ICML 2003).  A Gram square may fall short of the true one by
+    ``slack (||y_i||^2 + ||y_j||^2)``, ``slack = (2P + 3) eps``, both the
+    pass's and the centres' own, and ``sqrt`` is subadditive, so the check
+    is ``d(c_a, c_b) >= h_a + h_b`` on the centres' Gram distance ``d``, with
+
+        h_a = r_a + sqrt(slack max_i ||y_i||^2) + sqrt(slack ||c_a||^2)
+              + sqrt(2 sigma^2 x_sat) / 2
+
+    per span, ``x_sat`` the threshold, and ``h`` raised by a further relative
+    ``2 slack``, which covers the rounding of the bound and of the pass's
+    ``x``.  The centres are compared in the row blocks of
+    :func:`_row_blocks`, so no K x K array is held for K spans, and the
+    first block with a pair short of the threshold ends the check.
+    """
+    slack = (2 * Y.shape[0] + 3) * np.finfo(float).eps
+    starts = np.array([a for a, _ in spans])
+    sizes = np.array([b - a for a, b in spans])
+    means = np.add.reduceat(Y, starts, axis=1)
+    means /= sizes
+    dev = np.repeat(means, sizes, axis=1)
+    np.subtract(Y, dev, out=dev)
+    h = np.sqrt(np.maximum.reduceat(np.einsum("pi,pi->i", dev, dev), starts))
+    del dev
+    h *= 1.0 + slack
+    h += np.sqrt(slack * np.maximum.reduceat(np.einsum("pi,pi->i", Y, Y), starts))
+    h += np.sqrt(slack * np.einsum("pi,pi->i", means, means))
+    h += 0.5 * math.sqrt(2.0 * sigma**2 * _H1_SATURATED)
+    h *= 1.0 + 2.0 * slack
+    for s, d in _row_blocks(means):
+        np.fill_diagonal(d, math.inf)  # a span with itself
+        if not (d >= np.add.outer(h[s : s + len(d)], h[s:])).all():  # NaN fails
+            return False
+    return True
 
 
 def _fuse_threshold(penalty: PenaltySpec, u0: np.ndarray) -> float:
@@ -631,9 +713,12 @@ class _Groups:
     writes the next weights into the solve's one G x G buffer and records
     the close pairs that :meth:`merge` consumes.  :meth:`split` chooses the
     column ``spans`` the next solve keeps the weights of, and may reorder
-    the columns so that each span is contiguous.  ``rep`` (each point's
-    column) is ``None`` until the first merge or reorder; the data term and
-    :meth:`expanded` stay in the points' own order.
+    the columns so that each span is contiguous.  Once the pairs between
+    the spans are saturated, a pass writes only the spans' own blocks and
+    sets ``saturated`` (:meth:`fusion`), and W between them is stale.
+    ``rep`` (each point's column) is ``None`` until the first merge or
+    reorder; the data term and :meth:`expanded` stay in the points' own
+    order.
     """
 
     def __init__(self, data: ObservedDataset, v0: np.ndarray, penalty: PenaltySpec):
@@ -648,11 +733,32 @@ class _Groups:
         self.W = np.empty((data.point_count, data.point_count))
         self.close = None
         self.spans = [(0, data.point_count)]
+        self.saturated = False
 
     def expanded(self) -> np.ndarray:
         return self.V if self.rep is None else self.V[:, self.rep]
 
     def fusion(self) -> float:
+        """The fusion sum at ``V`` by one pass, which writes the next
+        solve's weights into ``W``.
+
+        With more than one span (h1 only), one of them wider than a column,
+        the pass first bounds every block between spans
+        (:func:`_spans_saturate`).  When each such pair's phi is exactly
+        1.0, it adds their count ``G^2 - sum n_k^2`` as one integer, writes
+        only the spans' own blocks, and sets ``saturated``: W between the
+        spans then keeps an earlier pass's values.  Otherwise, and where
+        every span is one column (the centres are then the columns, and the
+        bound would cost the pass's own distances), it is the full pass.
+        """
+        self.saturated = False
+        if len(self.spans) > 1 and any(b - a > 1 for a, b in self.spans):
+            y = _centred(self.V)
+            if _spans_saturate(y, self.spans, self.penalty.sigma):
+                self.saturated, self.close = True, []
+                g = len(self.W)
+                between = g * g - sum((b - a) ** 2 for a, b in self.spans)
+                return _majorize_spans(y, self.penalty, self.W, self.spans) + between
         # A reorder keeps one point per column; only a merge needs counts.
         counts = self.counts if len(self.counts) < self.data.point_count else None
         fusion, self.close = _majorize(
@@ -682,13 +788,17 @@ class _Groups:
         while that sum, taken directly over the dropped entries, is at most
         ``eps * |f|`` (the budget; the descent slack's floor at 1 would let
         a tiny-scale run drop every weight).  The current spans are
-        re-checked first.  Every split drops at least the ``2 (G - 1)``
+        re-checked first: after a saturated pass they pass unread, since
+        each of the ``S`` pairs between them weighs at most
+        ``(eps / 4) / (2 sigma^2)`` and ``f >= lam S``; after a full pass,
+        on W.  Every split drops at least the ``2 (G - 1)``
         ordered pairs of one column, so no new one is sought when those, at
         W's smallest off-diagonal weight, would exceed the budget.  A new
         split can cut only pairs lighter than the budget, so the finest one
         that could pass is the components of the heavier pairs, whose cut
         the labeller sums as it reads W.  Only a kept split moves columns,
-        so that each span is contiguous.
+        so that each span is contiguous; the pass that follows the move
+        computes only the new spans' blocks.
         """
         g = len(self.W)
         if self.penalty.kind != H1 or g < 2:
@@ -697,7 +807,9 @@ class _Groups:
         # The weight that may be dropped: h1's rise per unit weight is
         # lam 2 sigma^2, and the budget is eps |f|.
         budget = np.finfo(float).eps * abs(f) / lam / (2.0 * self.penalty.sigma**2)
-        if len(self.spans) > 1 and _span_cut_mass(self.W, self.spans) <= budget:
+        if len(self.spans) > 1 and (
+            self.saturated or _span_cut_mass(self.W, self.spans) <= budget
+        ):
             return
         self.spans = [(0, g)]
         diagonal = self.W.reshape(-1)[:: g + 1]  # a view: W is C-ordered
@@ -709,18 +821,21 @@ class _Groups:
         labels, cut = _heavy_components(self.W, budget)
         if labels.max() == 0 or cut > budget:
             return
+        sizes = np.bincount(labels)
+        ends = np.cumsum(sizes)
+        self.spans = list(zip((ends - sizes).tolist(), ends.tolist()))
         order = np.argsort(labels, kind="stable")
         if np.any(np.diff(order) < 0):
             new_of_old = np.empty_like(order)
             new_of_old[order] = np.arange(g)
             self._regroup(new_of_old)
-        sizes = np.bincount(labels)
-        ends = np.cumsum(sizes)
-        self.spans = list(zip((ends - sizes).tolist(), ends.tolist()))
 
     def _regroup(self, new_of_old):
         """Move each group to column ``new_of_old[group]``, summing groups
-        that share one, and re-run the pass for the next solve's weights."""
+        that share one, and re-run the pass for the next solve's weights:
+        after a merge the full pass, and after a kept split only the new
+        ``spans``' own blocks, whose fusion sum is not needed (the split
+        checked its cut on the full W before the move)."""
         shape = (self.diag.shape[0], int(new_of_old.max()) + 1)
         cols = (slice(None), new_of_old)
         diag, rhs, v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
@@ -736,7 +851,10 @@ class _Groups:
         if len(self.W) != shape[1]:
             self.W = None  # release the old buffer before allocating the new one
             self.W = np.empty((shape[1], shape[1]))
-        self.fusion()  # the new columns' weights for the next solve
+        if len(self.spans) > 1:  # a kept split: only the spans' own blocks
+            _majorize_spans(_centred(self.V), self.penalty, self.W, self.spans)
+        else:
+            self.fusion()
 
 
 def _heavy_components(W, floor):
@@ -839,20 +957,23 @@ def mm_cluster(
 
 def default_merge_tol(U: np.ndarray) -> float:
     """1e-3 times the largest pairwise centroid distance (1.0 if all
-    surrogates coincide)."""
-    dmax = max((float(d.max()) for _, d in _row_blocks(_finite(U))), default=0.0)
+    surrogates coincide), from the Gram distances of U less its mean."""
+    blocks = _row_blocks(_centred(_finite(U)))
+    dmax = max((float(d.max()) for _, d in blocks), default=0.0)
     return 1e-3 * dmax if dmax > 0 else 1.0
 
 
 def extract_clusters(U: np.ndarray, merge_tol: float) -> Partition:
     """Connected components of the graph linking surrogates within merge_tol.
 
-    Chains merge transitively; labels follow first-occurrence order.
+    Chains merge transitively; labels follow first-occurrence order.  The
+    distances are the Gram distances of U less its mean, so their error
+    follows the surrogates' spread, not their distance from the origin.
     """
     if not merge_tol > 0:
         raise ValueError("merge_tol must be positive")
     U = _finite(U)
-    close = [(s, d <= merge_tol) for s, d in _row_blocks(U)]
+    close = [(s, d <= merge_tol) for s, d in _row_blocks(_centred(U))]
     return Partition(_components(U.shape[1], close))
 
 
