@@ -1402,6 +1402,11 @@ class TestBlockSplit:
                          SolverConfig(0.1, PenaltySpec.h1(0.5))),
                 id="rejects-then-splits",
             ),
+            pytest.param(  # its kept spans fail the re-check at solve 6
+                lambda: (random_instance(2, K=3, M=15, P=5, p0=0.8, scale=1.5)[0],
+                         SolverConfig(1.0, PenaltySpec.h1(0.3))),
+                id="drops-kept-spans",
+            ),
         ],
     )
     def test_every_split_meets_the_dropped_mass_bound(self, case):
