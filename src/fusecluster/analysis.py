@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,6 +140,10 @@ def success_curve(
     Each distinct lambda is tried once, largest first, up to the first that
     recovers the truth.  A cell counts whether any lambda succeeds, so the
     order cannot change a cell, only how many solves run.
+
+    The (M, trial) runs are independent and run on every usable CPU
+    (:func:`_map_forked`).  A trial's seeds come from ``(base_seed, M,
+    trial)``, so the cells are the same for any CPU count.
     """
     lambdas = sorted(set(spec.lambda_grid), reverse=True)
 
@@ -160,9 +169,11 @@ def success_curve(
             successes.append(ok)
         return successes, geometry
 
+    tasks = [(m, t) for m in spec.M_grid for t in range(spec.trials)]
+    outcomes = _map_forked(run_trial, tasks)
     cells = []
-    for m in spec.M_grid:
-        results = [run_trial(m, t) for t in range(spec.trials)]
+    for i, m in enumerate(spec.M_grid):
+        results = outcomes[i * spec.trials : (i + 1) * spec.trials]
         kappa = float(np.mean([geom.kappa for _, geom in results]))
         mu0 = float(np.mean([geom.mu0 for _, geom in results]))
         per_p0 = np.array([flags for flags, _ in results], dtype=float)
@@ -177,6 +188,91 @@ def success_curve(
                 )
             )
     return cells
+
+
+def _map_forked(fn, tasks: list[tuple]) -> list:
+    """``[fn(*task) for task in tasks]``, spread over every usable CPU.
+
+    The caller forks one worker per CPU of its affinity set beyond its own
+    (none where ``os.sched_getaffinity`` does not exist, and none for a
+    single task), deals the tasks out in turn and runs its own share.  A
+    worker sends back its results, or its first error, pickled through a
+    pipe and leaves by ``os._exit``.  The error of the lowest task is
+    raised, the one the serial loop would raise, and every child is reaped
+    before the call returns.  Forked workers see the caller's closures and
+    patched modules.  A task's result depends only on ``fn`` and the task,
+    never on the CPU count; only ``fn``'s side effects stay in the process
+    that ran it.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: run serially
+        cpus = 1
+    ways = max(1, min(cpus, len(tasks)))
+    shares = [range(k, len(tasks), ways) for k in range(ways)]
+    children, done = [], False
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(fn, tasks, share, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        outcomes = [_run_share(fn, tasks, shares[0])]
+        for pid, reader in children:
+            payload = reader.read()
+            if not payload:
+                raise RuntimeError(f"grid worker {pid} exited without a result")
+            results, error = pickle.loads(payload)
+            if error is not None:  # the worker's traceback, as text
+                _, exc, text = error
+                exc.__cause__ = RuntimeError(f"in grid worker {pid}:\n{text}")
+            outcomes.append((results, error))
+        done = True
+    finally:
+        for pid, reader in children:
+            reader.close()
+            if not done:  # the caller is leaving early: stop the workers
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    errors = [error for _, error in outcomes if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    out = [None] * len(tasks)
+    for share, (results, _) in zip(shares, outcomes):
+        for k, result in zip(share, results):
+            out[k] = result
+    return out
+
+
+def _run_share(fn, tasks, share):
+    """``fn`` over the tasks of ``share`` in order, up to the first error:
+    the results, and ``(task index, error, traceback text)`` or None."""
+    results = []
+    for k in share:
+        try:
+            results.append(fn(*tasks[k]))
+        except Exception as exc:
+            return results, (k, exc, traceback.format_exc())
+    return results, None
+
+
+def _worker(fn, tasks, share, write_fd):
+    """A forked worker's whole life: run ``share``, write the pickled
+    outcome to ``write_fd`` and exit, without running the caller's
+    cleanup.  A failure to send is printed and leaves the pipe empty."""
+    status = 1
+    try:
+        payload = pickle.dumps(_run_share(fn, tasks, share))
+        with os.fdopen(write_fd, "wb") as out:
+            out.write(payload)
+        status = 0
+    except BaseException:  # not re-raised: a fork must never return
+        traceback.print_exc()  # into the caller's frames
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
 
 
 def _derive_seed(*parts: int) -> int:

@@ -212,8 +212,10 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=".")
-        # Accepted and ignored: trials run serially.  Kept so existing
-        # command lines (and bench/child.py, which parses it) still work.
+        # Accepted and ignored: success-grid trials run on every usable
+        # CPU (analysis.success_curve), and taskset limits how many.  Kept
+        # so existing command lines (and bench/child.py, which parses it)
+        # still work.
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--config", help="key=value lines of long flags (lambda=2); flags win")
         p.takes_config = True

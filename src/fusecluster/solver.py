@@ -423,7 +423,8 @@ def _majorize_spans(Y, penalty, W, spans):
     """The h1 pass of :func:`_majorize` over each span's own diagonal block
     of the centred columns ``Y``: returns those blocks' fusion sum and writes
     their weights into ``W[a:b, a:b]``.  A one-column span has neither, and
-    W between the spans is left as it was."""
+    W between the spans is left as it was; one span over every column is
+    the full pass."""
     fusion = 0.0
     for a, b in spans:
         if b - a > 1:
@@ -747,18 +748,20 @@ class _Groups:
         (:func:`_spans_saturate`).  When each such pair's phi is exactly
         1.0, it adds their count ``G^2 - sum n_k^2`` as one integer, writes
         only the spans' own blocks, and sets ``saturated``: W between the
-        spans then keeps an earlier pass's values.  Otherwise, and where
-        every span is one column (the centres are then the columns, and the
-        bound would cost the pass's own distances), it is the full pass.
+        spans then keeps an earlier pass's values.  Otherwise it is the full
+        pass, on the columns the bound has already centred (one span over
+        all of them, bit for bit :func:`_majorize`'s h1 pass); where every
+        span is one column (the centres are then the columns, and the bound
+        would cost the pass's own distances), it is :func:`_majorize`.
         """
         self.saturated = False
         if len(self.spans) > 1 and any(b - a > 1 for a, b in self.spans):
-            y = _centred(self.V)
+            y, spans, between = _centred(self.V), [(0, len(self.W))], 0
             if _spans_saturate(y, self.spans, self.penalty.sigma):
-                self.saturated, self.close = True, []
-                g = len(self.W)
-                between = g * g - sum((b - a) ** 2 for a, b in self.spans)
-                return _majorize_spans(y, self.penalty, self.W, self.spans) + between
+                self.saturated, spans = True, self.spans
+                between = len(self.W) ** 2 - sum((b - a) ** 2 for a, b in spans)
+            self.close = []  # h1 has no close pairs
+            return _majorize_spans(y, self.penalty, self.W, spans) + between
         # A reorder keeps one point per column; only a merge needs counts.
         counts = self.counts if len(self.counts) < self.data.point_count else None
         fusion, self.close = _majorize(

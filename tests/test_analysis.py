@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +21,13 @@ from fusecluster.analysis import (
 from fusecluster.datagen import MaskSpec, apply_mask, block_centers, gen_uniform_kappa, generate
 from fusecluster.model import ClusterGeometry, ObservedDataset, Partition, SyntheticSpec
 from fusecluster.penalty import PenaltySpec, default_h1_sigma
-from fusecluster.solver import SolverConfig, default_merge_tol, extract_clusters, mm_cluster
+from fusecluster.solver import (
+    MajorizationError,
+    SolverConfig,
+    default_merge_tol,
+    extract_clusters,
+    mm_cluster,
+)
 
 
 def ari_brute_force(a, b):
@@ -251,37 +259,61 @@ def one_cluster(m, seed):
     return data, Partition(np.zeros(m, dtype=int)), ClusterGeometry(1.0, 0.5, 1.0, 2)
 
 
-def record_lambdas(monkeypatch, succeeds):
-    """Replace the grid's solve by a stub that records each lambda and
-    recovers the truth exactly when ``succeeds(lam)``."""
-    calls = []
+def record_lambdas(monkeypatch, tmp_path, succeeds):
+    """Replace the grid's solve by a stub that recovers the truth exactly
+    when ``succeeds(lam)``.  A forked grid worker shares no list with the
+    test, so the stub appends each lambda, with the id of the process that
+    ran it, to a file under ``tmp_path``.  Returns a function that reads the
+    lambdas back by process id, each process's in call order."""
+    log = tmp_path / "lambdas"
 
     def fake_cluster_once(data, lam, **settings):
-        calls.append(lam)
+        with open(log, "a") as fh:  # one short append per call
+            fh.write(f"{os.getpid()} {lam!r}\n")
         n = data.point_count
         labels = np.zeros(n, dtype=int) if succeeds(lam) else np.arange(n)
         return SimpleNamespace(partition=Partition(labels))
+
+    def calls():
+        by_process = {}
+        for line in log.read_text().splitlines():
+            pid, lam = line.split()
+            by_process.setdefault(int(pid), []).append(float(lam))
+        return by_process
 
     monkeypatch.setattr("fusecluster.analysis.cluster_once", fake_cluster_once)
     return calls
 
 
+def usable_cpus(monkeypatch, count):
+    """Make the grid see ``count`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 class TestLambdaOrder:
     GRID = dict(p0_grid=(1.0, 0.5), M_grid=(3,), trials=2)
 
-    def test_distinct_lambdas_descend_once_per_cell(self, monkeypatch):
-        calls = record_lambdas(monkeypatch, lambda lam: False)
+    @staticmethod
+    def assert_whole_trials(processes, per_trial, trials):
+        """Every process ran whole trials, each trial the lambdas
+        ``per_trial`` (both p0 in turn), and ``trials`` of them in all."""
+        assert sum(len(lams) for lams in processes) == trials * len(per_trial)
+        for lams in processes:
+            assert lams == per_trial * (len(lams) // len(per_trial))
+
+    def test_distinct_lambdas_descend_once_per_cell(self, monkeypatch, tmp_path):
+        calls = record_lambdas(monkeypatch, tmp_path, lambda lam: False)
         spec = SuccessCurveSpec(lambda_grid=(2.0, 128.0, 8.0, 32.0, 8.0), **self.GRID)
         cells = success_curve(one_cluster, spec)
         assert [c.success_rate for c in cells] == [0.0, 0.0]
-        assert calls == [128.0, 32.0, 8.0, 2.0] * 4  # 2 trials x 2 p0
+        self.assert_whole_trials(calls().values(), [128.0, 32.0, 8.0, 2.0] * 2, trials=2)
 
-    def test_stops_at_the_first_success(self, monkeypatch):
-        calls = record_lambdas(monkeypatch, lambda lam: lam <= 32.0)
+    def test_stops_at_the_first_success(self, monkeypatch, tmp_path):
+        calls = record_lambdas(monkeypatch, tmp_path, lambda lam: lam <= 32.0)
         spec = SuccessCurveSpec(lambda_grid=(2.0, 8.0, 32.0, 128.0), **self.GRID)
         cells = success_curve(one_cluster, spec)
         assert [c.success_rate for c in cells] == [1.0, 1.0]
-        assert calls == [128.0, 32.0] * 4
+        self.assert_whole_trials(calls().values(), [128.0, 32.0] * 2, trials=2)
 
     @pytest.mark.parametrize(
         "grid", [(32.0, 2.0, 8.0), (8.0, 8.0, 2.0, 32.0, 2.0), (2, 8, 32)]
@@ -308,6 +340,96 @@ class TestLambdaOrder:
     def test_spec_rejects_a_lambda_that_is_not_finite_and_positive(self, lam):
         with pytest.raises(ValueError, match=f"got {lam!r}"):
             SuccessCurveSpec(p0_grid=(1.0,), M_grid=(4,), lambda_grid=(8.0, lam))
+
+
+class TestForkedGrid:
+    """success_curve runs its (M, trial) tasks on every usable CPU: the
+    caller runs every n-th task from the first, and each of n - 1 forked
+    workers the tasks dealt to it in turn."""
+
+    @staticmethod
+    def cells(**grid):
+        spec = SuccessCurveSpec(
+            p0_grid=(1.0, 0.6),
+            lambda_grid=(2.0, 8.0, 32.0),
+            base_seed=3,
+            penalty=PenaltySpec.h1(0.5),
+            max_outer_iters=60,
+            **grid,
+        )
+        return success_curve(lambda m, seed: gen_uniform_kappa(2, m, 12, 0.4, seed=seed), spec)
+
+    def test_cells_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        grid = dict(M_grid=(4, 6), trials=3)  # 6 tasks
+        unpatched = self.cells(**grid)
+        assert len({c.success_rate for c in unpatched}) > 1  # not all alike
+        for count in (1, 4):
+            usable_cpus(monkeypatch, count)
+            assert self.cells(**grid) == unpatched, count
+
+    def test_the_caller_and_each_worker_run_trials(self, monkeypatch, tmp_path):
+        calls = record_lambdas(monkeypatch, tmp_path, lambda lam: True)
+        usable_cpus(monkeypatch, 3)
+        spec = SuccessCurveSpec(p0_grid=(1.0,), M_grid=(3,), lambda_grid=(8.0,), trials=5)
+        success_curve(one_cluster, spec)
+        processes = calls()
+        assert sorted(len(lams) for lams in processes.values()) == [1, 2, 2]  # dealt in turn
+        assert os.getpid() in processes
+
+    def test_a_workers_error_reaches_the_caller(self, monkeypatch):
+        caller = os.getpid()
+
+        def fake_cluster_once(data, lam, **settings):
+            if os.getpid() != caller:
+                raise MajorizationError(7, 1.5, 2.5)
+            return SimpleNamespace(partition=Partition(np.zeros(data.point_count, dtype=int)))
+
+        monkeypatch.setattr("fusecluster.analysis.cluster_once", fake_cluster_once)
+        usable_cpus(monkeypatch, 2)
+        spec = SuccessCurveSpec(p0_grid=(1.0,), M_grid=(3,), lambda_grid=(8.0,), trials=2)
+        with pytest.raises(MajorizationError) as raised:
+            success_curve(one_cluster, spec)
+        error = raised.value
+        assert (error.iteration, error.previous, error.current) == (7, 1.5, 2.5)
+        assert "in grid worker" in str(error.__cause__)  # the worker's traceback
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_lowest_tasks_error_is_raised(self, monkeypatch):
+        # Every solve fails, each with its own process id: the serial loop
+        # would raise task 0's error, which the caller runs.
+        def fake_cluster_once(data, lam, **settings):
+            raise MajorizationError(os.getpid(), 1.0, 2.0)
+
+        monkeypatch.setattr("fusecluster.analysis.cluster_once", fake_cluster_once)
+        usable_cpus(monkeypatch, 3)
+        spec = SuccessCurveSpec(p0_grid=(1.0,), M_grid=(3,), lambda_grid=(8.0,), trials=3)
+        with pytest.raises(MajorizationError) as raised:
+            success_curve(one_cluster, spec)
+        assert raised.value.iteration == os.getpid()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_caller_that_leaves_early_stops_its_workers(self, monkeypatch):
+        class Leave(BaseException):
+            pass
+
+        caller = os.getpid()
+
+        def fake_cluster_once(data, lam, **settings):
+            if os.getpid() == caller:
+                raise Leave
+            time.sleep(60)  # a worker that would outlive the call
+
+        monkeypatch.setattr("fusecluster.analysis.cluster_once", fake_cluster_once)
+        usable_cpus(monkeypatch, 2)
+        spec = SuccessCurveSpec(p0_grid=(1.0,), M_grid=(3,), lambda_grid=(8.0,), trials=2)
+        start = time.monotonic()
+        with pytest.raises(Leave):
+            success_curve(one_cluster, spec)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestClusterOnce:
