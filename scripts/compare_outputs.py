@@ -19,7 +19,10 @@ header reads the same for every tree and output directory.  The set:
 
 ``compare`` reports each file as identical, moved (numbers differ in
 value only; with the largest absolute and relative difference), differs
-(text or shape differs) or missing.
+(text or shape differs) or missing.  Its last line says whether every file
+that carries a result no rounding may change is identical: the labels
+files, the success grids, ``oracle_check.json``, ``fig2_guarantees.csv``
+and ``wine_summary.csv``.
 """
 
 import argparse
@@ -35,6 +38,12 @@ import numpy as np
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 CLUSTER_INPUTS = (("cluster-h1", 7, range(2)), ("cluster-lp", 7, range(4)))
+# Partitions, grid cells and the oracle's, theory's and Wine summary's
+# numbers: files a change of rounding alone must leave identical.
+FIXED = re.compile(
+    r"(labels\.csv|_success\.csv|oracle_check\.json"
+    r"|fig2_guarantees\.csv|wine_summary\.csv)$"
+)
 
 
 def _invocations():
@@ -143,26 +152,37 @@ def _files(root):
 def compare(a, b):
     names = sorted(_files(a) | _files(b))
     counts = {"identical": 0, "moved": 0, "differs": 0, "missing": 0}
+    fixed, unfixed = 0, []
     for name in names:
-        path_a, path_b = Path(a, name), Path(b, name)
-        if not (path_a.is_file() and path_b.is_file()):
-            where = b if path_a.is_file() else a
-            counts["missing"] += 1
-            print(f"missing    {name} (not in {where})")
-            continue
-        bytes_a, bytes_b = path_a.read_bytes(), path_b.read_bytes()
-        if bytes_a == bytes_b:
-            counts["identical"] += 1
-            print(f"identical  {name}")
-            continue
-        result = _difference(bytes_a.decode(), bytes_b.decode())
-        counts[result[0]] += 1
-        if result[0] == "moved":
-            print(f"moved      {name} max abs {result[1]:.3g}, max rel {result[2]:.3g}")
-        else:
-            print(f"differs    {name}")
+        status = _compare_file(a, b, name)
+        counts[status] += 1
+        if FIXED.search(name):
+            fixed += 1
+            if status != "identical":
+                unfixed.append(name)
     print(", ".join(f"{count} {status}" for status, count in counts.items()))
+    verdict = "; not identical: " + ", ".join(unfixed) if unfixed else ""
+    same = fixed - len(unfixed)
+    print(f"results that must not move: {same} of {fixed} identical{verdict}")
     return 0 if counts["identical"] == len(names) else 1
+
+
+def _compare_file(a, b, name):
+    """Print the line of file ``name`` under trees a and b; return its status."""
+    path_a, path_b = Path(a, name), Path(b, name)
+    if not (path_a.is_file() and path_b.is_file()):
+        print(f"missing    {name} (not in {b if path_a.is_file() else a})")
+        return "missing"
+    bytes_a, bytes_b = path_a.read_bytes(), path_b.read_bytes()
+    if bytes_a == bytes_b:
+        print(f"identical  {name}")
+        return "identical"
+    result = _difference(bytes_a.decode(), bytes_b.decode())
+    if result[0] == "moved":
+        print(f"moved      {name} max abs {result[1]:.3g}, max rel {result[2]:.3g}")
+    else:
+        print(f"differs    {name}")
+    return result[0]
 
 
 if __name__ == "__main__":

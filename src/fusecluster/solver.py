@@ -65,25 +65,49 @@ from .model import _pairwise_reduce, _pairwise_sq_dists
 from .penalty import H1, LP, PenaltySpec, phi, weight
 
 
-class ConvergenceError(RuntimeError):
+class _SolveError(RuntimeError):
+    """Base of the solver's two typed errors.
+
+    An error that :func:`mm_cluster` raises also names its run: ``lam``,
+    the penalty ``kind``, the column count ``groups`` (G) of the system and
+    the ``outer_iteration`` that failed, each ``None`` where no run is
+    known.  ``args`` holds the constructor's positional arguments and the
+    instance dict the rest, so a pickled or copied error (one from a forked
+    grid worker) keeps every field."""
+
+    def __init__(self, *args, lam=None, kind=None, groups=None, outer_iteration=None):
+        super().__init__(*args)
+        self.lam, self.kind = lam, kind
+        self.groups, self.outer_iteration = groups, outer_iteration
+
+    def __str__(self):
+        if self.lam is None:
+            return self._describe()
+        return (
+            f"{self._describe()} [outer iteration {self.outer_iteration},"
+            f" lambda {self.lam:.12g}, penalty {self.kind}, G {self.groups}]"
+        )
+
+
+class ConvergenceError(_SolveError):
     """Linear solver failed to reach its residual tolerance: ``iterations``
     conjugate-gradient steps left the largest residual norm
     ``residual_norm``."""
 
-    def __init__(self, message: str, residual_norm: float, iterations: int):
-        super().__init__(
-            f"{message} after {iterations} iterations"
-            f" (residual norm {residual_norm:.3e})"
-        )
+    def __init__(self, message: str, residual_norm: float, iterations: int, **run):
+        super().__init__(message, residual_norm, iterations, **run)
         self.message = message
         self.residual_norm = residual_norm
         self.iterations = iterations
 
-    def __reduce__(self):  # args holds only the formatted message
-        return type(self), (self.message, self.residual_norm, self.iterations)
+    def _describe(self):
+        return (
+            f"{self.message} after {self.iterations} iterations"
+            f" (residual norm {self.residual_norm:.3e})"
+        )
 
 
-class MajorizationError(RuntimeError):
+class MajorizationError(_SolveError):
     """Objective increased beyond the descent slack.
 
     ``iteration`` is the outer iteration whose objective ``current`` rose
@@ -97,16 +121,17 @@ class MajorizationError(RuntimeError):
     ``eps * |f|``, within ``eps * max(|f|, 1)``, of the slack.
     """
 
-    def __init__(self, iteration: int, previous: float, current: float):
-        super().__init__(
-            f"majorization violated: objective rose {previous:.12g} -> {current:.12g}"
-        )
+    def __init__(self, iteration: int, previous: float, current: float, **run):
+        super().__init__(iteration, previous, current, **run)
         self.iteration = iteration
         self.previous = previous
         self.current = current
 
-    def __reduce__(self):  # args holds only the message
-        return type(self), (self.iteration, self.previous, self.current)
+    def _describe(self):
+        return (
+            "majorization violated: objective rose"
+            f" {self.previous:.12g} -> {self.current:.12g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -655,45 +680,51 @@ def _laplacian(w, deg, V):
 def _solve_cg(diag, w, deg, lam, r, tol_per_feature):
     """Jacobi-preconditioned conjugate gradients on (diag(diag_p) + 2 lam L)
     d_p = r_p, L the Laplacian of ``w``, batched over features; returns the
-    correction and the number of iterations.  Every P x n product lands in
-    one scratch buffer, and z and p are updated in place."""
+    correction and the number of iterations.
+
+    The system's diagonal ``a = diag + 2 lam deg`` is formed once, so each
+    step's product is ``A p = a * p - 2 lam (p @ w)``: one matmul into a
+    buffer, one scaling and one fused add.  A feature converges once its
+    squared residual norm ``res . res`` is at most ``tol_per_feature**2``.
+    ``w`` is read in place, never copied or scaled, and every P x n array
+    is allocated once per call."""
     n = len(deg)
     c = 2.0 * lam
     d = np.zeros_like(r)
     res = r.copy()
-    scratch = np.empty_like(res)
-    precond = diag + c * deg[None, :]
+    ap, scratch = np.empty_like(res), np.empty_like(res)
+    a = diag + c * deg[None, :]
     # A coordinate that no point observes and no nonzero weight pulls has a
     # zero row: its residual stays exactly 0, so any non-zero divisor keeps
     # it there (at its anchor) instead of making 0/0.
-    precond[precond == 0.0] = 1.0
+    precond = np.where(a == 0.0, 1.0, a)
     z = res / precond
     p = z.copy()
     rz = np.einsum("pi,pi->p", res, z)
-    # np.linalg.norm(res, axis=1)'s own arithmetic for real input
-    res_norm = np.sqrt(np.add.reduce(np.multiply(res, res, out=scratch), axis=1))
+    rr = np.einsum("pi,pi->p", res, res)
+    tol2 = np.square(tol_per_feature)
     maxiter = _CG_MAXITER_FACTOR * n
     for iteration in range(maxiter):
-        active = res_norm > tol_per_feature
+        active = rr > tol2
         if not active.any():
             return d, iteration
-        ap = _laplacian(w, deg, p)  # A @ p, per feature
-        ap *= c
-        ap += np.multiply(diag, p, out=scratch)
+        np.matmul(p, w, out=ap)
+        ap *= -c
+        ap += np.multiply(a, p, out=scratch)
         pap = np.einsum("pi,pi->p", p, ap)
-        alpha = np.where(active & (pap > 0), rz / np.where(pap > 0, pap, 1.0), 0.0)
+        alpha = np.divide(rz, pap, out=np.zeros_like(rz), where=active & (pap > 0))
         d += np.multiply(alpha[:, None], p, out=scratch)
         res -= np.multiply(alpha[:, None], ap, out=scratch)
-        res_norm = np.sqrt(np.add.reduce(np.multiply(res, res, out=scratch), axis=1))
+        rr = np.einsum("pi,pi->p", res, res)
         np.divide(res, precond, out=z)
         rz_new = np.einsum("pi,pi->p", res, z)
-        beta = np.where(rz > 0, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
+        beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=rz > 0)
         p *= beta[:, None]
         p += z
         rz = rz_new
-    if np.any(res_norm > tol_per_feature):
+    if np.any(rr > tol2):
         raise ConvergenceError(
-            "conjugate gradient did not converge", float(res_norm.max()), maxiter
+            "conjugate gradient did not converge", math.sqrt(rr.max()), maxiter
         )
     return d, maxiter
 
@@ -922,7 +953,9 @@ def mm_cluster(
     by at most that much, and a larger rise raises
     :class:`MajorizationError`.  That holds for the final, converged
     re-evaluation too, which may end within the slack above its predecessor
-    (by 1 ulp on the benchmark's ``cluster-h1`` seed 1).
+    (by 1 ulp on the benchmark's ``cluster-h1`` seed 1).  It and a
+    :class:`ConvergenceError` from a solve carry the run's ``lam``, penalty
+    ``kind``, column count ``groups`` and ``outer_iteration``.
     """
     system = _Groups(data, mean_imputed(data), config.penalty)
     f = system.objective(config.lam)
@@ -932,15 +965,23 @@ def mm_cluster(
 
     for iterations in range(1, config.max_outer_iters + 1):
         system.split(f, config.lam)
-        system.V, steps = _solve_weighted_system(
-            system.diag, system.rhs, system.W, config.lam, system.V, system.spans
+        run = dict(
+            lam=config.lam, kind=config.penalty.kind,
+            groups=len(system.W), outer_iteration=iterations,
         )
+        try:
+            system.V, steps = _solve_weighted_system(
+                system.diag, system.rhs, system.W, config.lam, system.V, system.spans
+            )
+        except ConvergenceError as err:
+            err.__dict__.update(run)
+            raise
         cg_iterations.append(steps)
         blocks.append(len(system.spans))
         f_new = system.objective(config.lam)
         objectives.append(f_new)
         if f_new > f + 1e-10 * max(abs(f), 1.0):
-            raise MajorizationError(iterations, f, f_new)
+            raise MajorizationError(iterations, f, f_new, **run)
         stop = abs(f_new - f) <= config.objective_rel_tol * abs(f)
         f = f_new
         if system.merge():

@@ -381,7 +381,8 @@ class TestForkedGrid:
 
         def fake_cluster_once(data, lam, **settings):
             if os.getpid() != caller:
-                raise MajorizationError(7, 1.5, 2.5)
+                run = dict(lam=lam, kind="h1", groups=data.point_count, outer_iteration=7)
+                raise MajorizationError(7, 1.5, 2.5, **run)
             return SimpleNamespace(partition=Partition(np.zeros(data.point_count, dtype=int)))
 
         monkeypatch.setattr("fusecluster.analysis.cluster_once", fake_cluster_once)
@@ -391,6 +392,9 @@ class TestForkedGrid:
             success_curve(one_cluster, spec)
         error = raised.value
         assert (error.iteration, error.previous, error.current) == (7, 1.5, 2.5)
+        # The run arrives with it: lambda, penalty kind, G and outer iteration.
+        assert (error.lam, error.kind, error.groups, error.outer_iteration) == (8.0, "h1", 3, 7)
+        assert str(error).endswith("[outer iteration 7, lambda 8, penalty h1, G 3]")
         assert "in grid worker" in str(error.__cause__)  # the worker's traceback
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)

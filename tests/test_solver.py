@@ -242,6 +242,19 @@ class TestUpdateCentroids:
             assert (type(twin), twin.residual_norm, twin.iterations, str(twin)) == (
                 ConvergenceError, e.residual_norm, e.iterations, str(e)
             )
+        assert (e.lam, e.kind, e.groups, e.outer_iteration) == (None,) * 4
+        # From mm_cluster, the error also names the run.
+        with pytest.raises(ConvergenceError) as err:
+            mm_cluster(data, SolverConfig(0.5, H1_UNIT))
+        e = err.value
+        run = (0.5, H1, data.point_count, 1)
+        assert (e.lam, e.kind, e.groups, e.outer_iteration) == run
+        assert str(e).endswith(f"[outer iteration 1, lambda 0.5, penalty h1, G {run[2]}]")
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e)):
+            assert (twin.lam, twin.kind, twin.groups, twin.outer_iteration) == run
+            assert (twin.residual_norm, twin.iterations, str(twin)) == (
+                e.residual_norm, e.iterations, str(e)
+            )
         monkeypatch.setattr(solver, "_CG_MAXITER_FACTOR", 1)
         with pytest.raises(ConvergenceError) as err:
             update_centroids(data, w, 1e8)  # stiff: needs more than N steps
@@ -254,6 +267,69 @@ class TestUpdateCentroids:
         u = update_centroids(data, w, lam)
         dense = np.array([np.linalg.solve(a, b) for a, b in dense_systems(data, w, lam)])
         np.testing.assert_allclose(u, dense, atol=1e-8)
+
+
+class TestSolveCG:
+    """solver._solve_cg on its own, on per-feature systems
+    (diag(diag_p) + 2 lam L_w) d_p = r_p."""
+
+    @staticmethod
+    def system(seed, n=12, P=4, lam=0.7):
+        """Random weights and masks; the last coordinate is observed by no
+        point and pulled by no weight, so its row is zero and so is r there."""
+        rng = np.random.default_rng(seed)
+        w = rng.random((n, n))
+        w = w + w.T
+        w[-1, :] = w[:, -1] = 0.0
+        np.fill_diagonal(w, 0.0)
+        diag = (rng.random((P, n)) < 0.5).astype(float)
+        diag[:, 0] = 1.0  # every feature observes a point
+        diag[:, -1] = 0.0
+        r = rng.normal(size=(P, n))
+        r[:, -1] = 0.0
+        return diag, w, w.sum(axis=1), lam, r
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_dense_solve(self, seed):
+        diag, w, deg, lam, r = self.system(seed)
+        tol = 1e-10 * np.linalg.norm(r, axis=1)
+        d, steps = solver._solve_cg(diag, w, deg, lam, r, tol)
+        assert 0 < steps <= solver._CG_MAXITER_FACTOR * len(deg)
+        assert np.all(d[:, -1] == 0.0)
+        for p in range(len(r)):
+            a = (np.diag(diag[p]) + 2 * lam * (np.diag(deg) - w))[:-1, :-1]
+            dense = np.linalg.solve(a, r[p, :-1])
+            # d is within the residual target of the system, so within that
+            # target over A's smallest eigenvalue of the dense solve.
+            gap = np.linalg.norm(a @ d[p, :-1] - r[p, :-1])
+            assert gap <= 1.01 * tol[p]
+            bound = 1.01 * tol[p] / np.linalg.eigvalsh(a)[0]
+            assert np.linalg.norm(d[p, :-1] - dense) <= bound
+
+    def test_a_residual_within_tolerance_takes_no_step(self):
+        diag, w, deg, lam, r = self.system(0)
+        tol = 2.0 * np.linalg.norm(r, axis=1)
+        d, steps = solver._solve_cg(diag, w, deg, lam, r, tol)
+        assert steps == 0
+        assert np.array_equal(d, np.zeros_like(r))
+
+    def test_holds_no_n_by_n_array(self):
+        n, P = 400, 5
+        rng = np.random.default_rng(5)
+        w = rng.random((n, n))
+        w = w + w.T
+        np.fill_diagonal(w, 0.0)
+        diag = np.ones((P, n))
+        r = rng.normal(size=(P, n))
+        tol = 1e-10 * np.linalg.norm(r, axis=1)
+        tracemalloc.start()
+        try:
+            _, steps = solver._solve_cg(diag, w, w.sum(axis=1), 0.5, r, tol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert steps > 1
+        assert peak < 8 * n * n / 2
 
 
 class TestGradient:
@@ -849,13 +925,16 @@ class TestMajorizationError:
         assert e.iteration == 2
         assert e.previous == objective(data, solved[0], 1.0, penalty)
         assert e.current == objective(data, solved[1], 1.0, penalty)
+        assert (e.lam, e.kind, e.groups, e.outer_iteration) == (1.0, H1, 20, 2)
         assert str(e) == (
             f"majorization violated: objective rose {e.previous:.12g} -> {e.current:.12g}"
+            " [outer iteration 2, lambda 1, penalty h1, G 20]"
         )
         copy = pickle.loads(pickle.dumps(e))
         assert (copy.iteration, copy.previous, copy.current, str(copy)) == (
             e.iteration, e.previous, e.current, str(e)
         )
+        assert (copy.lam, copy.kind, copy.groups, copy.outer_iteration) == (1.0, H1, 20, 2)
 
 
 class TestScaleEquivariance:
