@@ -30,8 +30,8 @@ def adjusted_rand_index(a: Partition, b: Partition) -> float:
     if a.point_count != b.point_count:
         raise ValueError("partitions must label the same number of points")
     n = a.point_count
-    if n < 2:
-        raise ValueError("need at least 2 points")
+    if n < 2:  # two partitions of one point agree
+        return 1.0
     contingency = np.zeros((a.cluster_count, b.cluster_count), dtype=np.int64)
     np.add.at(contingency, (a.labels, b.labels), 1)
 

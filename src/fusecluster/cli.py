@@ -100,7 +100,9 @@ def parse_grid(text: str) -> tuple[float, ...]:
     """Parse 'start:stop:step' (inclusive) or a comma-separated list."""
     text = text.strip()
     if ":" in text:
-        start, stop, step = (float(v) for v in text.split(":"))
+        start, stop, step = bounds = tuple(float(v) for v in text.split(":"))
+        if not all(math.isfinite(v) for v in bounds):
+            raise ValueError(f"grid {text!r} has a bound that is not finite")
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(round((stop - start) / step)) + 1
@@ -173,10 +175,7 @@ def _check_flags(args):
             raise _UsageError("provide --wine-csv or set FUSECLUSTER_DATA_DIR")
         _check_lambda_flag("--lambda-grid", args.lambda_grid)
     if args.command in ("cluster", "simulate", "wine"):
-        try:  # PenaltySpec's rule on --sigma and --p, for the penalty read
-            _penalty(args)
-        except ValueError as exc:
-            raise _UsageError(exc) from None
+        _penalty(args)  # PenaltySpec's rule on --sigma and --p, for the one read
 
 
 def _penalty(args):
@@ -325,7 +324,7 @@ def main(argv=None) -> int:
             print(__version__)
             return 0
         _check_flags(args)
-    except (_UsageError, OSError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"fusecluster: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help or internal exits

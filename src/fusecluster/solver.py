@@ -11,17 +11,18 @@ current distances, which yields a weighted graph-Laplacian least-squares
 problem per feature; the weights saturate, so far-apart pairs decouple while
 nearby surrogates are pulled together until they coalesce into clusters.
 
-Both penalties share that surrogate, ``w(x) = phi'(x) / (2x)``, and one
-row-blocked pass per iteration does the N x N work for either
-(:func:`_majorize`): per block of rows it takes the distances over the upper
-triangle, evaluates ``phi`` and ``weight`` on them while they are in cache,
-adds the fusion sum of the objective, writes the next weights into one N x N
-buffer that the solve reuses and, for lp, keeps the row blocks of pairs
-close enough to fuse.  h1 takes Gram distances of its columns less their
-mean.  The power penalty, whose slope diverges at 0, takes each within
-1e-12 relative of the exact per-feature sum, and exactly 0 where that sum
-is: a pair whose Gram product could cancel comes from the columns centred
-on their component's mean, or from the exact sum (:func:`_lp_row_blocks`).
+Both penalties share that surrogate, ``w(x) = phi'(x) / (2x)``, and each
+penalty has one row-blocked pass that does an iteration's N x N work
+(:func:`_h1_pass`, :func:`_lp_pass`; :meth:`_Groups.fusion` picks it): per
+block of rows it takes the distances over the upper triangle, evaluates
+``phi`` and ``weight`` on them while they are in cache, adds the fusion sum
+of the objective and writes the next weights into one N x N buffer that the
+solve reuses; the lp pass also keeps the row blocks of pairs close enough to
+fuse.  h1 takes Gram distances of its columns less their mean.  The power
+penalty, whose slope diverges at 0, takes each within 1e-12 relative of the
+exact per-feature sum, and exactly 0 where that sum is: a pair whose Gram
+product could cancel comes from the columns centred on their component's
+mean, or from the exact sum (:func:`_lp_row_blocks`).
 One solve state, :class:`_Groups`, merges the close pairs into quotient
 columns; h1 never fuses.  Extraction (:func:`extract_clusters`) walks the
 same row blocks (:func:`_row_blocks`); the merge, the components of the
@@ -44,11 +45,11 @@ Once the spans have drifted apart, an h1 pass pays only for their own
 blocks (:meth:`_Groups.fusion`): a bound from span means and radii
 (:func:`_spans_saturate`) shows that every pair between spans has phi
 exactly 1.0, so the pass adds their count as one integer and computes only
-the spans' diagonal blocks (:func:`_majorize_spans`).  Their weights are
-then at most ``(eps / 4) / (2 sigma^2)`` each, within the split's budget,
-so the split keeps its spans without reading W.  The reorder after a kept
-split also computes only the new spans' blocks.  Any other pass is the full
-one.
+the spans' diagonal blocks.  Their weights are then at most
+``(eps / 4) / (2 sigma^2)`` each, within the split's budget, so the split
+keeps its spans without reading W.  The reorder after a kept split also
+computes only the new spans' blocks.  Any other h1 pass runs over the one
+span ``(0, G)``.
 
 The solver is deterministic: no randomness enters anywhere.
 """
@@ -116,7 +117,7 @@ class MajorizationError(_SolveError):
     pass, which grows with the columns' norms, not with their spread: on
     5 x 20 standard Gaussians (sigma = 1) it rose in 44 of 240 runs at lambda
     1e6..1e12, and in 62 of 160 at lambda 1e2..1e8 offset by 1e2 or 1e4.
-    Centring that pass's columns (:func:`_majorize`) removed every rise.
+    Centring that pass's columns (:func:`_h1_pass`) removed every rise.
     The block split of an h1 solve (:meth:`_Groups.split`) spends at most
     ``eps * |f|``, within ``eps * max(|f|, 1)``, of the slack.
     """
@@ -138,12 +139,13 @@ class MajorizationError(_SolveError):
 class CentroidSet:
     """Converged surrogates U (P x N), one column per point.
 
-    ``update_weights(U, penalty)`` recomputes the solve's final weights bit
-    for bit for an h1 run that kept no block split and for an lp run that
-    never fused.  After a kept split, it matches only the blocks the last
-    pass kept, within rounding: the columns were reordered, so that pass's
-    Gram products ran in another order, and a saturated pass writes no
-    weight between the spans (the true ones are at most
+    ``update_weights(U, penalty)`` runs the solve's pass at U, every point
+    its own column and one span: it gives the solve's final weights bit for
+    bit for an h1 run that kept no block split and for an lp run that never
+    fused.  After a kept split, it matches only the blocks the last pass
+    kept, within rounding: the columns were reordered, so that pass's Gram
+    products ran in another order, and a saturated pass writes no weight
+    between the spans (the true ones are at most
     ``(eps / 4) / (2 sigma^2)``).  Once an lp run fuses, its solve weighs
     fused groups, and the weights on the expanded U differ.
     """
@@ -383,45 +385,58 @@ def _centred(U):
     return U - U.mean(axis=1, keepdims=True)
 
 
-def _majorize(U, penalty, W, fuse_tol, counts=None):
-    """Majorization at U in one row-blocked pass.
+def _h1_pass(Y, penalty, W, spans):
+    """h1's majorization over each span's own diagonal block of the centred
+    columns ``Y`` (:func:`_centred`): returns those blocks' fusion sum
+    ``sum_{i != j} phi(d_ij)`` and writes their weights ``w(d_ij)`` into
+    ``W[a:b, a:b]``, taking each block's Gram distances in the row blocks of
+    :func:`_row_blocks` (:func:`_majorize_block`).  A one-column span has
+    neither, and W between the spans is left as it was; the one span
+    ``(0, G)`` is the full pass.  Extra memory is O(P*G + budget)."""
+    fusion = 0.0
+    for a, b in spans:
+        if b - a > 1:
+            block = W[a:b, a:b]
+            for s, d in _row_blocks(Y[:, a:b]):
+                fusion += _majorize_block(d, penalty, s, block, None, None)
+    return fusion
+
+
+def _lp_pass(U, penalty, W, fuse_tol, counts=None):
+    """The power penalty's majorization at U in one row-blocked pass.
 
     Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)`` and the close
-    pairs, and writes the weights ``c_i c_j w(d_ij)`` (zero diagonal) into
-    the G x G buffer ``W``.  The close pairs come as the ``(s, c)`` record of
-    :func:`_components`: ``c`` is a row block's ``d < fuse_tol`` with the
-    diagonal cleared, so ``c[r, k]`` links columns ``s + r`` and ``s + k``;
-    only blocks that hold a pair are kept, and a pass at ``fuse_tol = 0``
-    (h1's) builds none.  ``counts`` are the group sizes ``c`` of fused
-    columns; ``None`` means every column is one point.  h1 takes the Gram
-    distances of :func:`_row_blocks` on U's C-ordered columns less their
-    mean (:func:`_centred`); the power penalty takes those of
-    :func:`_lp_row_blocks`, within ``_LP_RTOL`` relative of the exact
-    per-feature sums and exactly 0 where those are.  A power weight is taken
-    at ``max(d_ij, fuse_tol)``, read after ``phi`` and the close pairs.
-
-    One block at a time, ``phi`` and ``weight`` run on the block's
-    distances while they are in cache.  The block's own square counts once
-    in the fusion sum and the part right of it twice; that part is
-    mirrored, transposed, into the lower triangle, so ``W`` is exactly
-    symmetric.  Extra memory is O(P*G + budget).  This is the full pass;
-    once an h1 solve's spans are saturated apart, :meth:`_Groups.fusion`
-    takes :func:`_majorize_spans` over their own blocks instead.
+    pairs, and writes the weights ``c_i c_j w(max(d_ij, fuse_tol))`` into the
+    G x G buffer ``W`` (:func:`_majorize_block`).  The close pairs come as
+    the ``(s, c)`` record of :func:`_components`: ``c`` is a row block's
+    ``d < fuse_tol`` with the diagonal cleared, read before the weight's
+    floor, so ``c[r, k]`` links columns ``s + r`` and ``s + k``; only blocks
+    that hold a pair are kept.  ``counts`` are the group sizes ``c`` of fused
+    columns; ``None`` means every column is one point.  The distances are
+    those of :func:`_lp_row_blocks`, within ``_LP_RTOL`` relative of the
+    exact per-feature sums and exactly 0 where those are.  Extra memory is
+    O(P*G + budget).
     """
     fusion, close = 0.0, []
-    blocks = _lp_row_blocks(U, W) if penalty.kind == LP else _row_blocks(_centred(U))
-    for s, d in blocks:
-        part, c = _majorize_block(d, penalty, s, W, fuse_tol, counts)
-        fusion += part
-        if c is not None and c.any():
+    for s, d in _lp_row_blocks(U, W):
+        c = d < fuse_tol
+        np.fill_diagonal(c, False)  # a column is not its own close pair
+        if c.any():
             close.append((s, c))
+        fusion += _majorize_block(d, penalty, s, W, fuse_tol, counts)
     return fusion, close
 
 
-def _majorize_block(d, penalty, s, W, fuse_tol, counts):
-    """Rows ``[s, s + len(d))`` of :func:`_majorize` at distances ``d``: their
-    share of the fusion sum and their close block (None at ``fuse_tol = 0``);
-    temporaries die here."""
+def _majorize_block(d, penalty, s, W, floor, counts):
+    """Rows ``[s, s + len(d))`` of a pass at distances ``d``: returns their
+    share of the fusion sum and writes their weights, taken at
+    ``max(d, floor)`` (lp's floor; ``None`` for h1) and times ``counts``'
+    products where given, into ``W``; temporaries die here.
+
+    ``phi`` and ``weight`` run on the block's distances while they are in
+    cache.  The block's own square counts once in the fusion sum and the
+    part right of it twice; that part is mirrored, transposed, into the
+    lower triangle, so ``W`` is exactly symmetric, with a zero diagonal."""
     e = s + len(d)
     mult = None if counts is None else np.outer(counts[s:e], counts[s:])
     pen = phi(d, penalty)
@@ -429,11 +444,8 @@ def _majorize_block(d, penalty, s, W, fuse_tol, counts):
         pen *= mult
     fusion = float(pen[:, : e - s].sum()) + 2.0 * float(pen[:, e - s :].sum())
     del pen
-    close = None
-    if fuse_tol > 0:  # lp only (h1's is 0): close pairs, and the weight's floor
-        close = d < fuse_tol
-        np.fill_diagonal(close, False)  # a column is not its own close pair
-        np.maximum(d, fuse_tol, out=d)
+    if floor is not None:
+        np.maximum(d, floor, out=d)
     w = weight(d, penalty)
     if mult is not None:
         w *= mult
@@ -441,21 +453,6 @@ def _majorize_block(d, penalty, s, W, fuse_tol, counts):
     W[s:e, s:] = w
     if e < len(W):
         W[e:, s:e] = w[:, e - s :].T
-    return fusion, close
-
-
-def _majorize_spans(Y, penalty, W, spans):
-    """The h1 pass of :func:`_majorize` over each span's own diagonal block
-    of the centred columns ``Y``: returns those blocks' fusion sum and writes
-    their weights into ``W[a:b, a:b]``.  A one-column span has neither, and
-    W between the spans is left as it was; one span over every column is
-    the full pass."""
-    fusion = 0.0
-    for a, b in spans:
-        if b - a > 1:
-            block = W[a:b, a:b]
-            for s, d in _row_blocks(Y[:, a:b]):
-                fusion += _majorize_block(d, penalty, s, block, 0.0, None)[0]
     return fusion
 
 
@@ -558,14 +555,14 @@ def objective_gradient(
 def update_weights(U: np.ndarray, penalty: PenaltySpec) -> np.ndarray:
     """Majorizer weights w_ij = w(||u_i - u_j||) with a zero diagonal.
 
-    They come from the row-blocked pass :func:`_majorize`, the one the solve
-    and :func:`objective` use, floored at U's own fuse threshold, so they
-    stay finite on coincident columns.
+    They are the weights of the solve's pass at U (:meth:`_Groups.fusion`),
+    the one :func:`objective` takes its value from; lp's are floored at U's
+    own fuse threshold, so they stay finite on coincident columns.
     """
     U = _finite(U)
-    W = np.empty((U.shape[1],) * 2)
-    _majorize(U, penalty, W, _fuse_threshold(penalty, U))
-    return W
+    groups = _Groups(ObservedDataset.full(U), U, penalty)
+    groups.fusion()
+    return groups.W
 
 
 def update_centroids(data: ObservedDataset, W: np.ndarray, lam: float) -> np.ndarray:
@@ -741,11 +738,11 @@ class _Groups:
     a separation would run into makes un-fusing impossible in practice.  The
     h1 threshold is 0, so an h1 solve stays on the points themselves.
 
-    Each :meth:`objective` call runs the majorization pass at ``V``: it
-    writes the next weights into the solve's one G x G buffer and records
-    the close pairs that :meth:`merge` consumes.  :meth:`split` chooses the
-    column ``spans`` the next solve keeps the weights of, and may reorder
-    the columns so that each span is contiguous.  Once the pairs between
+    Each :meth:`objective` call runs the penalty's majorization pass at
+    ``V``: it writes the next weights into the solve's one G x G buffer and,
+    for lp, records the close pairs that :meth:`merge` consumes.
+    :meth:`split` chooses the column ``spans`` the next solve keeps the
+    weights of, and may reorder the columns so that each span is contiguous.  Once the pairs between
     the spans are saturated, a pass writes only the spans' own blocks and
     sets ``saturated`` (:meth:`fusion`), and W between them is stale.
     ``rep`` (each point's column) is ``None`` until the first merge or
@@ -762,7 +759,8 @@ class _Groups:
         self.V = v0
         self.penalty = penalty
         self.fuse_tol = _fuse_threshold(penalty, v0)
-        self.W = np.empty((data.point_count, data.point_count))
+        # Zeros: a one-point h1 pass writes no weight, and W's one entry is 0.
+        self.W = np.zeros((data.point_count, data.point_count))
         self.close = None
         self.spans = [(0, data.point_count)]
         self.saturated = False
@@ -771,34 +769,34 @@ class _Groups:
         return self.V if self.rep is None else self.V[:, self.rep]
 
     def fusion(self) -> float:
-        """The fusion sum at ``V`` by one pass, which writes the next
-        solve's weights into ``W``.
+        """The fusion sum at ``V`` by one pass of the penalty's own, which
+        writes the next solve's weights into ``W``: :func:`_lp_pass`, which
+        also records the close pairs, or :func:`_h1_pass`.
 
-        With more than one span (h1 only), one of them wider than a column,
-        the pass first bounds every block between spans
+        With more than one span, one of them wider than a column, the h1
+        pass first bounds every block between spans
         (:func:`_spans_saturate`).  When each such pair's phi is exactly
         1.0, it adds their count ``G^2 - sum n_k^2`` as one integer, writes
         only the spans' own blocks, and sets ``saturated``: W between the
-        spans then keeps an earlier pass's values.  Otherwise it is the full
-        pass, on the columns the bound has already centred (one span over
-        all of them, bit for bit :func:`_majorize`'s h1 pass); where every
-        span is one column (the centres are then the columns, and the bound
-        would cost the pass's own distances), it is :func:`_majorize`.
+        spans then keeps an earlier pass's values.  Any other h1 pass runs
+        over the one span ``(0, G)``; where every span is one column, the
+        centres are the columns, and the bound would cost the pass's own
+        distances.
         """
         self.saturated = False
+        if self.penalty.kind == LP:
+            # Every column is one point until the first merge.
+            counts = self.counts if len(self.counts) < self.data.point_count else None
+            fusion, self.close = _lp_pass(
+                self.V, self.penalty, self.W, self.fuse_tol, counts
+            )
+            return fusion
+        y, spans, between = _centred(self.V), [(0, len(self.W))], 0
         if len(self.spans) > 1 and any(b - a > 1 for a, b in self.spans):
-            y, spans, between = _centred(self.V), [(0, len(self.W))], 0
             if _spans_saturate(y, self.spans, self.penalty.sigma):
                 self.saturated, spans = True, self.spans
                 between = len(self.W) ** 2 - sum((b - a) ** 2 for a, b in spans)
-            self.close = []  # h1 has no close pairs
-            return _majorize_spans(y, self.penalty, self.W, spans) + between
-        # A reorder keeps one point per column; only a merge needs counts.
-        counts = self.counts if len(self.counts) < self.data.point_count else None
-        fusion, self.close = _majorize(
-            self.V, self.penalty, self.W, self.fuse_tol, counts
-        )
-        return fusion
+        return _h1_pass(y, self.penalty, self.W, spans) + between
 
     def objective(self, lam: float) -> float:
         """The true objective at the expanded surrogates, by one pass."""
@@ -886,7 +884,7 @@ class _Groups:
             self.W = None  # release the old buffer before allocating the new one
             self.W = np.empty((shape[1], shape[1]))
         if len(self.spans) > 1:  # a kept split: only the spans' own blocks
-            _majorize_spans(_centred(self.V), self.penalty, self.W, self.spans)
+            _h1_pass(_centred(self.V), self.penalty, self.W, self.spans)
         else:
             self.fusion()
 
@@ -938,14 +936,14 @@ def mm_cluster(
     """Run the alternating weight/centroid updates to convergence.
 
     Initialization fills unobserved entries with observed feature means.
-    Each outer iteration runs one majorization pass (:func:`_majorize`) at
-    the new surrogates, for either penalty: it gives the true objective's
-    fusion sum and the weights of the next solve.  With the power penalty,
-    surrogate columns that coalesce below a run-level threshold are
-    consolidated into quotient super-nodes (see :class:`_Groups`), which
-    keeps the linear systems well conditioned through complete fusion; h1
-    never fuses, and its solves keep only the blocks of
-    :meth:`_Groups.split`.
+    Each outer iteration runs one majorization pass at the new surrogates,
+    the penalty's own (:meth:`_Groups.fusion`): it gives the true
+    objective's fusion sum and the weights of the next solve.  With the
+    power penalty, surrogate columns that coalesce below a run-level
+    threshold are consolidated into quotient super-nodes (see
+    :class:`_Groups`), which keeps the linear systems well conditioned
+    through complete fusion; h1 never fuses, and its solves keep only the
+    blocks of :meth:`_Groups.split`.
 
     The trace records the true objective, whose monotone descent the
     majorize-minimize construction guarantees.  The descent slack is

@@ -69,6 +69,16 @@ class TestAdjustedRandIndex:
         b = Partition(np.array([0, 0, 0, 0]))
         assert adjusted_rand_index(a, b) == pytest.approx(0.0)
 
+    def test_one_point_agrees(self):
+        # As scikit-learn's adjusted_rand_score: two partitions of one point
+        # are the same partition.
+        assert adjusted_rand_index(Partition(np.array([0])), Partition(np.array([0]))) == 1.0
+
+    def test_point_counts_must_match(self):
+        # A one-point side does not skip the check.
+        with pytest.raises(ValueError, match="same number of points"):
+            adjusted_rand_index(Partition(np.array([0])), Partition(np.array([0, 1])))
+
     @given(labels_strategy, labels_strategy)
     def test_matches_brute_force_and_symmetric(self, raw_a, raw_b):
         if len(raw_a) != len(raw_b):

@@ -30,6 +30,17 @@ def run_in(tmp_path, argv, env=None):
                 os.environ[k] = v
 
 
+# --lambda-grid texts that are usage errors, each with the message naming
+# why: a listed lambda that is not finite and positive, or a range bound
+# that is not finite.
+BAD_LAMBDA_GRIDS = [
+    *(pytest.param(g, "lambda must be finite and positive", id=g)
+      for g in ("8,nan", "8,0", "8,-2", "8,inf")),
+    *(pytest.param(g, f"grid '{g}' has a bound that is not finite", id=g)
+      for g in ("1:inf:1", "nan:8:1")),
+]
+
+
 class TestParseGrid:
     def test_colon_range_inclusive(self):
         grid = parse_grid("0:1:0.25")
@@ -55,6 +66,11 @@ class TestParseGrid:
     def test_empty_range_raises(self):
         with pytest.raises(ValueError, match="empty"):
             parse_grid("1:0:0.1")
+
+    @pytest.mark.parametrize("text", ["1:inf:1", "-inf:1:1", "nan:1:0.1", "0:1:nan", "0:1:inf"])
+    def test_non_finite_range_bound_raises_naming_the_grid(self, text):
+        with pytest.raises(ValueError, match=f"grid '{text}' has a bound that is not finite"):
+            parse_grid(text)
 
 
 class TestExitCodes:
@@ -103,6 +119,11 @@ class TestExitCodes:
 
     def test_empty_grid_exits_two(self, tmp_path):
         assert run_in(tmp_path, ["theory", "--p0-grid", "1:0:0.1"]) == 2
+        assert not (tmp_path / "theory_guarantees.csv").exists()
+
+    def test_non_finite_grid_bound_exits_two_naming_the_grid(self, tmp_path, capsys):
+        assert run_in(tmp_path, ["theory", "--p0-grid", "nan:1:0.1"]) == 2
+        assert "grid 'nan:1:0.1' has a bound that is not finite" in capsys.readouterr().err
         assert not (tmp_path / "theory_guarantees.csv").exists()
 
     def test_nan_solver_setting_exits_nonzero(self, tmp_path, capsys):
@@ -348,6 +369,12 @@ class TestClusterCommand:
         assert run_in(tmp_path, argv) == 0
         assert "ari: 1.0000" in capsys.readouterr().out
 
+    def test_one_labeled_point_scores_ari_one(self, tmp_path, capsys):
+        (tmp_path / "one.csv").write_text("0.5,-1.0,3\n")
+        argv = ["cluster", "--input", "one.csv", "--labeled", "--lambda", "2.0", "--sigma", "0.3"]
+        assert run_in(tmp_path, argv) == 0
+        assert "ari: 1.0000" in capsys.readouterr().out
+
     @pytest.mark.parametrize("max_iters, converged", [(None, "true"), ("1", "false")])
     def test_stdout_reports_iterations_and_convergence(self, tmp_path, capsys, max_iters, converged):
         # The stdout line carries the outer iteration count and whether the
@@ -512,6 +539,12 @@ class TestConfigFile:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert run_in(tmp_path, ["theory", "--config", "nope.ini"]) == 1
 
+    def test_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_bytes(b"\xffM=4\n")
+        assert run_in(tmp_path, ["theory", "--config", "bad.cfg"]) == 1
+        assert capsys.readouterr().err.startswith("fusecluster: error: ")
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
     def test_header_records_the_given_argv(self, tmp_path):
         (tmp_path / "cfg.ini").write_text("p0-grid=0:1:0.5\nM=4\n")
         argv = ["theory", "--config", "cfg.ini", "--out-dir", "."]
@@ -575,9 +608,9 @@ class TestWineCommand:
         assert run_in(tmp_path, argv) == 2
         assert "m_per_class must be at least 1, got -5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ("8,nan", "8,0", "8,-2", "8,inf"))
+    @pytest.mark.parametrize("grid, message", BAD_LAMBDA_GRIDS)
     def test_bad_lambda_grid_is_a_usage_error_before_any_solve(
-        self, tmp_path, capsys, monkeypatch, synthetic_wine, grid
+        self, tmp_path, capsys, monkeypatch, synthetic_wine, grid, message
     ):
         path, _, _ = synthetic_wine()
         solves = []
@@ -586,7 +619,7 @@ class TestWineCommand:
         run_dir.mkdir()
         argv = ["wine", "--wine-csv", path, "--lambda-grid", grid, "--out-dir", "o"]
         assert run_in(run_dir, argv) == 1
-        assert "lambda must be finite and positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert solves == []
         assert os.listdir(run_dir) == []
 
@@ -635,9 +668,9 @@ class TestSimulateCommand:
         assert "p0 must lie in [0, 1]" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("grid", ("8,nan", "8,0", "8,-2", "8,inf"))
+    @pytest.mark.parametrize("grid, message", BAD_LAMBDA_GRIDS)
     def test_bad_lambda_grid_is_a_usage_error_before_any_solve(
-        self, tmp_path, capsys, monkeypatch, grid
+        self, tmp_path, capsys, monkeypatch, grid, message
     ):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the grid was checked")
@@ -645,7 +678,7 @@ class TestSimulateCommand:
         monkeypatch.setattr("fusecluster.analysis.cluster_once", no_solve)
         argv = ["simulate", "--preset", "fig3a", "--lambda-grid", grid, "--out-dir", "o"]
         assert run_in(tmp_path, argv) == 1
-        assert "lambda must be finite and positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_zero_trials_is_an_error(self, tmp_path, capsys):

@@ -94,13 +94,16 @@ def pass_block_budget(n, rows, kind="h1"):
 
 
 def majorize(u, penalty, fuse_tol=None):
-    """Row-blocked majorization pass on ``u`` at ``fuse_tol`` (default: u's
-    own run threshold): (fusion sum, weights, the ``(s, c)`` blocks that
-    hold a close pair)."""
+    """The penalty's row-blocked majorization pass on ``u``, h1's over the
+    one span of all columns and lp's at ``fuse_tol`` (default: u's own run
+    threshold): (fusion sum, weights, the ``(s, c)`` blocks that hold a
+    close pair; the h1 pass has none)."""
+    w = np.empty((u.shape[1],) * 2)
+    if penalty.kind == H1:
+        return solver._h1_pass(solver._centred(u), penalty, w, [(0, len(w))]), w, []
     if fuse_tol is None:
         fuse_tol = solver._fuse_threshold(penalty, u)
-    w = np.empty((u.shape[1],) * 2)
-    fusion, close = solver._majorize(u, penalty, w, fuse_tol=fuse_tol)
+    fusion, close = solver._lp_pass(u, penalty, w, fuse_tol)
     return fusion, w, close
 
 
@@ -822,24 +825,37 @@ class TestH1Pass:
             blocked_trace.objectives, single_trace.objectives, rtol=1e-9, atol=0
         )
 
-    @pytest.mark.parametrize("kind, rows", h1_and_lp([7, None]))
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [*h1_and_lp([7, None]), pytest.param("h1-columns", None, id="one-column-spans")],
+    )
     def test_trace_is_the_objective_at_the_result(self, kind, rows, monkeypatch):
         # lp merges (6 times in 40 iterations here), so its trace is the
         # quotient's count-weighted pass, compared with the point-level one.
         # h1 splits, and its last pass counts the saturated pairs between the
         # spans as one integer, so its fusion sum is added in another order.
+        # The one-column-spans input solves once, on 120 one-column spans
+        # (closed form, one step); the pass after that solve is the full
+        # one, so the trace is the objective exactly.
         data, _ = random_instance(seed=4, K=3, M=20, P=50, p0=0.6, scale=6.0)
         if rows is not None:
             monkeypatch.setattr(solver, "_PASS_BLOCK_BYTES", pass_block_budget(60, rows, kind))
         if kind == "h1":
             lam, penalty = 16.0, PenaltySpec.h1(2.0)
-        else:
+        elif kind == "lp":
             lam, penalty = 0.2, PenaltySpec.lp(0.5)
+        else:
+            data, _ = random_instance(0, K=3, M=40, P=10, p0=0.8)
+            lam, penalty = 1.0, PenaltySpec.h1(0.1)
         centroids, trace = mm_cluster(data, SolverConfig(lam=lam, penalty=penalty))
         f = objective(data, centroids.U, lam, penalty)
         if kind == "lp":
             assert np.unique(centroids.U, axis=1).shape[1] < data.point_count  # merged
-        assert trace.objectives[-1] == pytest.approx(f, rel=1e-13 if kind == "lp" else 1e-15)
+        if kind == "h1-columns":
+            assert trace.blocks == (120,) and trace.cg_iterations == (1,)
+            assert trace.objectives[-1] == f
+        else:
+            assert trace.objectives[-1] == pytest.approx(f, rel=1e-13 if kind == "lp" else 1e-15)
 
     def test_solve_holds_one_n_by_n_array(self):
         # The fused pass writes into the solve's one weight buffer; distances,
@@ -1219,7 +1235,7 @@ class TestBitIdentity:
             monkeypatch.setattr(
                 solver, "_PASS_BLOCK_BYTES", pass_block_budget(60, pass_rows, "lp")
             )
-        majorize, passes = solver._majorize, []
+        majorize, passes = solver._lp_pass, []
 
         def checked(U, penalty, W, fuse_tol, counts=None):
             fusion, close = majorize(U, penalty, W, fuse_tol, counts)
@@ -1231,9 +1247,9 @@ class TestBitIdentity:
             passes.append(U.shape[1])
             return fusion, close
 
-        monkeypatch.setattr(solver, "_majorize", checked)
+        monkeypatch.setattr(solver, "_lp_pass", checked)
         blocked, blocked_trace, merges = solve_recording_merges(data, cfg, monkeypatch)
-        monkeypatch.setattr(solver, "_majorize", majorize)
+        monkeypatch.setattr(solver, "_lp_pass", majorize)
         assert len(passes) == blocked_trace.iterations + 1 + len(merges)
         if pass_rows is None:  # the same pass blocks: bitwise the same run
             assert np.array_equal(blocked.U, whole.U)
@@ -1577,8 +1593,7 @@ def recorded_passes(case):
         out = fusion(self)
         record = {"saturated": self.saturated, "spans": len(self.spans)}
         if self.saturated:
-            w = np.empty_like(self.W)
-            full, _ = solver._majorize(self.V, self.penalty, w, 0.0)
+            full, w, _ = majorize(self.V, self.penalty)
             record["fusion"] = abs(out - full) / full
             kept = np.zeros(w.shape, dtype=bool)
             for a, b in self.spans:
@@ -1643,8 +1658,7 @@ class TestSaturatedPass:
         groups = solver._Groups(ObservedDataset.full(x), x, PenaltySpec.h1(1.0))
         groups.spans = [(0, 2), (2, 4)]
         groups.W[:] = -1.0  # an earlier pass's weights
-        w = np.empty((4, 4))
-        full, _ = solver._majorize(x, groups.penalty, w, 0.0)
+        full, w, _ = majorize(x, groups.penalty)
         return groups, groups.fusion(), full, w
 
     @pytest.mark.parametrize("below", [1e-3, 1e-9])
@@ -1661,3 +1675,44 @@ class TestSaturatedPass:
         np.testing.assert_allclose(groups.W[:2, :2], w[:2, :2], rtol=1e-12, atol=0)
         np.testing.assert_allclose(groups.W[2:, 2:], w[2:, 2:], rtol=1e-12, atol=0)
         assert np.all(groups.W[:2, 2:] == -1.0) and np.all(groups.W[2:, :2] == -1.0)
+
+
+class TestOnePassPerPenalty:
+    """Every pass of a penalty runs through that penalty's one function:
+    the solve's (the start, each iteration's, the reorder after a kept
+    split), ``update_weights``' and ``objective``'s."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        calls = {"_h1_pass": 0, "_lp_pass": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(solver, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("case, regroups", [
+        # the start, a full pass, a kept split's reorder, saturated passes
+        (SPLIT_CASES["cluster-h1-0"], 1),
+        # the start, then one solve on 120 one-column spans
+        (lambda: (random_instance(0, K=3, M=40, P=10, p0=0.8)[0],
+                  SolverConfig(1.0, PenaltySpec.h1(0.1))), 0),
+    ], ids=["cluster-h1-0", "one-column-spans"])
+    def test_every_h1_solve_pass_is_the_h1_pass(self, case, regroups, monkeypatch):
+        data, cfg = case()
+        calls = self.count_passes(monkeypatch)
+        _, trace = mm_cluster(data, cfg)
+        assert calls == {"_h1_pass": trace.iterations + 1 + regroups, "_lp_pass": 0}
+
+    @pytest.mark.parametrize("penalty, name", [
+        (H1_UNIT, "_h1_pass"), (PenaltySpec.lp(0.5), "_lp_pass"),
+    ], ids=["h1", "lp"])
+    def test_update_weights_and_objective_take_one_pass(self, penalty, name, rng, monkeypatch):
+        data, _ = random_instance(seed=1, K=2, M=4, P=5)
+        U = rng.normal(size=(data.values.shape[0], data.point_count))
+        calls = self.count_passes(monkeypatch)
+        update_weights(U, penalty)
+        objective(data, U, 1.0, penalty)
+        assert calls[name] == 2 and sum(calls.values()) == 2
