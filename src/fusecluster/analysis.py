@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import signal
@@ -19,6 +18,7 @@ from .penalty import PenaltySpec, default_h1_sigma
 from .solver import (
     SolverConfig,
     SolveTrace,
+    check_finite_positive,
     default_merge_tol,
     extract_clusters,
     mm_cluster,
@@ -107,15 +107,9 @@ class SuccessCurveSpec:
             raise ValueError("p0, M and lambda grids must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        _check_lambda_grid(self.lambda_grid)
-
-
-def _check_lambda_grid(grid) -> None:
-    """Raise ValueError naming the first lambda that is not finite and
-    positive: a NaN would also leave the largest-first order undefined."""
-    for lam in grid:
-        if not (math.isfinite(lam) and lam > 0):
-            raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+        # A NaN lambda would also leave the largest-first order undefined.
+        for lam in self.lambda_grid:
+            check_finite_positive("lambda", lam)
 
 
 @dataclass(frozen=True)

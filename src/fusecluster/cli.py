@@ -20,7 +20,6 @@ from . import __version__
 from .analysis import (
     PCA_COLUMNS,
     SuccessCurveSpec,
-    _check_lambda_grid,
     _derive_seed,
     adjusted_rand_index,
     cluster_once,
@@ -40,7 +39,7 @@ from .dataio import read_points_csv, write_points_csv, write_table_csv
 from .model import ObservedDataset
 from .oracle import monte_carlo_bound_check
 from .penalty import PenaltySpec
-from .solver import SolverConfig
+from .solver import SolverConfig, check_finite_positive
 from .theory import guarantee_curve
 
 # Experiment presets: each encodes the parameters of one reproducible study.
@@ -148,7 +147,8 @@ def _check_flags(args):
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.command == "cluster":
         _check_lambda_flag("--lambda", args.lam)
-        _check_merge_tol_flag(args.merge_tol)
+        if args.merge_tol is not None:
+            check_finite_positive("--merge-tol", args.merge_tol)
         penalty_flags = {"h1": {"--sigma": args.sigma}, "lp": {"--p": args.p}}
         for kind, flags in penalty_flags.items():
             if kind != args.penalty:
@@ -162,7 +162,8 @@ def _check_flags(args):
         else:
             if args.lam is not None:
                 _check_lambda_flag("--lambda", args.lam)
-            _check_merge_tol_flag(args.merge_tol)
+            if args.merge_tol is not None:
+                check_finite_positive("--merge-tol", args.merge_tol)
             flags = {
                 "--trials": args.trials,
                 "--m-grid": args.m_grid,
@@ -188,18 +189,12 @@ def _penalty(args):
     return None if args.sigma is None else PenaltySpec.h1(args.sigma)
 
 
-def _check_merge_tol_flag(value):
-    """A ``--merge-tol`` that is given and not finite and positive is a
-    usage error."""
-    if value is not None and not (math.isfinite(value) and value > 0):
-        raise _UsageError(f"--merge-tol must be finite and positive, got {value}")
-
-
 def _check_lambda_flag(flag, value):
     """A ``--lambda`` (a number) or ``--lambda-grid`` (grid text) with a
     lambda that is not finite and positive is a usage error."""
     try:
-        _check_lambda_grid(parse_grid(value) if isinstance(value, str) else (value,))
+        for lam in parse_grid(value) if isinstance(value, str) else (value,):
+            check_finite_positive("lambda", lam)
     except ValueError as exc:
         raise _UsageError(f"{flag}: {exc}") from None
 

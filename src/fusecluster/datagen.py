@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import warnings
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import parse_label
+from .dataio import parse_label, read_points_csv
 from .model import ClusterGeometry, ObservedDataset, Partition, SyntheticSpec, estimate_geometry
 
 
@@ -149,27 +148,23 @@ def load_wine_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the UCI-format Wine table: class label first, 13 features after.
 
     Returns (labels, features) in file order with labels remapped to 0..2.
+    The table goes through :func:`read_points_csv`, so it takes the same
+    comment and blank lines, and every entry must be present.
     """
-    labels = []
-    rows = []
-    with open(path, newline="") as fh:
-        for line in csv.reader(fh):
-            if not line or (line[0].startswith("#")):
-                continue
-            if len(line) != WINE_FEATURES + 1:
-                raise ValueError(
-                    f"wine row has {len(line)} fields, expected {WINE_FEATURES + 1}"
-                )
-            labels.append(parse_label(line[0]))
-            rows.append([float(v) for v in line[1:]])
-    if len(rows) != WINE_ROWS:
-        raise ValueError(f"wine table has {len(rows)} rows, expected {WINE_ROWS}")
-    features = np.array(rows)
-    raw_labels = np.array(labels)
-    classes = np.unique(raw_labels)
+    table, _ = read_points_csv(path)
+    fields, rows = table.values.shape
+    if fields != WINE_FEATURES + 1:
+        raise ValueError(f"wine rows have {fields} fields, expected {WINE_FEATURES + 1}")
+    if rows != WINE_ROWS:
+        raise ValueError(f"wine table has {rows} rows, expected {WINE_ROWS}")
+    if not table.fully_observed:
+        raise ValueError("wine table has missing entries")
+    raw_labels = np.array([parse_label(repr(v)) for v in table.values[0].tolist()])
+    classes, remapped = np.unique(raw_labels, return_inverse=True)
     if classes.size != WINE_CLASSES:
         raise ValueError(f"wine table has {classes.size} classes, expected 3")
-    remapped = np.searchsorted(classes, raw_labels)
+    # A C-ordered copy: z-scoring sums a transposed view in another order.
+    features = table.values[1:].T.copy()
     if _wine_content_digest(raw_labels, features) != WINE_CONTENT_SHA256:
         warnings.warn(
             "wine table content does not match the expected checksum; "

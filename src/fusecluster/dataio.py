@@ -5,7 +5,10 @@ Missing entries are an empty field or the literal ``NaN`` on input and are
 written back as empty fields.  An optional final integer ``label`` column
 carries ground truth; its distinct values are renumbered 0..K-1 in sorted
 order, so 1..K (as in UCI tables) or gapped labels such as {0, 5} are fine.
-Lines starting with ``#`` are comments.
+Blank lines and lines whose first field starts with ``#`` are skipped.  The
+Wine table (``datagen.load_wine_csv``) goes through the same reader,
+unlabeled: its class label is the first of 14 fields, and every entry must
+be present.
 """
 
 from __future__ import annotations

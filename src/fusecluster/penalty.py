@@ -10,6 +10,7 @@ a sequence of weighted least-squares problems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,9 @@ LP = "lp"
 class PenaltySpec:
     """Penalty family plus its one parameter.
 
-    ``kind`` is ``"h1"`` (requires ``sigma > 0``, rejects ``p``) or ``"lp"``
-    (requires ``0 < p <= 1``, rejects ``sigma``).  The power weight's one
-    floor is the solver's run-level fuse threshold, not a penalty parameter.
+    ``kind`` is ``"h1"`` (requires a finite ``sigma > 0``, rejects ``p``) or
+    ``"lp"`` (requires ``0 < p <= 1``, rejects ``sigma``).  The power weight's
+    one floor is the solver's run-level fuse threshold, not a penalty parameter.
     """
 
     kind: str
@@ -34,7 +35,7 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in (H1, LP):
             raise ValueError(f"unknown penalty kind: {self.kind!r}")
-        if self.kind == H1 and not (self.p is None and (self.sigma or 0.0) > 0):
+        if self.kind == H1 and not (self.p is None and 0.0 < (self.sigma or 0.0) < math.inf):
             raise ValueError(f"h1 takes sigma > 0 and no p (sigma={self.sigma}, p={self.p})")
         if self.kind == LP and not (self.sigma is None and 0.0 < (self.p or 0.0) <= 1.0):
             raise ValueError(f"lp takes 0 < p <= 1 and no sigma (p={self.p}, sigma={self.sigma})")

@@ -192,6 +192,14 @@ _CG_TOL = 1e-10
 _CG_MAXITER_FACTOR = 10
 
 
+def check_finite_positive(name: str, value: float) -> None:
+    """The one rule on lambda and the merge tolerance: raise ValueError
+    naming ``name`` unless ``value`` is finite and positive (a NaN, which
+    fails every comparison, included)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of one :func:`mm_cluster` run.
@@ -209,13 +217,11 @@ class SolverConfig:
     objective_rel_tol: float = 1e-8
 
     def __post_init__(self):
-        # A NaN setting fails every comparison: the outer stopping test
-        # would never fire, or the solve would not be finite.
-        for name in ("lam", "objective_rel_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        check_finite_positive("lambda", self.lam)
+        # A NaN tolerance fails every comparison: the outer stopping test
+        # would never fire.
+        if not math.isfinite(self.objective_rel_tol):
+            raise ValueError("objective_rel_tol must be finite")
         if self.objective_rel_tol < 0:
             raise ValueError("objective_rel_tol must be non-negative")
         if self.max_outer_iters < 1:
@@ -1012,8 +1018,7 @@ def extract_clusters(U: np.ndarray, merge_tol: float) -> Partition:
     distances are the Gram distances of U less its mean, so their error
     follows the surrogates' spread, not their distance from the origin.
     """
-    if not merge_tol > 0:
-        raise ValueError("merge_tol must be positive")
+    check_finite_positive("merge_tol", merge_tol)
     U = _finite(U)
     close = [(s, d <= merge_tol) for s, d in _row_blocks(_centred(U))]
     return Partition(_components(U.shape[1], close))

@@ -264,6 +264,7 @@ class TestExitCodes:
             (["cluster", "--penalty", "lp", "--sigma", "-1"], "--sigma applies to --penalty h1"),
             (["simulate", "--preset", "fig3a", "--sigma", "0"], "h1 takes sigma > 0"),
             (["wine", "--wine-csv", "wine.data", "--sigma", "-1"], "h1 takes sigma > 0"),
+            (["cluster", "--sigma", "inf"], "h1 takes sigma > 0"),
         ],
     )
     def test_bad_sigma_or_p_is_a_usage_error_before_the_out_dir(

@@ -265,6 +265,30 @@ class TestWineSynthetic:
             with pytest.raises(ValueError, match=message):
                 load_wine_csv(path)
 
+    def test_indented_comment_line_skipped(self, synthetic_wine):
+        path, raw_labels, features = synthetic_wine()
+        lines = open(path).read().splitlines()
+        lines.insert(1, "   # an indented comment, as the dataset reader takes it")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        labels, loaded = load_wine_csv(path)
+        assert labels.tolist() == (raw_labels - 1).tolist()
+        # C order: wine_prepare's z-scoring sums a transposed view in
+        # another order, which moves its outputs in the last bits.
+        assert np.array_equal(loaded, features) and loaded.flags.c_contiguous
+
+    @pytest.mark.parametrize("entry", ["NaN", ""], ids=["nan", "empty"])
+    def test_missing_entry_rejected(self, synthetic_wine, entry):
+        path, _, _ = synthetic_wine()
+        lines = open(path).read().splitlines()
+        fields = lines[1].split(",")
+        fields[5] = entry
+        lines[1] = ",".join(fields)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="wine table has missing entries"):
+            load_wine_csv(path)
+
     def test_fractional_label_rejected(self, synthetic_wine):
         path, _, _ = synthetic_wine()
         lines = open(path).read().splitlines()

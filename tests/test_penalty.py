@@ -124,9 +124,13 @@ class TestSpecValidation:
             ({"kind": "h1", "sigma": 1.0, "p": 7.0}, "h1 takes sigma > 0 and no p"),
             ({"kind": "h1", "sigma": 1.0, "p": 0.5}, "h1 takes sigma > 0 and no p"),
             ({"kind": "h1"}, "h1 takes sigma > 0"),
+            ({"kind": "h1", "sigma": math.inf}, "h1 takes sigma > 0"),
             ({"kind": "lp"}, "lp takes 0 < p <= 1"),
         ],
-        ids=["lp-bad-sigma", "lp-sigma", "h1-bad-p", "h1-p", "h1-no-sigma", "lp-no-p"],
+        ids=[
+            "lp-bad-sigma", "lp-sigma", "h1-bad-p", "h1-p", "h1-no-sigma", "h1-inf-sigma",
+            "lp-no-p",
+        ],
     )
     def test_one_parameter_of_its_own_kind(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

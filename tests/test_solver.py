@@ -504,6 +504,11 @@ class TestExtractClusters:
         with pytest.raises(ValueError):
             extract_clusters(np.zeros((1, 2)), 0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_merge_tol_takes_the_shared_rule(self, tol):
+        with pytest.raises(ValueError, match=f"merge_tol must be finite and positive, got {tol!r}"):
+            extract_clusters(np.zeros((1, 2)), tol)
+
     def test_default_merge_tol(self):
         u = np.array([[0.0, 2.0]])
         assert default_merge_tol(u) == pytest.approx(2e-3)
@@ -1051,6 +1056,11 @@ class TestSolverConfig:
     def test_rejects_non_finite_and_negative_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{"lam": 1.0, "penalty": H1_UNIT, field: value})
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_lambda_takes_the_shared_rule(self, lam):
+        with pytest.raises(ValueError, match=f"lambda must be finite and positive, got {lam!r}"):
+            SolverConfig(lam, H1_UNIT)
 
     def test_zero_settings_stay_legal(self):
         SolverConfig(lam=1.0, penalty=H1_UNIT, objective_rel_tol=0.0)
