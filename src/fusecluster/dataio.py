@@ -22,19 +22,28 @@ from .model import ObservedDataset, Partition
 
 
 def read_points_csv(path, labeled: bool = False):
-    """Read a dataset; returns (ObservedDataset, Partition or None)."""
-    rows, labels = [], []
+    """Read a dataset; returns (ObservedDataset, Partition or None).
+
+    Every data row must have as many fields as the first; the first one
+    that differs is a ValueError naming the file, its line and both counts.
+    """
+    rows, labels, width = [], [], None
     with open(path, newline="") as fh:
-        for line in csv.reader(fh):
+        reader = csv.reader(fh)
+        for line in reader:
             if not line or line[0].lstrip().startswith("#"):
                 continue
+            width = width or len(line)
+            if len(line) != width:
+                raise ValueError(
+                    f"{path}: rows have inconsistent field counts: line"
+                    f" {reader.line_num} has {len(line)} fields, expected {width}"
+                )
             if labeled:
                 labels.append(parse_label(line.pop().strip()))
             rows.append([float(g) if (g := f.strip()) else math.nan for f in line])
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError("rows have inconsistent field counts")
     values = np.array(rows, dtype=float).T
     mask = ~np.isnan(values)
     data = ObservedDataset(np.where(mask, values, 0.0), mask)

@@ -22,7 +22,11 @@ fuse.  h1 takes Gram distances of its columns less their mean.  The power
 penalty, whose slope diverges at 0, takes each within 1e-12 relative of the
 exact per-feature sum, and exactly 0 where that sum is: a pair whose Gram
 product could cancel comes from the columns centred on their component's
-mean, or from the exact sum (:func:`_lp_row_blocks`).
+mean, or from the exact sum (:func:`_lp_row_blocks`).  The solve state
+carries the components one lp pass labelled as the contiguous spans of the
+next passes, moving the columns once (:meth:`_Groups.fusion`), so that a
+pass whose failing pairs all lie within its spans runs in one sweep and
+labels nothing; the lp solve still takes all of W.
 One solve state, :class:`_Groups`, merges the close pairs into quotient
 columns; h1 never fuses.  Extraction (:func:`extract_clusters`) walks the
 same row blocks (:func:`_row_blocks`); the merge, the components of the
@@ -142,12 +146,14 @@ class CentroidSet:
     ``update_weights(U, penalty)`` runs the solve's pass at U, every point
     its own column and one span: it gives the solve's final weights bit for
     bit for an h1 run that kept no block split and for an lp run that never
-    fused.  After a kept split, it matches only the blocks the last pass
-    kept, within rounding: the columns were reordered, so that pass's Gram
-    products ran in another order, and a saturated pass writes no weight
-    between the spans (the true ones are at most
-    ``(eps / 4) / (2 sigma^2)``).  Once an lp run fuses, its solve weighs
-    fused groups, and the weights on the expanded U differ.
+    fused and whose passes carried no spans (:meth:`_Groups.fusion`).  After
+    a kept split, it matches only the blocks the last pass kept, within
+    rounding: the columns were reordered, so that pass's Gram products ran
+    in another order, and a saturated pass writes no weight between the
+    spans (the true ones are at most ``(eps / 4) / (2 sigma^2)``).  An lp
+    run that carried spans matches within rounding too, its columns
+    reordered and its span pairs centred.  Once an lp run fuses, its solve
+    weighs fused groups, and the weights on the expanded U differ.
     """
 
     U: np.ndarray
@@ -270,10 +276,12 @@ def _row_blocks(U, budget=None):
 _LP_RTOL = 1e-12
 
 
-def _lp_row_blocks(U, parked):
+def _lp_row_blocks(U, parked, spans=None):
     """Yield the ``(s, d)`` row blocks of :func:`_row_blocks`, each distance
     within ``_LP_RTOL`` relative of the exact per-feature sum, and that sum
-    itself where it is 0 or where a Gram form could underflow.
+    itself where it is 0 or where a Gram form could underflow; return the
+    component labels of the pairs that failed the check below, or ``None``
+    where none was labelled.
 
     A Gram square ``d^2`` errs by at most ``(2P + 3) eps S``, with ``S`` the
     two columns' squared norms, so ``d^2 >= kappa S`` with
@@ -281,20 +289,30 @@ def _lp_row_blocks(U, parked):
     floor of ``kappa tiny`` (``tiny`` the smallest normal float) covers
     products that underflow.
 
-    Sweep 1 takes plain Gram blocks and yields every block whose pairs all
-    pass that check.  A block with a pair that fails it waits in its
-    own rows ``parked[s:e, s:]`` of the G x G buffer its weights will fill,
-    and one :func:`_components` call labels the failing pairs.  Sweep 2
-    yields the waiting blocks: pairs within a component from the Gram
-    product of the columns centred on their component's mean, where the
-    norms are at the component's scale, and the other pairs, which passed
-    the check, as they waited.  A pair that fails the check against its
-    centred norms is the exact sum over features in order, bitwise a
-    per-feature loop.  It is gathered pair by pair, or, where at least half
-    of a block's pairs fail, taken from the block by the row-blocked exact
-    kernel ``model._pairwise_reduce``, which costs 0.4 to 0.6 of the gather
-    per pair (P from 50 to 3000).  ``kappa`` nears 1 at P ~ 2250, and from
-    there most pairs of a component fail.
+    ``spans`` are contiguous column ranges ``(a, b)``, the components an
+    earlier pass labelled (:meth:`_Groups.fusion`); ``None`` is the pass
+    without them, which a run starts with.  Sweep 1 takes, per row block,
+    the pairs within a span from the Gram product of the span's columns
+    centred on their mean, where the norms are at the span's scale, and
+    every other pair from the plain Gram product, and checks each pair
+    against the norms of its own product.  A block whose pairs between
+    spans all pass is yielded; a pair within a span that fails is the exact
+    sum (below).  So a pass whose spans still hold its failing pairs runs in
+    this one sweep.  A block with a pair between spans that fails waits in
+    its own rows ``parked[s:e, s:]`` of the G x G buffer its weights will
+    fill, and one :func:`_components` call labels the failing pairs, each
+    span linked as one, into the labels returned.  Sweep 2 yields the
+    waiting blocks: pairs within a component from the Gram product of the
+    columns centred on their component's mean, and the other pairs, which
+    passed the check, as they waited.
+
+    A pair that fails the check against its centred norms is the exact sum
+    over features in order, bitwise a per-feature loop.  It is gathered
+    pair by pair, or, where at least half of a block's pairs that could fail
+    do, taken from the block by the row-blocked exact kernel
+    ``model._pairwise_reduce``, which costs 0.4 to 0.6 of the gather per
+    pair (P from 50 to 3000).  ``kappa`` nears 1 at P ~ 2250, and from there
+    most pairs of a component fail.
 
     A yielded block's weights fill its own rows and, mirrored, rows below
     it in its own columns, so they never overwrite a waiting block.  Blocks
@@ -304,46 +322,107 @@ def _lp_row_blocks(U, parked):
     """
     U = np.ascontiguousarray(U, dtype=float)
     p, n = U.shape
+    spans = spans or []
     kappa = (2 * p + 3) * np.finfo(float).eps / _LP_RTOL
     half_bound = _half_bounds(U, kappa)
+    X = inner = sq = None
+    if spans:
+        X = U.copy()
+        for a, b in spans:
+            X[:, a:b] -= X[:, a:b].mean(axis=1, keepdims=True)
+        inner = _half_bounds(X, kappa)
+        sq = np.einsum("pi,pi->i", U, U)
+    step = max(1, (_PASS_BLOCK_BYTES // 2) // max(8 * n, 1))
     near = []
-    for s, d in _row_blocks(U, _PASS_BLOCK_BYTES // 2):
-        c = _fails_check(d, half_bound, s)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        # The rows of the block within each span: (first, end, the span's end).
+        inside = [(max(a, s), min(b, e), b) for a, b in spans if a < e and b > s]
+        d = _span_distances(U, X, sq, s, e, inside)
+        c = _fails_check(d, half_bound, s, inside, inner)
+        within = [c[r - s : t - s, r - s : b - s].copy() for r, t, b in inside]
+        for r, t, b in inside:
+            c[r - s : t - s, r - s : b - s] = False
         if c.any():
             near.append((s, c))
-            parked[s : s + len(d), s:] = d
-        else:
-            del c
-            yield s, d
+            parked[s:e, s:] = d
+            continue
+        del c
+        for (r, t, b), fail in zip(inside, within):
+            _take_exact(d[r - s : t - s, r - s : b - s], fail, U, r)
+        yield s, d
     if not near:
-        return
-    labels = _components(n, near)
-    spans = [(s, s + len(c)) for s, c in near]
+        return None
+    X = inner = within = None  # freed: sweep 2 centres on its own components
+    labels = np.arange(n)
+    for a, b in spans:
+        labels[a:b] = a
+    labels = _components(n, near, labels)
+    blocks = [(s, s + len(c)) for s, c in near]
     del near
     centred = U - _component_means(U, labels)[:, labels]
     half_bound = _half_bounds(centred, kappa)
-    for s, e in spans:
+    for s, e in blocks:
         same = labels[s:e, None] == labels[None, s:]
         d = pairwise_distances(centred, (s, e))
         fail = _fails_check(d, half_bound, s)
         fail &= same
         np.copyto(d, parked[s:e, s:], where=~same)
         del same
-        failing = np.count_nonzero(fail)
-        # Both branches stay, by measurement: on cluster-lp only seed 7
-        # input 2 gathers (49 and 64 pairs at G = 391), in 0.1 ms against
-        # 4.1 ms for the exact kernel over the block's rows, and a pass over
-        # three 200-point blobs at P = 3000 (69,979 pairs gathered) took
-        # 1.04 s with the gather and 1.54 s without (medians of 12, 2 cores).
-        if 2 * failing >= fail.size:
-            exact = _pairwise_reduce(U[:, s:], np.square, np.add, e - s)
-            np.copyto(d, np.sqrt(exact, out=exact), where=fail)
-            del exact
-        elif failing:
-            r, k = np.nonzero(fail)
-            d[r, k] = np.sqrt(_exact_sq_dists(U, s + r, s + k))
+        _take_exact(d, fail, U, s)
         del fail
         yield s, d
+    return labels
+
+
+def _span_distances(U, X, sq, s, e, inside):
+    """Distances from columns ``[s, e)`` of U to columns ``[s, N)``, as
+    :func:`pairwise_distances` gives them, except that the pairs within a
+    span come from the span-centred columns ``X``: ``inside`` holds, per
+    span the rows meet, the rows' range ``[r, t)`` and the span's end ``b``.
+    ``sq`` are U's squared column norms.  The leading square is exactly
+    symmetric with a zero diagonal: each run of rows computes its part
+    right of its own first column, and the part left of it is copied,
+    transposed, from the rows above.  With no span, ``d`` is a copy of the
+    plain block, which adds 0.06 to 0.2 ms to a 5.5 to 7.7 ms pass at
+    G = 600, P = 50 (medians of 61, 2 cores)."""
+    n = U.shape[1]
+    d = np.empty((e - s, n - s))
+    row = s
+    for r, t, b in inside + [(e, e, e)]:  # a last empty span closes the rows
+        if row < r:  # rows outside every span: plain Gram distances
+            d[row - s : r - s, row - s :] = pairwise_distances(U, (row, r))
+            d[row - s : r - s, : row - s] = d[: row - s, row - s : r - s].T
+        if r < t:
+            d[r - s : t - s, r - s : b - s] = pairwise_distances(X[:, :b], (r, t))
+            between = d[r - s : t - s, b - s :]
+            np.matmul(U[:, r:t].T, U[:, b:], out=between)
+            between *= -2.0
+            between += sq[r:t, None]
+            between += sq[b:]
+            np.maximum(between, 0.0, out=between)
+            np.sqrt(between, out=between)
+            d[r - s : t - s, : r - s] = d[: r - s, r - s : t - s].T
+        row = t
+    return d
+
+
+def _take_exact(d, fail, U, s):
+    """Set the ``fail`` entries of ``d``, distances from columns
+    ``[s, s + len(d))`` of U to the ``d.shape[1]`` columns from ``s``, to the
+    exact per-feature sums (:func:`_lp_row_blocks`)."""
+    failing = np.count_nonzero(fail)
+    # Both branches stay, by measurement: on cluster-lp only seed 7
+    # input 2 gathers (49 and 64 pairs at G = 391), in 0.1 ms against
+    # 4.1 ms for the exact kernel over the block's rows, and a pass over
+    # three 200-point blobs at P = 3000 (69,979 pairs gathered) took
+    # 1.04 s with the gather and 1.54 s without (medians of 12, 2 cores).
+    if 2 * failing >= fail.size:
+        exact = _pairwise_reduce(U[:, s : s + d.shape[1]], np.square, np.add, len(d))
+        np.copyto(d, np.sqrt(exact, out=exact), where=fail)
+    elif failing:
+        r, k = np.nonzero(fail)
+        d[r, k] = np.sqrt(_exact_sq_dists(U, s + r, s + k))
 
 
 def _half_bounds(V, kappa):
@@ -355,10 +434,14 @@ def _half_bounds(V, kappa):
     return np.maximum(kappa * np.einsum("pi,pi->i", V, V), floor)
 
 
-def _fails_check(d, half_bound, s):
+def _fails_check(d, half_bound, s, inside=(), inner=None):
     """Rows ``[s, s + len(d))`` of distances ``d``: the off-diagonal pairs
-    that fail the Gram check of :func:`_half_bounds`."""
+    that fail the Gram check of :func:`_half_bounds`, whose bounds are
+    ``half_bound`` but ``inner`` on the pairs within a span (``inside`` as
+    in :func:`_span_distances`)."""
     bound = np.add.outer(half_bound[s : s + len(d)], half_bound[s:])
+    for r, t, b in inside:
+        np.add.outer(inner[r:t], inner[r:b], out=bound[r - s : t - s, r - s : b - s])
     c = d < np.sqrt(bound, out=bound)
     np.fill_diagonal(c, False)  # the leading square's zero diagonal
     return c
@@ -408,29 +491,35 @@ def _h1_pass(Y, penalty, W, spans):
     return fusion
 
 
-def _lp_pass(U, penalty, W, fuse_tol, counts=None):
+def _lp_pass(U, penalty, W, fuse_tol, counts=None, spans=None):
     """The power penalty's majorization at U in one row-blocked pass.
 
-    Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)`` and the close
-    pairs, and writes the weights ``c_i c_j w(max(d_ij, fuse_tol))`` into the
-    G x G buffer ``W`` (:func:`_majorize_block`).  The close pairs come as
-    the ``(s, c)`` record of :func:`_components`: ``c`` is a row block's
-    ``d < fuse_tol`` with the diagonal cleared, read before the weight's
-    floor, so ``c[r, k]`` links columns ``s + r`` and ``s + k``; only blocks
-    that hold a pair are kept.  ``counts`` are the group sizes ``c`` of fused
-    columns; ``None`` means every column is one point.  The distances are
-    those of :func:`_lp_row_blocks`, within ``_LP_RTOL`` relative of the
-    exact per-feature sums and exactly 0 where those are.  Extra memory is
-    O(P*G + budget).
+    Returns the fusion sum ``sum_{i != j} c_i c_j phi(d_ij)``, the close
+    pairs and the labels of the components the pass found, and writes the
+    weights ``c_i c_j w(max(d_ij, fuse_tol))`` into the G x G buffer ``W``
+    (:func:`_majorize_block`).  The close pairs come as the ``(s, c)``
+    record of :func:`_components`: ``c`` is a row block's ``d < fuse_tol``
+    with the diagonal cleared, read before the weight's floor, so
+    ``c[r, k]`` links columns ``s + r`` and ``s + k``; only blocks that hold
+    a pair are kept.  ``counts`` are the group sizes ``c`` of fused columns;
+    ``None`` means every column is one point.  The distances are those of
+    :func:`_lp_row_blocks` over the column ``spans``, within ``_LP_RTOL``
+    relative of the exact per-feature sums and exactly 0 where those are,
+    and so are the labels (``None`` where no pair was labelled).  Extra
+    memory is O(P*G + budget).
     """
     fusion, close = 0.0, []
-    for s, d in _lp_row_blocks(U, W):
+    blocks = _lp_row_blocks(U, W, spans)
+    while True:
+        try:
+            s, d = next(blocks)
+        except StopIteration as done:
+            return fusion, close, done.value
         c = d < fuse_tol
         np.fill_diagonal(c, False)  # a column is not its own close pair
         if c.any():
             close.append((s, c))
         fusion += _majorize_block(d, penalty, s, W, fuse_tol, counts)
-    return fusion, close
 
 
 def _majorize_block(d, penalty, s, W, floor, counts):
@@ -748,9 +837,12 @@ class _Groups:
     ``V``: it writes the next weights into the solve's one G x G buffer and,
     for lp, records the close pairs that :meth:`merge` consumes.
     :meth:`split` chooses the column ``spans`` the next solve keeps the
-    weights of, and may reorder the columns so that each span is contiguous.  Once the pairs between
-    the spans are saturated, a pass writes only the spans' own blocks and
-    sets ``saturated`` (:meth:`fusion`), and W between them is stale.
+    weights of, and may reorder the columns so that each span is
+    contiguous.  Once the pairs between the spans are saturated, a pass
+    writes only the spans' own blocks and sets ``saturated``
+    (:meth:`fusion`), and W between them is stale.  An lp pass keeps the
+    components it labelled as ``found``, and the next one carries them as
+    its own ``pass_spans``, which the solve never sees (:meth:`_carry`).
     ``rep`` (each point's column) is ``None`` until the first merge or
     reorder; the data term and :meth:`expanded` stay in the points' own
     order.
@@ -770,6 +862,8 @@ class _Groups:
         self.close = None
         self.spans = [(0, data.point_count)]
         self.saturated = False
+        self.found = None  # the components the last lp pass labelled
+        self.pass_spans = None  # the lp pass's spans; the solve keeps all of W
 
     def expanded(self) -> np.ndarray:
         return self.V if self.rep is None else self.V[:, self.rep]
@@ -788,13 +882,26 @@ class _Groups:
         over the one span ``(0, G)``; where every span is one column, the
         centres are the columns, and the bound would cost the pass's own
         distances.
+
+        An lp pass first carries the components the last one ``found`` as
+        its ``pass_spans`` (:meth:`_carry`), moving the columns once where
+        they are not contiguous; W is rewritten whole by the pass, so the
+        move re-runs nothing.  The pass runs over those spans
+        (:func:`_lp_row_blocks`) and keeps what it labels as ``found``;
+        where it labels nothing, its spans still hold every failing pair
+        and stay.  A run's start, :func:`objective` and
+        :func:`update_weights` carry none.
         """
         self.saturated = False
         if self.penalty.kind == LP:
+            if self.found is not None:
+                new_of_old = self._carry()
+                if new_of_old is not None:
+                    self._regroup(new_of_old)
             # Every column is one point until the first merge.
             counts = self.counts if len(self.counts) < self.data.point_count else None
-            fusion, self.close = _lp_pass(
-                self.V, self.penalty, self.W, self.fuse_tol, counts
+            fusion, self.close, self.found = _lp_pass(
+                self.V, self.penalty, self.W, self.fuse_tol, counts, self.pass_spans
             )
             return fusion
         y, spans, between = _centred(self.V), [(0, len(self.W))], 0
@@ -868,13 +975,34 @@ class _Groups:
             new_of_old[order] = np.arange(g)
             self._regroup(new_of_old)
 
+    def _carry(self):
+        """Take the components ``found`` by the last lp pass as the pass
+        spans: one per component of two or more columns, in the order of
+        their lowest members, then every lone column.  Returns the move
+        that makes them contiguous, or ``None`` where they are."""
+        labels, self.found = self.found, None
+        sizes = np.bincount(labels)
+        key = np.where(sizes[labels] > 1, labels, len(labels))
+        sizes = sizes[sizes > 1]
+        ends = np.cumsum(sizes)
+        self.pass_spans = list(zip((ends - sizes).tolist(), ends.tolist()))
+        if not np.any(np.diff(key) < 0):
+            return None
+        new_of_old = np.empty_like(key)
+        new_of_old[np.argsort(key, kind="stable")] = np.arange(len(key))
+        return new_of_old
+
     def _regroup(self, new_of_old):
         """Move each group to column ``new_of_old[group]``, summing groups
         that share one, and re-run the pass for the next solve's weights:
-        after a merge the full pass, and after a kept split only the new
-        ``spans``' own blocks, whose fusion sum is not needed (the split
-        checked its cut on the full W before the move)."""
+        after a merge the full pass, without the lp pass spans of the old
+        columns, and after a kept split only the new ``spans``' own blocks,
+        whose fusion sum is not needed (the split checked its cut on the
+        full W before the move).  A move that sums no groups, for lp's pass
+        spans (:meth:`_carry`), re-runs nothing, as the pass that asked for
+        it follows."""
         shape = (self.diag.shape[0], int(new_of_old.max()) + 1)
+        merged = shape[1] < len(self.counts)
         cols = (slice(None), new_of_old)
         diag, rhs, v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
         counts = np.zeros(shape[1])
@@ -886,12 +1014,13 @@ class _Groups:
         self.V = v / counts[None, :]
         self.counts = counts
         self.rep = new_of_old if self.rep is None else new_of_old[self.rep]
-        if len(self.W) != shape[1]:
+        if merged:
             self.W = None  # release the old buffer before allocating the new one
             self.W = np.empty((shape[1], shape[1]))
+            self.found = self.pass_spans = None  # they name the old columns
         if len(self.spans) > 1:  # a kept split: only the spans' own blocks
             _h1_pass(_centred(self.V), self.penalty, self.W, self.spans)
-        else:
+        elif merged:
             self.fusion()
 
 
@@ -1031,14 +1160,16 @@ def _finite(U):
     return U
 
 
-def _components(n, close):
+def _components(n, close, labels=None):
     """Component labels of n columns, numbered by each one's lowest member.
     ``close`` holds ``(s, c)`` boolean row blocks; ``c[r, k]`` links columns
-    ``s + r`` and ``s + k``.  Each round hooks every root to the smallest
+    ``s + r`` and ``s + k``.  ``labels``, where given, links the columns of
+    each group it names by the group's lowest member; by default each
+    column is its own.  Each round hooks every root to the smallest
     label next to its members and shortcuts every column to its root; roots
     hook only to smaller roots, so once a round changes nothing each
     component's label is its lowest member (Shiloach & Vishkin, 1982)."""
-    labels = np.arange(n)
+    labels = np.arange(n) if labels is None else labels
     while True:
         parent = labels.copy()
         for s, c in close:

@@ -289,6 +289,18 @@ class TestWineSynthetic:
         with pytest.raises(ValueError, match="wine table has missing entries"):
             load_wine_csv(path)
 
+    def test_short_row_named_with_its_line_and_counts(self, synthetic_wine):
+        # The table's line 6 (after its comment line) loses its last field.
+        path, _, _ = synthetic_wine()
+        lines = open(path).read().splitlines()
+        lines[5] = lines[5].rpartition(",")[0]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        want = f"{path}: rows have inconsistent field counts: line 6 has 13 fields, expected 14"
+        with pytest.raises(ValueError) as err:
+            load_wine_csv(path)
+        assert str(err.value) == want
+
     def test_fractional_label_rejected(self, synthetic_wine):
         path, _, _ = synthetic_wine()
         lines = open(path).read().splitlines()

@@ -66,6 +66,17 @@ class TestReadFormats:
         with pytest.raises(ValueError, match="inconsistent"):
             read_points_csv(path)
 
+    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+    def test_ragged_row_named_with_its_line_and_counts(self, tmp_path, labeled):
+        # Line 4 (after a comment and a blank line) is the first data row
+        # whose field count differs from the first row's; line 5 differs too.
+        path = tmp_path / "ragged.csv"
+        path.write_text("# header\n1.0,2.0,0\n\n3.0,0\n4.0,5.0,6.0,0\n")
+        want = f"{path}: rows have inconsistent field counts: line 4 has 2 fields, expected 3"
+        with pytest.raises(ValueError) as err:
+            read_points_csv(path, labeled=labeled)
+        assert str(err.value) == want
+
     def test_fractional_label_rejected(self, tmp_path):
         # int() would truncate 1.7 and 1.2 to one class.
         path = tmp_path / "labeled.csv"

@@ -103,7 +103,7 @@ def majorize(u, penalty, fuse_tol=None):
         return solver._h1_pass(solver._centred(u), penalty, w, [(0, len(w))]), w, []
     if fuse_tol is None:
         fuse_tol = solver._fuse_threshold(penalty, u)
-    fusion, close = solver._lp_pass(u, penalty, w, fuse_tol)
+    fusion, close, _ = solver._lp_pass(u, penalty, w, fuse_tol)
     return fusion, w, close
 
 
@@ -658,6 +658,75 @@ class TestLpDistances:
         rel = np.abs(got - want)[want > 0] / want[want > 0]
         assert rel.max(initial=0.0) <= 1e-12
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        m=st.integers(1, 14),
+        p=st.sampled_from([1, 3, 50]),
+        log_spread=st.floats(-12, 0),
+        log_scale=st.floats(-160, 150),
+        rows=st.sampled_from([2, 3, 7]),
+        seed=st.integers(0, 2**32 - 1),
+        by_cluster=st.booleans(),
+        cuts=st.lists(st.integers(0, 42), max_size=8),
+    )
+    # One cluster cut across the spans (0, 3) and (3, 6): its pairs between
+    # them pass a check against the span-centred norms but not against
+    # their own.  In the second, those pairs lie right of the first row
+    # block's leading square, so no mirrored check sees them.  Two clusters
+    # side by side (seed 1), with (3, 12) holding half of one and all of
+    # the other.
+    @example(k=1, m=6, p=3, log_spread=-9.0, log_scale=0.0, rows=7, seed=4,
+             by_cluster=False, cuts=[0, 3, 6])
+    @example(k=1, m=7, p=3, log_spread=-6.0, log_scale=0.0, rows=3, seed=4,
+             by_cluster=False, cuts=[0, 3, 7])
+    @example(k=2, m=6, p=3, log_spread=-9.0, log_scale=0.0, rows=7, seed=1,
+             by_cluster=True, cuts=[0, 3, 12])
+    @example(k=2, m=6, p=3, log_spread=-3.0, log_scale=-160.0, rows=7, seed=0,
+             by_cluster=True, cuts=[0, 6, 12])
+    def test_spans_within_1e_12_of_the_loop(
+        self, k, m, p, log_spread, log_scale, rows, seed, by_cluster, cuts
+    ):
+        # The inputs of test_within_1e_12_of_the_loop, with the columns
+        # grouped by cluster or not, and contiguous spans between the drawn
+        # cuts: spans that hold a cluster, cut one across two spans, join
+        # two clusters, or mix them, and lone columns between spans.
+        n = k * m
+        assume(n % rows)
+        rng = np.random.default_rng(seed)
+        member = rng.integers(0, k, size=n)
+        u = rng.normal(size=(p, k))[:, member]
+        u += 10.0**log_spread * np.abs(u).max() * rng.normal(size=(p, n))
+        dup = rng.integers(0, n, size=n // 3)
+        u[:, rng.integers(0, n, size=dup.size)] = u[:, dup]
+        u *= 10.0**log_scale
+        if by_cluster:
+            u = np.ascontiguousarray(u[:, np.argsort(member, kind="stable")])
+        bounds = sorted({min(c, n) for c in cuts})
+        spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b - a > 1]
+        want = loop_distances(u)
+        got = np.full((n, n), np.nan)
+        with mock.patch.object(solver, "_PASS_BLOCK_BYTES", pass_block_budget(n, rows, "lp")):
+            blocks = solver._lp_row_blocks(u, np.empty((n, n)), spans)
+            while True:
+                try:
+                    s, d = next(blocks)
+                except StopIteration as done:
+                    labels = done.value
+                    break
+                square = d[:, : len(d)]
+                assert np.array_equal(square, square.T)
+                assert not np.diagonal(square).any()
+                assert np.isnan(got[s : s + len(d), s:]).all()  # each row once
+                got[s : s + len(d), s:] = d
+        upper = np.triu_indices(n)
+        got, want = got[upper], want[upper]
+        assert np.array_equal(got[want == 0], want[want == 0])
+        rel = np.abs(got - want)[want > 0] / want[want > 0]
+        assert rel.max(initial=0.0) <= 1e-12
+        if labels is not None:  # each span lies in one labelled component
+            assert all(len(set(labels[a:b])) == 1 for a, b in spans)
+
     def test_mostly_failing_blocks_take_the_exact_kernel(self, rng):
         # At P = 3000 the Gram check's kappa exceeds 1, so every pair of one
         # blob fails it twice; those blocks come whole from the row-blocked
@@ -1114,9 +1183,9 @@ class TestComponents:
         assert elapsed < 1.0
 
 
-def loop_row_blocks(U, parked):
+def loop_row_blocks(U, parked, spans=None):
     """Stand-in for solver._lp_row_blocks: the per-feature loop's distances,
-    in one block."""
+    in one block, over any spans; it labels no component."""
     return iter([(0, loop_distances(U))])
 
 
@@ -1247,15 +1316,15 @@ class TestBitIdentity:
             )
         majorize, passes = solver._lp_pass, []
 
-        def checked(U, penalty, W, fuse_tol, counts=None):
-            fusion, close = majorize(U, penalty, W, fuse_tol, counts)
+        def checked(U, penalty, W, fuse_tol, counts=None, spans=None):
+            fusion, close, found = majorize(U, penalty, W, fuse_tol, counts, spans)
             want_w = np.empty_like(W)
             with mock.patch.object(solver, "_lp_row_blocks", loop_row_blocks):
-                want, _ = majorize(U, penalty, want_w, fuse_tol, counts)
+                want, _, _ = majorize(U, penalty, want_w, fuse_tol, counts, spans)
             assert fusion == pytest.approx(want, rel=1e-12)
             np.testing.assert_allclose(W, want_w, rtol=2e-12, atol=0)
             passes.append(U.shape[1])
-            return fusion, close
+            return fusion, close, found
 
         monkeypatch.setattr(solver, "_lp_pass", checked)
         blocked, blocked_trace, merges = solve_recording_merges(data, cfg, monkeypatch)
@@ -1685,6 +1754,50 @@ class TestSaturatedPass:
         np.testing.assert_allclose(groups.W[:2, :2], w[:2, :2], rtol=1e-12, atol=0)
         np.testing.assert_allclose(groups.W[2:, 2:], w[2:, 2:], rtol=1e-12, atol=0)
         assert np.all(groups.W[:2, 2:] == -1.0) and np.all(groups.W[2:, :2] == -1.0)
+
+
+def cluster_lp_case(index):
+    """The benchmark's cluster-lp input ``index`` of seed 7 (N = 600, P = 50,
+    p0 = 0.6) with the workload's settings, and its true labels."""
+    points, truth, observed = bench_workloads().ClusterLp(7)._draw(index)
+    return ObservedDataset(points.T, observed.T), SolverConfig(0.05, PenaltySpec.lp(0.5)), truth
+
+
+class TestLpPassSpans:
+    """An lp pass carries the components of the pairs that failed the Gram
+    check in an earlier pass as its spans; once they hold every failing
+    pair, it runs in one sweep and labels nothing.  The solve still takes
+    all of W."""
+
+    def test_cluster_lp_settles_on_three_spans_and_labels_nothing(self, monkeypatch):
+        # Labels, iteration count and merges are the single-span pass's.
+        # The spans settle on the three clusters in pass 8; the pass after a
+        # merge labels the merged columns once, and at G = 3 no pair fails.
+        data, cfg, truth = cluster_lp_case(0)
+        components, fusion, calls, passes = solver._components, solver._Groups.fusion, [], []
+
+        def counted(*args):
+            calls.append(args[0])
+            return components(*args)
+
+        def recorded(self):
+            before = len(calls)
+            out = fusion(self)
+            passes.append((len(self.W), len(self.pass_spans or ()), len(calls) - before))
+            return out
+
+        monkeypatch.setattr(solver, "_components", counted)
+        monkeypatch.setattr(solver._Groups, "fusion", recorded)
+        centroids, trace, merges = solve_recording_merges(data, cfg, monkeypatch)
+        labels = extract_clusters(centroids.U, default_merge_tol(centroids.U)).labels
+        assert np.array_equal(labels, Partition(truth).canonical().labels)
+        assert trace.iterations == 20
+        assert merges == [(17, 361), (18, 3)]
+        assert set(trace.blocks) == {1}
+        # the start, one pass per iteration, one after each merge
+        assert len(passes) == trace.iterations + 1 + len(merges)
+        assert passes[7][:2] == (600, 3) and passes[7][2] == 1
+        assert passes[8:] == [(600, 3, 0)] * 10 + [(361, 0, 1), (361, 3, 0)] + [(3, 0, 0)] * 3
 
 
 class TestOnePassPerPenalty:
